@@ -29,7 +29,7 @@ import numpy as np
 
 from supgdlr import (
     build_problem, evaluate_realization, local_peclet, md_metric,
-    preset_rotating_body, run,
+    preset_rotating_body, range_excess, run,
 )
 
 TRACKED = (0, 1, 2, 3, 4)
@@ -51,8 +51,7 @@ def run_variant(scale, stabilization, seed):
         for i in TRACKED:
             u = evaluate_realization(st, i)
             trace[i].append(md_metric(u))
-            excess[i].append(max(0.0, u.max() - hi[i])
-                             + max(0.0, lo[i] - u.min()))
+            excess[i].append(range_excess(u, lo[i], hi[i]))
 
     t0 = time.perf_counter()
     final, reports = run(state, ws, cfg.T, callbacks=(observer,))

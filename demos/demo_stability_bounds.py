@@ -25,12 +25,12 @@ instead of silently passing.
 import numpy as np
 
 from supgdlr import (
-    SchemeConfig, StabilizationParams, analyze_reaction, assemble_blocks,
-    build_structured_mesh, check_moderate_stochasticity, constant_adr,
-    delta_semi_implicit, estimate_inverse_constant, evaluate_bound,
+    SchemeConfig, analyze_reaction, build_structured_mesh,
+    check_moderate_stochasticity, constant_adr, evaluate_bound,
     forcing_norms, init_from_modes, make_monte_carlo, prepare_workspace,
     run,
 )
+from supgdlr.runner import resolve_delta
 
 DT, T = 0.01, 0.5
 
@@ -52,12 +52,7 @@ def trajectory(scheme, c=0.0, f=None, eps_fn=None):
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=c, f=f,
                          eps_fn=eps_fn)
     analysis = analyze_reaction(model, mesh, space)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E)
-    delta = delta_semi_implicit(mesh, analysis, params, DT)
+    delta = resolve_delta("semi_implicit", mesh, model, analysis, DT)
     cfg = SchemeConfig(dt=DT, scheme=scheme, stabilization="supg",
                        delta=delta)
     ws = prepare_workspace(model, mesh, space, cfg, analysis=analysis)

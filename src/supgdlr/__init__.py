@@ -20,7 +20,7 @@ from .errors import (
 )
 from .mesh import (
     Mesh, QuadratureRule, FemBlocks, build_structured_mesh,
-    default_quadrature, assemble_blocks, assemble_load, apply_dirichlet,
+    default_quadrature, assemble_blocks, assemble_load,
     DirichletCondition, tag_boundary_layer,
 )
 from .sampling import (
@@ -35,8 +35,8 @@ from .coefficients import (
     delta_experiment, local_peclet, check_moderate_stochasticity,
 )
 from .lowrank import (
-    DlrState, SkewedGram, init_from_modes, init_from_snapshot,
-    evaluate_realization, skewed_gram, save_state, load_state,
+    DlrState, init_from_modes, init_from_snapshot,
+    evaluate_realization, save_state, load_state,
 )
 from .integrator import (
     SchemeConfig, StepWorkspace, prepare_workspace,
@@ -45,8 +45,9 @@ from .integrator import (
 from .fom import FomState, fom_step, fom_run
 from .diagnostics import (
     StepReport, BoundLedger, NormEvaluator, l2_norm, supg_norm,
-    md_metric, check_coercivity, check_tangent_residual, evaluate_bound,
-    forcing_norms, step_report, write_reports_csv, write_ledgers_csv,
+    md_metric, range_excess, check_coercivity, check_tangent_residual,
+    evaluate_bound, forcing_norms, step_report, write_reports_csv,
+    write_ledgers_csv,
 )
 from .runner import (
     RunConfig, preset_rotating_body, preset_boundary_layer,

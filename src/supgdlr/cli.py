@@ -21,9 +21,8 @@ from . import runner
 from .mesh import assemble_blocks, build_structured_mesh
 from .sampling import make_monte_carlo
 from .coefficients import (
-    StabilizationParams, analyze_reaction, check_moderate_stochasticity,
-    constant_adr, delta_coercivity, delta_experiment,
-    delta_semi_implicit, estimate_inverse_constant, rotating_body,
+    analyze_reaction, check_moderate_stochasticity, constant_adr,
+    delta_experiment, rotating_body,
 )
 from .diagnostics import check_coercivity, evaluate_bound
 from .integrator import SchemeConfig, prepare_workspace, run, step
@@ -62,12 +61,8 @@ def _suite_coercivity():
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 50, seed=0)
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E)
-    delta = delta_coercivity(mesh, analysis, params).capped(mesh.h_K / 4)
+    delta = runner.resolve_delta("coercivity", mesh, model, analysis,
+                                 dt=None)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
     report = check_coercivity(model, analysis, blocks, space,
@@ -82,13 +77,8 @@ def _decay_setup(scheme):
     space = make_monte_carlo([(-1.0, 1.0)], 8, seed=2)
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=0.0)
     analysis = analyze_reaction(model, mesh, space)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E)
     dt = 0.01
-    delta = delta_semi_implicit(mesh, analysis, params, dt)
+    delta = runner.resolve_delta("semi_implicit", mesh, model, analysis, dt)
     cfg = SchemeConfig(dt=dt, scheme=scheme, stabilization="supg",
                        delta=delta)
     ws = prepare_workspace(model, mesh, space, cfg, analysis=analysis)

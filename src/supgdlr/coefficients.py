@@ -142,7 +142,6 @@ class ReactionAnalysis:
     eps_star_sup: float
     eps_hat: float
     C_E: float
-    n_scan_points: int
     reaction_random: bool
 
 
@@ -190,7 +189,6 @@ def analyze_reaction(model, mesh, space, quad=None):
 
     mt_min = np.inf
     c_sup_K = np.zeros(ne)
-    n_scan = 0
     for _, omega in _scan_samples(model, space):
         mt = mu_tilde(flat, omega)
         c = model.c_at(flat, omega)
@@ -198,7 +196,6 @@ def analyze_reaction(model, mesh, space, quad=None):
             raise ConfigError("reaction analysis hit non-finite values")
         mt_min = min(mt_min, float(mt.min()))
         c_sup_K = np.maximum(c_sup_K, np.abs(c).reshape(ne, nq).max(axis=1))
-        n_scan += len(flat)
 
     nu = max(-min(mt_min, 0.0), 0.0)
 
@@ -215,7 +212,7 @@ def analyze_reaction(model, mesh, space, quad=None):
     return ReactionAnalysis(
         mu_tilde=mu_tilde, nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
         eps_star_sup=float(np.max(np.abs(eps_star))),
-        eps_hat=eps_hat, C_E=C_E, n_scan_points=n_scan,
+        eps_hat=eps_hat, C_E=C_E,
         reaction_random=model.has_random_reaction or model.div_b_random)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "l2_norm",
     "supg_norm",
     "md_metric",
+    "range_excess",
     "check_coercivity",
     "check_tangent_residual",
     "evaluate_bound",
@@ -31,6 +32,11 @@ __all__ = [
     "write_reports_csv",
     "write_ledgers_csv",
 ]
+
+
+# Largest sample count check_tangent_residual accepts: it builds an
+# explicit (N_C, N_C) basis of the stochastic complement.
+TANGENT_MAX_SAMPLES = 64
 
 
 @dataclass
@@ -65,13 +71,13 @@ class StepReport:
 
 
 class NormEvaluator:
-    """Evaluates the L2 and stabilized energy norms of a state.
+    """Evaluates the L2 and stabilized energy norms of a low-rank state.
 
-    For low-rank states with deterministic advection and reaction the
-    mode sums use the assembled matrices directly; random advection or
-    reaction falls back to a per-sample quadrature loop.  The energy
-    norm is eps_hat |grad u|^2 + sum_K delta_K |b.grad u|^2_K +
-    |mu^(1/2) u|^2 with the stabilizing field of the workspace.
+    With deterministic advection and reaction the mode sums use the
+    assembled matrices directly; random advection or reaction falls
+    back to a per-sample quadrature loop.  The energy norm is
+    eps_hat |grad u|^2 + sum_K delta_K |b.grad u|^2_K + |mu^(1/2) u|^2
+    with the stabilizing field of the workspace.
     """
 
     def __init__(self, ws):
@@ -103,32 +109,15 @@ class NormEvaluator:
         muterm = float(np.einsum("eq,eq,eq->", ws.pw, mu, vq ** 2))
         return bterm, muterm
 
-    def _field_norms(self, fields):
-        """Weighted norms of a dense nodes-by-samples matrix."""
-        ws = self.ws
-        w = ws.space.weights
-        M, A, D = ws.blocks.mass, ws.blocks.stiffness, ws.blocks.supg_conv
-        l2s = np.einsum("ki,ki->i", fields, M @ fields)
-        grads = np.einsum("ki,ki->i", fields, A @ fields)
-        l2sq = float(w @ l2s)
-        gradsq = float(w @ grads)
-        if self.b_random or self.mu_random:
-            bsq = musq = 0.0
-            for i, omega in enumerate(ws.space.samples):
-                bterm, muterm = self._sample_terms(fields[:, i], omega)
-                bsq += w[i] * bterm
-                musq += w[i] * muterm
-        else:
-            bsq = float(w @ np.einsum("ki,ki->i", fields, D @ fields))
-            if self.mu_qp is None:
-                musq = 0.0
-            else:
-                tri = fields[ws.mesh.triangles]
-                vq = np.einsum("qa,eai->eqi", ws.phi, tri)
-                per = np.einsum("eq,eq,eqi->i", ws.pw, self.mu_qp,
-                                vq ** 2)
-                musq = float(w @ per)
-        return l2sq, gradsq, max(bsq, 0.0), max(musq, 0.0)
+    def _sample_norms(self, fields):
+        """Weighted streamline and reaction terms, sample by sample."""
+        w = self.ws.space.weights
+        bsq = musq = 0.0
+        for i, omega in enumerate(self.ws.space.samples):
+            bterm, muterm = self._sample_terms(fields[:, i], omega)
+            bsq += w[i] * bterm
+            musq += w[i] * muterm
+        return bsq, musq
 
     def _dlr_norms(self, state):
         ws = self.ws
@@ -139,7 +128,7 @@ class NormEvaluator:
         gradsq = float(np.einsum("kr,kr->", U_full, A @ U_full))
         if self.b_random or self.mu_random:
             # dense fallback, intended for small sample counts
-            l2sq2, gradsq2, bsq, musq = self._field_norms(state.dense())
+            bsq, musq = self._sample_norms(state.dense())
         else:
             bsq = float(np.einsum("kr,kr->", U_full, D @ U_full))
             if self.mu_qp is None:
@@ -154,12 +143,7 @@ class NormEvaluator:
 
     def norms(self, state):
         """Returns a dict of l2, grad, supg, mu_half, bconv, mode_norms."""
-        if isinstance(state, DlrState):
-            l2sq, gradsq, bsq, musq, mode_norms = self._dlr_norms(state)
-        else:
-            fields = state.fields if hasattr(state, "fields") else state
-            l2sq, gradsq, bsq, musq = self._field_norms(fields)
-            mode_norms = []
+        l2sq, gradsq, bsq, musq, mode_norms = self._dlr_norms(state)
         supgsq = self.ws.analysis.eps_hat * gradsq + bsq + musq
         return {
             "l2": float(np.sqrt(max(l2sq, 0.0))),
@@ -181,8 +165,8 @@ def l2_norm(state, mass, space):
         sq = float(np.einsum("kr,kr->", U_full, mass @ U_full))
     else:
         fields = state.fields if hasattr(state, "fields") else state
-        per = np.einsum("ki,ki->i", fields, mass @ fields)
-        sq = float(space.weights @ per)
+        sq = float(np.einsum("ki,ki,i->", fields, mass @ fields,
+                             space.weights))
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -197,6 +181,17 @@ def md_metric(field):
     if field.size == 0:
         raise ConfigError("empty field")
     return float(field.max() - field.min())
+
+
+def range_excess(field, lo, hi):
+    """How far the nodal values rise above hi plus drop below lo.
+
+    With lo, hi the initial extremes of a realization this measures
+    spurious oscillation: pure transport cannot leave the initial range.
+    """
+    field = np.asarray(field, dtype=float)
+    return max(0.0, float(field.max()) - hi) \
+        + max(0.0, lo - float(field.min()))
 
 
 def step_report(state, ws, wcond=1.0, defect_cross=0.0,
@@ -331,47 +326,24 @@ def check_tangent_residual(ws, state_n, U_tilde, Y_tilde):
     iterate, explicit part on the old) against every nodal test function
     paired with the old stochastic modes, and against the new
     deterministic modes paired with an explicit basis of the complement.
+    On interior rows the full-order step solves that equation exactly,
+    and the fluctuation modes vanish on Dirichlet rows, so the residual
+    is Braw applied to the difference from one full-order step.
     """
-    from .integrator import _deterministic_forcing_qp, _mode_frames, \
-        _sample_residual_qp
+    from .fom import FomState, fom_step
 
-    if ws.space.count > 64:
+    if ws.space.count > TANGENT_MAX_SAMPLES:
         raise ConfigError("tangent residual check limited to small "
                           "sample counts")
     n = ws.space.count
     w = ws.space.weights
     Y_full_n = np.column_stack([np.ones(n), state_n.Y])
     Yt_full = np.column_stack([np.ones(n), Y_tilde])
-    un = state_n.dense()
     un1 = U_tilde @ Yt_full.T
+    exact = fom_step(FomState(state_n.dense(), t=state_n.t), ws).fields
 
-    res = ws.Braw @ un1 - ws.time_matrix @ un / ws.cfg.dt
-    scale = max(float(np.max(np.abs(ws.Braw @ un1))),
-                float(np.max(np.abs(ws.time_matrix @ un / ws.cfg.dt))))
-
-    if ws.has_explicit_eps:
-        term = ws.blocks.stiffness @ (un * ws.eps_expl[None, :])
-        res += term
-        scale = max(scale, float(np.max(np.abs(term))))
-    if ws.has_sample_loop:
-        from .mesh import assemble_load
-        U_full_n = np.column_stack([state_n.U0, state_n.U])
-        Vm, Gm = _mode_frames(ws, U_full_n)
-        val = _sample_residual_qp(
-            ws, state_n.t,
-            u_qp_of=lambda i: Vm @ Y_full_n[i],
-            grad_of=lambda i: Gm @ Y_full_n[i],
-            n_samples=n)
-        term = assemble_load(ws.blocks, val, skew=True)
-        res += term
-        scale = max(scale, float(np.max(np.abs(term))))
-    fqp = _deterministic_forcing_qp(ws, state_n.t)
-    if fqp is not None:
-        from .mesh import assemble_load
-        term = assemble_load(ws.blocks, fqp, skew=True)
-        res -= term[:, None]
-        scale = max(scale, float(np.max(np.abs(term))))
-    scale = max(scale, 1e-300)
+    res = ws.Braw @ (un1 - exact)
+    scale = max(float(np.max(np.abs(ws.Braw @ un1))), 1e-300)
 
     interior = ws.mesh.interior_index()
     tested_nodes = (res * w[None, :]) @ Y_full_n

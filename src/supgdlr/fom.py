@@ -8,9 +8,11 @@ the two are directly comparable.
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError
+from .errors import ConfigError
 from .mesh import assemble_load
-from .integrator import _deterministic_forcing_qp, _sample_residual_qp
+from .integrator import _deterministic_forcing_qp, _sample_residual_qp, \
+    _time_loop
+from .diagnostics import l2_norm
 
 __all__ = ["FomState", "fom_step", "fom_run"]
 
@@ -63,34 +65,15 @@ def fom_step(state, ws):
 
 
 def fom_run(initial, ws, T, callbacks=()):
-    """Time loop; returns (state, list of weighted space-time L2 norms)."""
-    t0 = initial.t
-    dt = ws.cfg.dt
-    if T <= t0:
-        raise ConfigError("final time must exceed the initial time")
-    n_steps = int(round((T - t0) / dt))
-    if abs(n_steps * dt - (T - t0)) > 1e-9 * max(T - t0, dt):
-        raise ConfigError("dt does not divide the time interval")
-    n_steps = max(n_steps, 1)
+    """Time loop; returns (state, list of weighted space-time L2 norms).
 
-    def l2(fields):
-        sq = np.einsum("ki,ki,i->", fields,
-                       ws.blocks.mass @ fields, ws.space.weights)
-        return float(np.sqrt(max(sq, 0.0)))
+    Each callback is called as cb(state, norm).
+    """
+    def measure(state):
+        return l2_norm(state, ws.blocks.mass, ws.space)
 
-    state = initial
-    norms = [l2(state.fields)]
-    ref = max(norms[0], 1.0)
-    for cb in callbacks:
-        cb(state, norms[0])
-    for n in range(n_steps):
-        state = fom_step(state, ws)
-        nrm = l2(state.fields)
-        if not np.isfinite(nrm) or nrm > ws.cfg.blowup_factor * ref:
-            raise BlowupError(
-                f"norm {nrm:.3e} at step {n + 1} indicates blow-up",
-                step_index=n + 1)
-        norms.append(nrm)
-        for cb in callbacks:
-            cb(state, nrm)
-    return state, norms
+    def advance(state):
+        state = fom_step(state, ws)   # looked up per call: wrappers apply
+        return state, measure(state)
+
+    return _time_loop(initial, ws, T, advance, measure, float, callbacks)

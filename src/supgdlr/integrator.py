@@ -17,10 +17,12 @@ deterministic advection field.
 """
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from . import diagnostics
 from .errors import BlowupError, ConfigError, NearSingularError
 from .mesh import DirichletCondition, assemble_blocks, assemble_load, \
     default_quadrature
@@ -55,7 +57,6 @@ class SchemeConfig:
     compute_tangent_residual: bool = False
     wcond_threshold: float = 1e12
     blowup_factor: float = 1e8
-    solver_tol: float = 1e-12     # informational; solves are direct
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -67,6 +68,7 @@ class SchemeConfig:
                 f"unknown stabilization {self.stabilization!r}")
 
 
+@dataclass(eq=False)
 class StepWorkspace:
     """Factorized operators and caches shared by every step of a run.
 
@@ -75,30 +77,32 @@ class StepWorkspace:
     fluctuation modes), so one sparse factorization serves them all.
     """
 
-    def __init__(self, model, mesh, space, cfg, analysis, quad,
-                 delta, blocks, Braw, bc0, bc_hom, lu,
-                 eps_bar, eps_expl, c_expl, b_expl):
-        self.model = model
-        self.mesh = mesh
-        self.space = space
-        self.cfg = cfg
-        self.analysis = analysis
-        self.quad = quad
-        self.delta = delta
-        self.blocks = blocks
-        self.Braw = Braw
-        self.bc0 = bc0
-        self.bc_hom = bc_hom
-        self.lu = lu
-        self.eps_bar = eps_bar
-        self.eps_expl = eps_expl          # per-sample explicit diffusion
-        self.c_expl = c_expl              # callable (x, omega) or None
-        self.b_expl = b_expl              # callable (x, omega) or None
-        self.time_matrix = (blocks.mass + blocks.supg_mass).tocsr()
-        self.phi = quad.basis_values()
-        self.pw = mesh.quad_weights(quad)
-        self.xq_flat = mesh.quad_points(quad).reshape(-1, 2)
-        self.norms = None                 # attached lazily (diagnostics)
+    model: object
+    mesh: object
+    space: object
+    cfg: SchemeConfig
+    analysis: object
+    quad: object
+    delta: np.ndarray
+    blocks: object
+    Braw: object
+    bc0: DirichletCondition
+    bc_hom: DirichletCondition
+    lu: object
+    eps_bar: float
+    eps_expl: np.ndarray              # per-sample explicit diffusion
+    c_expl: object                    # callable (x, omega) or None
+    b_expl: object                    # callable (x, omega) or None
+    time_matrix: object               # mass + supg_mass
+    phi: np.ndarray = field(init=False)
+    pw: np.ndarray = field(init=False)
+    xq_flat: np.ndarray = field(init=False)
+    norms: object = field(init=False, default=None)   # see norm_evaluator
+
+    def __post_init__(self):
+        self.phi = self.quad.basis_values()
+        self.pw = self.mesh.quad_weights(self.quad)
+        self.xq_flat = self.mesh.quad_points(self.quad).reshape(-1, 2)
 
     @property
     def has_explicit_eps(self):
@@ -120,8 +124,7 @@ class StepWorkspace:
 
     def norm_evaluator(self):
         if self.norms is None:
-            from .diagnostics import NormEvaluator
-            self.norms = NormEvaluator(self)
+            self.norms = diagnostics.NormEvaluator(self)
         return self.norms
 
 
@@ -144,6 +147,11 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
     """Assemble and factorize everything one run of `step` needs."""
     quad = quad or default_quadrature()
     model.validate(space, mesh, quad)
+    if (cfg.compute_tangent_residual
+            and space.count > diagnostics.TANGENT_MAX_SAMPLES):
+        raise ConfigError(
+            "the tangent residual check needs at most "
+            f"{diagnostics.TANGENT_MAX_SAMPLES} samples, got {space.count}")
     delta = _resolve_delta(cfg, mesh)
     eps_bar, eps_star = model.eps_split(space)
     eps_full = eps_bar + eps_star
@@ -174,17 +182,19 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
         c_expl = model.c_fluct
         b_expl = model.b_fluct
 
-    time_mat = blocks.mass + blocks.supg_mass
-    Braw = (time_mat / cfg.dt + K_impl).tocsr() if K_impl is not None \
-        else (time_mat / cfg.dt).tocsr()
+    time_matrix = (blocks.mass + blocks.supg_mass).tocsr()
+    Braw = (time_matrix / cfg.dt + K_impl).tocsr() if K_impl is not None \
+        else (time_matrix / cfg.dt).tocsr()
 
     bc0 = DirichletCondition(Braw, mesh, cfg.bc)
     bc_hom = DirichletCondition(Braw, mesh,
                                 {tag: 0.0 for tag in cfg.bc})
     lu = spla.splu(bc0.matrix.tocsc())
-    return StepWorkspace(model, mesh, space, cfg, analysis, quad, delta,
-                         blocks, Braw, bc0, bc_hom, lu,
-                         eps_bar, eps_expl, c_expl, b_expl)
+    return StepWorkspace(
+        model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
+        quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc0=bc0,
+        bc_hom=bc_hom, lu=lu, eps_bar=eps_bar, eps_expl=eps_expl,
+        c_expl=c_expl, b_expl=b_expl, time_matrix=time_matrix)
 
 
 def _full_factors(state):
@@ -209,10 +219,8 @@ def _sample_residual_qp(ws, t, u_qp_of, grad_of, n_samples):
     """Explicit reaction/advection residual minus stochastic forcing.
 
     Returns (ne, nq, N_C) values of c_expl u + b_expl . grad u - f_st
-    at quadrature points, or None when no such term exists.
+    at quadrature points; only called when ws.has_sample_loop.
     """
-    if not ws.has_sample_loop:
-        return None
     ne, nq = ws.pw.shape
     flat = ws.xq_flat
     val = np.zeros((ne, nq, n_samples))
@@ -256,13 +264,14 @@ def step_deterministic_modes(state, ws):
         Emat = Y_full.T @ ((w * ws.eps_expl)[:, None] * Y_full)
         rhs -= ws.blocks.stiffness @ (U_full @ Emat)
 
-    Vm, Gm = _mode_frames(ws, U_full)
-    val = _sample_residual_qp(
-        ws, state.t,
-        u_qp_of=lambda i: Vm @ Y_full[i],
-        grad_of=lambda i: Gm @ Y_full[i],
-        n_samples=state.n_samples)
-    if val is not None:
+    val = None
+    if ws.has_sample_loop:
+        Vm, Gm = _mode_frames(ws, U_full)
+        val = _sample_residual_qp(
+            ws, state.t,
+            u_qp_of=lambda i: Vm @ Y_full[i],
+            grad_of=lambda i: Gm @ Y_full[i],
+            n_samples=state.n_samples)
         valY = np.einsum("eqi,ir->eqr", val, w[:, None] * Y_full)
         rhs -= assemble_load(ws.blocks, valY, skew=True)
 
@@ -277,24 +286,16 @@ def step_deterministic_modes(state, ws):
     return U_tilde, (U_full, Y_full, val)
 
 
-def step_stochastic_modes(state, U_tilde, ws, caches=None):
+def step_stochastic_modes(state, U_tilde, ws, caches):
     """Solve the per-sample increment systems in the complement.
 
+    caches is the second result of step_deterministic_modes.
     Returns (Y_tilde, dY, w_condition).
     """
     R = state.rank
     if R == 0:
         return state.Y.copy(), np.zeros_like(state.Y), 1.0
-    if caches is None:
-        U_full, Y_full = _full_factors(state)
-        Vm, Gm = _mode_frames(ws, U_full)
-        val = _sample_residual_qp(
-            ws, state.t,
-            u_qp_of=lambda i: Vm @ Y_full[i],
-            grad_of=lambda i: Gm @ Y_full[i],
-            n_samples=state.n_samples)
-    else:
-        U_full, Y_full, val = caches
+    U_full, Y_full, val = caches
 
     Um = U_tilde[:, 1:]
     What = Um.T @ (ws.Braw.T @ Um)
@@ -325,8 +326,6 @@ def step_stochastic_modes(state, U_tilde, ws, caches=None):
 
 def step(state, ws):
     """Advance one time step; returns (new state, StepReport)."""
-    from . import diagnostics
-
     U_tilde, caches = step_deterministic_modes(state, ws)
     Y_tilde, dY, wcond = step_stochastic_modes(state, U_tilde, ws, caches)
 
@@ -346,7 +345,7 @@ def step(state, ws):
     new_state = DlrState(U0_new, U_new, Y_new, t=state.t + ws.cfg.dt)
 
     tangent = None
-    if ws.cfg.compute_tangent_residual and ws.space.count <= 64:
+    if ws.cfg.compute_tangent_residual:
         tangent = diagnostics.check_tangent_residual(
             ws, state, U_tilde, Y_tilde)
 
@@ -356,8 +355,16 @@ def step(state, ws):
     return new_state, report
 
 
-def run(initial, ws, T, callbacks=()):
-    """Time loop from initial.t to T; returns (state, list of reports)."""
+def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
+    """The time loop of `run` and `fom.fom_run`.
+
+    Checks that ws.cfg.dt divides [initial.t, T], records
+    measure(initial), then calls advance(state) -> (state, record) once
+    per step.  A record whose l2_of is not finite or exceeds
+    blowup_factor times the initial one (at least 1) raises BlowupError
+    carrying the step index.  Every record, the initial one included,
+    is passed on as cb(state, record).  Returns (state, list of records).
+    """
     t0 = initial.t
     dt = ws.cfg.dt
     if T <= t0:
@@ -368,24 +375,35 @@ def run(initial, ws, T, callbacks=()):
     n_steps = max(n_steps, 1)
 
     state = initial
-    reports = [diagnostics_initial_report(state, ws)]
-    ref = max(reports[0].l2, 1.0)
+    records = [measure(state)]
+    ref = max(l2_of(records[0]), 1.0)
     for cb in callbacks:
-        cb(reports[0], state)
+        cb(state, records[0])
     for n in range(n_steps):
-        state, report = step(state, ws)
-        if not np.isfinite(report.l2) or report.l2 > ws.cfg.blowup_factor * ref:
+        state, record = advance(state)
+        l2 = l2_of(record)
+        if not np.isfinite(l2) or l2 > ws.cfg.blowup_factor * ref:
             raise BlowupError(
-                f"norm {report.l2:.3e} at step {n + 1} indicates blow-up",
+                f"norm {l2:.3e} at step {n + 1} indicates blow-up",
                 step_index=n + 1)
-        reports.append(report)
+        records.append(record)
+        for cb in callbacks:
+            cb(state, record)
+    return state, records
+
+
+def run(initial, ws, T, callbacks=()):
+    """Time loop from initial.t to T; returns (state, list of reports).
+
+    Each callback is called as cb(report, state).
+    """
+    def advance(state):
+        return step(state, ws)   # looked up per call, so wrappers apply
+
+    def notify(state, report):
         for cb in callbacks:
             cb(report, state)
-    return state, reports
 
-
-def diagnostics_initial_report(state, ws):
-    from . import diagnostics
-    return diagnostics.step_report(state, ws, wcond=1.0,
-                                   defect_cross=0.0,
-                                   tangent_residual=None)
+    return _time_loop(initial, ws, T, advance,
+                      lambda state: diagnostics.step_report(state, ws),
+                      attrgetter("l2"), (notify,))

@@ -13,11 +13,9 @@ from .sampling import expectation, weighted_orthonormalize
 
 __all__ = [
     "DlrState",
-    "SkewedGram",
     "init_from_modes",
     "init_from_snapshot",
     "evaluate_realization",
-    "skewed_gram",
     "save_state",
     "load_state",
 ]
@@ -159,22 +157,6 @@ def evaluate_realization(state, i):
     if state.rank == 0:
         return state.U0.copy()
     return state.U0 + state.U @ state.Y[i]
-
-
-class SkewedGram:
-    """Gram matrix of modes under the streamline-skewed pairing."""
-
-    def __init__(self, W, condition):
-        self.W = W
-        self.condition = condition
-
-
-def skewed_gram(U_tilde, blocks):
-    """W_ij = <U_i, U_j> + sum_K delta_K <U_i, b.grad U_j>_K."""
-    Ut = np.atleast_2d(np.asarray(U_tilde, dtype=float))
-    W = Ut.T @ ((blocks.mass + blocks.supg_mass.T) @ Ut)
-    cond = np.linalg.cond(W) if W.size else 1.0
-    return SkewedGram(W, float(cond))
 
 
 def save_state(state, path, n_per_side=None):

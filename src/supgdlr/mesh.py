@@ -18,7 +18,6 @@ __all__ = [
     "default_quadrature",
     "assemble_blocks",
     "assemble_load",
-    "apply_dirichlet",
     "DirichletCondition",
     "tag_boundary_layer",
 ]
@@ -279,15 +278,12 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
     )
 
 
-def assemble_load(blocks, values_at_qp, grad_values_at_qp=None,
-                  skew=False):
+def assemble_load(blocks, values_at_qp, skew=False):
     """Assemble load vector(s) from quadrature-point data.
 
     values_at_qp : (ne, nq) or (ne, nq, k) scalar source g; the result
     holds (g, phi_i) plus, when skew is True, the stabilized companion
-    sum_K delta_K (g, b.grad phi_i)_K.  grad_values_at_qp, when given
-    with shape (ne, 2) or (ne, 2, k), adds (G, grad phi_i) for an
-    element-constant vector field G.
+    sum_K delta_K (g, b.grad phi_i)_K.
 
     Returns (N_h,) or (N_h, k).
     """
@@ -305,13 +301,6 @@ def assemble_load(blocks, values_at_qp, grad_values_at_qp=None,
         bg = np.einsum("eqi,eai->eqa", blocks.b_at_qp, mesh.grads)
         test = test + (blocks.delta[:, None, None] * bg)[..., None]
     contrib = np.einsum("eq,eqk,eqak->eak", pw, vals, test)
-
-    if grad_values_at_qp is not None:
-        gv = np.asarray(grad_values_at_qp, dtype=float)
-        if gv.ndim == 2:
-            gv = gv[..., None]
-        contrib = contrib + np.einsum(
-            "e,eik,eai->eak", mesh.signed_areas, gv, mesh.grads)
 
     out = np.zeros((mesh.n_vertices, k))
     np.add.at(out, mesh.triangles.ravel(),
@@ -355,21 +344,13 @@ class DirichletCondition:
         self.matrix = constrained.tocsr()
         self.matrix.sort_indices()
 
-    def constrain_rhs(self, rhs, values=None):
+    def constrain_rhs(self, rhs):
         """Return the rhs consistent with the constrained matrix."""
-        values = self.values if values is None else values
         out = np.array(rhs, dtype=float, copy=True)
         if out.ndim == 1:
-            out -= self._cols @ values
-            out[self.dofs] = values
+            out -= self._cols @ self.values
+            out[self.dofs] = self.values
         else:
-            out -= np.outer(self._cols @ values, np.ones(out.shape[1])) \
-                if np.isscalar(values) else (self._cols @ values)[:, None]
-            out[self.dofs, :] = values[:, None]
+            out -= (self._cols @ self.values)[:, None]
+            out[self.dofs, :] = self.values[:, None]
         return out
-
-
-def apply_dirichlet(matrix, rhs, mesh, boundary_values):
-    """Constrain a linear system; returns (matrix, rhs) with BC applied."""
-    bc = DirichletCondition(matrix, mesh, boundary_values)
-    return bc.matrix, bc.constrain_rhs(rhs)

@@ -19,7 +19,7 @@ from . import __version__ as _version
 from .errors import ConfigError
 from .mesh import build_structured_mesh, tag_boundary_layer, \
     assemble_blocks, default_quadrature
-from .sampling import SampleSpace, make_monte_carlo, make_tensor_grid
+from .sampling import make_monte_carlo, make_tensor_grid
 from .coefficients import (
     StabilizationParams, analyze_reaction, boundary_layer,
     check_moderate_stochasticity, constant_adr, delta_coercivity,
@@ -30,7 +30,7 @@ from .lowrank import evaluate_realization, init_from_modes, \
     init_from_snapshot, DlrState
 from .integrator import SchemeConfig, prepare_workspace, run
 from .diagnostics import (
-    check_tangent_residual, evaluate_bound, forcing_norms, md_metric,
+    evaluate_bound, forcing_norms, md_metric, range_excess,
     write_ledgers_csv, write_reports_csv,
 )
 
@@ -215,29 +215,26 @@ def build_model(cfg, space):
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
-def resolve_delta(cfg, mesh, model, space, analysis, quad=None):
-    """Per-element stabilization parameter for the configured policy.
+def resolve_delta(policy, mesh, model, analysis, dt, quad=None):
+    """Per-element stabilization parameter of one delta policy.
 
-    Policies other than the plain h_K/4 rule need the inverse constant;
-    the coercivity policy caps its inactive-constraint sentinels with
-    h_K/4.
+    Policies other than the plain h_K/4 rule ("experiment") need the
+    inverse constant; the coercivity policy caps its inactive-constraint
+    sentinels with h_K/4, and only the semi_implicit policy reads dt.
     """
-    if cfg.stabilization == "none":
-        return StabilizationParams(np.zeros(mesh.n_triangles), "off")
-    if cfg.delta_policy == "experiment":
+    if policy == "experiment":
         return delta_experiment(mesh)
-    quad = quad or default_quadrature()
     plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
                             np.zeros(mesh.n_triangles), quad)
     C_I = estimate_inverse_constant(mesh, plain)
     params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
                                  C_I=C_I, C_E=analysis.C_E, d=2)
-    if cfg.delta_policy == "coercivity":
+    if policy == "coercivity":
         dk = delta_coercivity(mesh, analysis, params)
         return dk.capped(mesh.h_K / 4.0)
-    if cfg.delta_policy == "semi_implicit":
-        return delta_semi_implicit(mesh, analysis, params, cfg.dt)
-    raise ConfigError(f"unknown delta policy {cfg.delta_policy!r}")
+    if policy == "semi_implicit":
+        return delta_semi_implicit(mesh, analysis, params, dt)
+    raise ConfigError(f"unknown delta policy {policy!r}")
 
 
 def build_problem(cfg):
@@ -252,7 +249,11 @@ def build_problem(cfg):
     model = build_model(cfg, space)
     quad = default_quadrature()
     analysis = analyze_reaction(model, mesh, space, quad)
-    delta = resolve_delta(cfg, mesh, model, space, analysis, quad)
+    if cfg.stabilization == "none":
+        delta = StabilizationParams(np.zeros(mesh.n_triangles), "off")
+    else:
+        delta = resolve_delta(cfg.delta_policy, mesh, model, analysis,
+                              cfg.dt, quad)
     scheme_cfg = SchemeConfig(
         dt=cfg.dt, scheme=cfg.scheme, stabilization=cfg.stabilization,
         delta=delta, bc=dict(cfg.bc),
@@ -283,10 +284,11 @@ def read_field_dump(path):
 def run_from_config(cfg):
     """Execute one configured run; returns (exit_status, manifest).
 
-    Writes norms.csv, md.csv (tracked realizations), ledger.csv (when
-    bounds are requested), requested field dumps and a run.json
-    manifest into cfg.out_dir.  Exit status: 0 success, 1 configuration
-    error, 2 numerical failure, 3 a requested bound failed.
+    Writes norms.csv, md.csv (spread and range excess of the tracked
+    realizations), ledger.csv (when bounds are requested), requested
+    field dumps and a run.json manifest into cfg.out_dir.  Exit status:
+    0 success, 1 configuration error, 2 numerical failure, 3 a requested
+    bound failed.
     """
     from .errors import SupgDlrError
 
@@ -298,13 +300,17 @@ def run_from_config(cfg):
         mesh, space, model, analysis, delta, ws, state = build_problem(cfg)
 
         md_rows = []
+        initial_range = {}
         dump_jobs = [(float(td), int(si)) for td in cfg.dump_times
                      for si in cfg.dump_samples]
 
         def observer(report, st):
             for idx in cfg.track_md_samples:
-                md_rows.append((report.t, int(idx),
-                                md_metric(evaluate_realization(st, idx))))
+                u = evaluate_realization(st, idx)
+                # the first call sees the initial state
+                lo, hi = initial_range.setdefault(idx, (u.min(), u.max()))
+                md_rows.append((report.t, int(idx), md_metric(u),
+                                range_excess(u, lo, hi)))
             for td, si in dump_jobs:
                 if abs(report.t - td) <= 0.5 * cfg.dt:
                     fn = os.path.join(
@@ -318,9 +324,9 @@ def run_from_config(cfg):
                           os.path.join(cfg.out_dir, "norms.csv"))
         if md_rows:
             with open(os.path.join(cfg.out_dir, "md.csv"), "w") as fh:
-                fh.write("t,sample,md\n")
-                for t, idx, v in md_rows:
-                    fh.write(f"{t:.17g},{idx},{v:.17g}\n")
+                fh.write("t,sample,md,excess\n")
+                for t, idx, v, x in md_rows:
+                    fh.write(f"{t:.17g},{idx},{v:.17g},{x:.17g}\n")
 
         if cfg.bounds:
             n_steps = len(reports) - 1

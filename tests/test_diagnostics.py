@@ -7,9 +7,9 @@ import pytest
 
 from supgdlr import (
     ConfigError, SchemeConfig, StabilizationParams, analyze_reaction,
-    assemble_blocks, build_structured_mesh, check_coercivity,
-    check_moderate_stochasticity, check_tangent_residual, constant_adr,
-    delta_coercivity, delta_experiment, delta_semi_implicit,
+    assemble_blocks, boundary_layer, build_structured_mesh,
+    check_coercivity, check_moderate_stochasticity, check_tangent_residual,
+    constant_adr, delta_coercivity, delta_experiment, delta_semi_implicit,
     estimate_inverse_constant, evaluate_bound, forcing_norms,
     init_from_modes, l2_norm, make_monte_carlo, md_metric,
     prepare_workspace, rotating_body, run, step, step_report, supg_norm,
@@ -128,8 +128,6 @@ def test_coercivity_check_passes_with_compliant_delta():
 
 
 def test_coercivity_check_rejects_random_advection():
-    from supgdlr import boundary_layer
-
     mesh = build_structured_mesh(4)
     space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
                              5, seed=0)
@@ -141,26 +139,34 @@ def test_coercivity_check_rejects_random_advection():
         check_coercivity(model, analysis, blocks, space, trials=1)
 
 
-def tangent_setup(stabilization):
+def tangent_setup(case):
+    """Rotating body with stabilization `case` ("supg" or "none"), or
+    the "boundary_layer" model, whose random advection runs the
+    per-sample residual."""
     mesh = build_structured_mesh(3)
-    space = make_monte_carlo([(-1.0, 1.0)] * 3, 6, seed=8)
-    ws = make_ws(mesh, space, rotating_body(),
-                 stabilization=stabilization)
+    if case == "boundary_layer":
+        space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
+                                 6, seed=8)
+        ws = make_ws(mesh, space, boundary_layer(space))
+    else:
+        space = make_monte_carlo([(-1.0, 1.0)] * 3, 6, seed=8)
+        ws = make_ws(mesh, space, rotating_body(), stabilization=case)
     state = random_state(mesh, space, rank=2, seed=9)
     return ws, state
 
 
-@pytest.mark.parametrize("stabilization", ["supg", "none"])
-def test_tangent_residual_small_after_exact_step(stabilization):
-    ws, state = tangent_setup(stabilization)
+@pytest.mark.parametrize("case", ["supg", "none", "boundary_layer"])
+def test_tangent_residual_small_after_exact_step(case):
+    ws, state = tangent_setup(case)
     U_tilde, caches = step_deterministic_modes(state, ws)
     Y_tilde, _, _ = step_stochastic_modes(state, U_tilde, ws, caches)
     res = check_tangent_residual(ws, state, U_tilde, Y_tilde)
     assert res <= 1e-9
 
 
-def test_tangent_residual_perturbation_sensitivity():
-    ws, state = tangent_setup("supg")
+@pytest.mark.parametrize("case", ["supg", "boundary_layer"])
+def test_tangent_residual_perturbation_sensitivity(case):
+    ws, state = tangent_setup(case)
     U_tilde, caches = step_deterministic_modes(state, ws)
     Y_tilde, _, _ = step_stochastic_modes(state, U_tilde, ws, caches)
     bad = U_tilde.copy()

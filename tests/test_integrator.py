@@ -5,9 +5,9 @@ import pytest
 
 from supgdlr import (
     BlowupError, ConfigError, FomState, SchemeConfig, delta_experiment,
-    build_structured_mesh, constant_adr, fom_step, init_from_modes,
-    load_state, make_monte_carlo, prepare_workspace, rotating_body, run,
-    save_state, step,
+    build_structured_mesh, constant_adr, fom_run, fom_step,
+    init_from_modes, load_state, make_monte_carlo, prepare_workspace,
+    rotating_body, run, save_state, step,
 )
 
 
@@ -30,6 +30,15 @@ def make_ws(mesh, space, model, scheme="semi_implicit",
     return prepare_workspace(model, mesh, space, cfg)
 
 
+def full_order_run(state, ws, T):
+    return fom_run(FomState(state.dense(), t=state.t), ws, T)
+
+
+# the low-rank and the full-order time loop
+time_loops = pytest.mark.parametrize("loop", [run, full_order_run],
+                                     ids=["run", "fom_run"])
+
+
 def test_scheme_config_validation():
     with pytest.raises(ConfigError):
         SchemeConfig(dt=0.0)
@@ -43,6 +52,17 @@ def test_supg_needs_delta():
     mesh = build_structured_mesh(3)
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=0)
     cfg = SchemeConfig(dt=0.1, stabilization="supg", delta=None)
+    with pytest.raises(ConfigError):
+        prepare_workspace(rotating_body(), mesh, space, cfg)
+
+
+def test_tangent_check_limited_to_small_sample_spaces():
+    mesh = build_structured_mesh(3)
+    cfg = SchemeConfig(dt=0.1, delta=delta_experiment(mesh),
+                       compute_tangent_residual=True)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 64, seed=0)
+    prepare_workspace(rotating_body(), mesh, space, cfg)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 65, seed=0)
     with pytest.raises(ConfigError):
         prepare_workspace(rotating_body(), mesh, space, cfg)
 
@@ -118,21 +138,23 @@ def test_increment_lies_in_complement():
     assert np.array_equal(Y_tilde, state.Y + dY)
 
 
-def test_run_time_grid_checks():
+@time_loops
+def test_run_time_grid_checks(loop):
     mesh = build_structured_mesh(3)
     space = make_monte_carlo([(-1.0, 1.0)], 2, seed=0)
     ws = make_ws(mesh, space, constant_adr(eps_value=0.1), dt=0.1)
     state = random_state(mesh, space, rank=1, seed=1)
     with pytest.raises(ConfigError):
-        run(state, ws, -1.0)
+        loop(state, ws, -1.0)
     with pytest.raises(ConfigError):
-        run(state, ws, 0.33)          # 0.1 does not divide 0.33
-    final, reports = run(state, ws, 0.5)
-    assert len(reports) == 6          # initial + 5 steps
+        loop(state, ws, 0.33)         # 0.1 does not divide 0.33
+    final, records = loop(state, ws, 0.5)
+    assert len(records) == 6          # initial + 5 steps
     assert abs(final.t - 0.5) <= 1e-12
 
 
-def test_explicit_diffusion_blowup_detected():
+@time_loops
+def test_explicit_diffusion_blowup_detected(loop):
     mesh = build_structured_mesh(8)
     space = make_monte_carlo([(-1.0, 1.0)], 2, seed=0)
     model = constant_adr(eps_value=1.0, b=(0.0, 0.0))
@@ -141,8 +163,26 @@ def test_explicit_diffusion_blowup_detected():
     ws = prepare_workspace(model, mesh, space, cfg)
     state = random_state(mesh, space, rank=1, seed=2)
     with pytest.raises(BlowupError) as err:
-        run(state, ws, 10.0)
+        loop(state, ws, 10.0)
     assert err.value.step_index >= 1
+
+
+def test_step_without_sample_loop_builds_no_mode_frames(monkeypatch):
+    # deterministic advection and reaction: no per-sample residual, so
+    # the quadrature-point mode frames are never needed
+    from supgdlr import integrator
+
+    def refuse(*args):
+        raise AssertionError("mode frames built without a sample loop")
+
+    monkeypatch.setattr(integrator, "_mode_frames", refuse)
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 10, seed=11)
+    ws = make_ws(mesh, space, rotating_body(), dt=1e-3)
+    assert not ws.has_sample_loop
+    state, report = step(random_state(mesh, space, rank=2, seed=12), ws)
+    assert abs(state.t - 1e-3) <= 1e-15
+    assert np.isfinite(report.l2)
 
 
 def test_semi_implicit_trajectory_reproducible():

@@ -6,7 +6,7 @@ import pytest
 from supgdlr import (
     ConfigError, DlrState, assemble_blocks, build_structured_mesh,
     evaluate_realization, init_from_modes, init_from_snapshot, load_state,
-    make_monte_carlo, save_state, skewed_gram,
+    make_monte_carlo, save_state,
 )
 
 
@@ -104,22 +104,6 @@ def test_validate_rejects_broken_invariants():
     bad = DlrState(state.U0, state.U, state.Y + 0.5, t=0.0)
     with pytest.raises(ConfigError):
         bad.validate(space, blocks.mass)
-
-
-def test_skewed_gram_matches_dense():
-    mesh = build_structured_mesh(4)
-    delta = np.full(mesh.n_triangles, 0.07)
-
-    def b_fn(x):
-        return np.column_stack([np.ones(len(x)), 0.5 * np.ones(len(x))])
-
-    blocks = assemble_blocks(mesh, b_fn, None, delta)
-    rng = np.random.default_rng(10)
-    Ut = rng.standard_normal((mesh.n_vertices, 3))
-    sg = skewed_gram(Ut, blocks)
-    want = Ut.T @ ((blocks.mass + blocks.supg_mass.T).toarray() @ Ut)
-    assert np.max(np.abs(sg.W - want)) <= 1e-12
-    assert sg.condition >= 1.0
 
 
 def test_checkpoint_round_trip(tmp_path):

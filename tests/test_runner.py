@@ -1,5 +1,6 @@
 """Presets, config round trips and the batch runner."""
 
+import csv
 import json
 import os
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, RunConfig, build_problem, load_config,
-    preset_boundary_layer, preset_rotating_body, read_field_dump,
-    run_from_config, write_config, write_field_dump,
+    ConfigError, RunConfig, build_problem, evaluate_realization,
+    load_config, preset_boundary_layer, preset_rotating_body,
+    range_excess, read_field_dump, run, run_from_config, write_config,
+    write_field_dump,
 )
 
 
@@ -118,6 +120,28 @@ def test_run_from_config_outputs(tmp_path):
     assert echoed["version"]
 
 
+def test_md_csv_reports_range_excess(tmp_path):
+    out = tmp_path / "md"
+    cfg = tiny_config(str(out), track_md_samples=(0, 1))
+    status, _ = run_from_config(cfg)
+    assert status == 0
+    with open(out / "md.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "sample", "md", "excess"]
+    body = rows[1:]
+    assert len(body) == 2 * 11                  # t0 + 10 steps, 2 samples
+    assert [r[3] for r in body[:2]] == ["0", "0"]
+    assert all(float(r[3]) >= 0.0 for r in body)
+    assert any(float(r[3]) > 0.0 for r in body)
+
+    _, _, _, _, _, ws, state = build_problem(cfg)
+    u0 = evaluate_realization(state, 1)
+    final, _ = run(state, ws, cfg.T)
+    want = range_excess(evaluate_realization(final, 1), u0.min(), u0.max())
+    assert body[-1][1] == "1"
+    assert float(body[-1][3]) == want
+
+
 def test_run_from_config_is_deterministic(tmp_path):
     outs = []
     for tag in ("a", "b"):
@@ -134,6 +158,17 @@ def test_run_from_config_bad_model(tmp_path):
     status, manifest = run_from_config(cfg)
     assert status == 1
     assert manifest["status"] == "config_error"
+
+
+def test_run_from_config_rejects_tangent_check_on_many_samples(tmp_path):
+    sampler = {"kind": "monte_carlo", "count": 65, "seed": 3,
+               "intervals": [(-1.0, 1.0)] * 3}
+    cfg = tiny_config(str(tmp_path / "big"), sampler=sampler,
+                      tangent_residual=True)
+    status, manifest = run_from_config(cfg)
+    assert status == 1
+    assert manifest["status"] == "config_error"
+    assert "tangent residual" in manifest["error"]
 
 
 def test_field_dump_written_at_requested_time(tmp_path):
