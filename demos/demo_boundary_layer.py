@@ -8,11 +8,18 @@ a separable random field compressed to low rank by a weighted truncated
 SVD of its sample snapshot.
 
 The demo reports the compression rank chosen by the tolerance, runs the
-stabilized and the standard scheme, and compares the worst overshoot
-above the inflow value 1 and the worst undershoot below 0 across all
-collocation samples at the final time.
+stabilized and the standard scheme, and compares their range excess at
+the final time.  The advection is divergence free and there is no
+reaction or source, so by the maximum principle each realization stays
+within [min(initial min, 0), max(initial max, 1)], the range of its
+initial field and of the boundary values 0 and 1.  The excess is how
+far a realization rises above that range plus how far it drops below
+it; the demo prints the worst and the mean over all collocation samples.
+The initial field spans about [-5.4, 3.2], so plain over- and
+undershoots of [0, 1] would mostly count leftover initial data.
 
-Runtime is about half a minute at desk scale.
+Runtime is about two seconds at desk scale.  With --scale paper the
+stabilized run stops at step 1 with NearSingularError (see README).
 """
 
 import argparse
@@ -20,13 +27,16 @@ import time
 
 import numpy as np
 
-from supgdlr import build_problem, preset_boundary_layer, run
+from supgdlr import build_problem, preset_boundary_layer, range_excess, run
 
 
-def realization_extremes(state, space):
-    """Worst max and min nodal value over every sample."""
-    fields = state.dense()
-    return float(fields.max()), float(fields.min())
+def excess_per_sample(initial, final):
+    """Final range excess of every sample against the maximum principle."""
+    u0, u1 = initial.dense(), final.dense()
+    lo = np.minimum(u0.min(axis=0), 0.0)
+    hi = np.maximum(u0.max(axis=0), 1.0)
+    return np.array([range_excess(u1[:, i], lo[i], hi[i])
+                     for i in range(u1.shape[1])])
 
 
 def main():
@@ -48,15 +58,15 @@ def main():
         t0 = time.perf_counter()
         final, reports = run(state, ws, cfg.T)
         wall = time.perf_counter() - t0
-        hi, lo = realization_extremes(final, space)
+        excess = excess_per_sample(state, final)
         print(f"{label:>10}: {len(reports) - 1} steps in {wall:.1f} s, "
               f"final L2 {reports[-1].l2:.4f}")
-        print(f"{'':>10}  worst overshoot {max(hi - 1.0, 0.0):.4f}, "
-              f"worst undershoot {max(-lo, 0.0):.4f}")
+        print(f"{'':>10}  range excess over samples: max "
+              f"{excess.max():.4f}, mean {excess.mean():.4f}")
 
     print("\nStreamline stabilization keeps the unresolved layer from "
-          "polluting\nthe interior; the standard run over- and "
-          "undershoots across samples.")
+          "polluting\nthe interior; the standard run leaves the range "
+          "the maximum\nprinciple allows.")
 
 
 if __name__ == "__main__":

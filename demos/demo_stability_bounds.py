@@ -58,7 +58,7 @@ def trajectory(scheme, c=0.0, f=None, eps_fn=None):
     ws = prepare_workspace(model, mesh, space, cfg, analysis=analysis)
     state = random_state(mesh, space, rank=1, seed=11)
     _, reports = run(state, ws, T)
-    stoch = check_moderate_stochasticity(model, analysis, space, mesh)
+    stoch = check_moderate_stochasticity(model, analysis, space)
     return ws, analysis, delta, reports, stoch
 
 

@@ -20,8 +20,9 @@ from .errors import (
 )
 from .mesh import (
     Mesh, QuadratureRule, FemBlocks, build_structured_mesh,
-    default_quadrature, assemble_blocks, assemble_load,
-    DirichletCondition, tag_boundary_layer,
+    default_quadrature, assemble_blocks, assemble_load, assemble_skewed,
+    assemble_streamline, directional_gradients, DirichletCondition,
+    tag_boundary_layer,
 )
 from .sampling import (
     SampleSpace, expectation, inner, split_mean, project_complement,

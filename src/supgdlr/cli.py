@@ -101,8 +101,7 @@ def _suite_bounds():
         mesh, space, model, analysis, delta, ws, state = \
             _decay_setup(scheme)
         _, reports = run(state, ws, 1.0)
-        stoch = check_moderate_stochasticity(model, analysis, space,
-                                             mesh)
+        stoch = check_moderate_stochasticity(model, analysis, space)
         led = evaluate_bound(reports, theorem, "ii", analysis, delta,
                              ws.cfg.dt, 1.0, stoch_report=stoch)
         verdict = "PASS" if led.applicable and led.passed else "FAIL"

@@ -1,14 +1,16 @@
 """Random coefficient fields and the scalar analysis quantities.
 
-A CoefficientModel bundles the diffusion, advection, reaction and
-forcing fields in mean + fluctuation form.  The analysis operations
-derive everything the stability theory consumes: the shifted reaction
-field and its infimum, element sup-norms of the reaction, the
-stabilization parameter policies, the local Peclet number and the
-inverse-inequality constant.
+A CoefficientModel bundles a random diffusion, a random advection
+given as its mean plus affine modes, and a deterministic reaction and
+forcing.  The analysis operations derive everything the stability
+theory consumes: the shifted reaction field and its infimum, element
+sup-norms of the reaction, the stabilization parameter policies, the
+local Peclet number and the inverse-inequality constant.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -39,32 +41,47 @@ class CoefficientModel:
 
     eps      : callable (N,p) samples -> (N,) positive diffusion values
     b_mean   : callable (n,2) points -> (n,2) mean advection
-    b_fluct  : None or callable (points, omega) -> (n,2) zero-mean part
-    c_mean   : None or callable points -> (n,) mean reaction
-    c_fluct  : None or callable (points, omega) -> (n,) zero-mean part
-    div_b    : callable (points, omega) -> (n,), analytic divergence of
-               the full advection field (never obtained by differencing)
-    forcing  : None or callable (t, points, omega) -> (n,)
-    forcing_deterministic : True when forcing ignores omega
-    div_b_random : True when div_b actually depends on omega
+    b_modes  : affine advection modes ((theta_k, beta_k), ...): theta_k
+               callable (N,p) samples -> (N,) with weighted mean zero,
+               beta_k callable (n,2) points -> (n,2); the advection of
+               sample omega is b_mean + sum_k theta_k(omega) beta_k.
+               Every beta_k must be divergence free.
+    c_mean   : None or callable points -> (n,) reaction (deterministic)
+    div_b    : callable points -> (n,), analytic divergence of b_mean
+               (never obtained by differencing); with divergence-free
+               modes it is the divergence of every sample's advection
+    forcing  : None or callable (t, points) -> (n,) deterministic source
+
+    b_fluct(points, omega) is derived from the modes for per-sample
+    evaluation.  c_fluct is always None: the reaction is deterministic,
+    so that the shifted reaction mu stays deterministic; the attribute
+    is kept for tools that wrap every coefficient callable
+    (bench/spans.py).
     """
 
     name: str
     eps: callable
     b_mean: callable
-    b_fluct: callable = None
+    b_modes: tuple = ()
     c_mean: callable = None
-    c_fluct: callable = None
     div_b: callable = None
     forcing: callable = None
-    forcing_deterministic: bool = True
-    div_b_random: bool = False
     param_dim: int = 1
     params: dict = field(default_factory=dict)
+    b_fluct: callable = field(init=False, default=None, repr=False)
+    c_fluct: callable = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        self.b_modes = tuple(self.b_modes)
         if self.div_b is None:
-            self.div_b = lambda x, omega: np.zeros(len(x))
+            self.div_b = lambda x: np.zeros(len(x))
+        if self.b_modes:
+            def b_fluct(x, omega):
+                omega = np.atleast_2d(omega)
+                return reduce(add, (float(theta(omega)[0])
+                                    * np.asarray(beta(x), dtype=float)
+                                    for theta, beta in self.b_modes))
+            self.b_fluct = b_fluct
 
     # -- sample-wise accessors -------------------------------------------
 
@@ -88,37 +105,46 @@ class CoefficientModel:
         eps_hat = float(vals.min())
         return eps_hat, float(vals.max() / eps_hat)
 
+    def advection_modes(self, space):
+        """[(theta_k at every sample, beta_k)] of the advection modes."""
+        out = []
+        for theta, beta in self.b_modes:
+            vals = np.asarray(theta(space.samples), dtype=float)
+            if vals.shape != (space.count,) or not np.all(np.isfinite(vals)):
+                raise ConfigError("an advection mode weight must give one "
+                                  "finite value per sample")
+            out.append((vals, beta))
+        return out
+
     def b_at(self, x, omega=None):
         b = np.asarray(self.b_mean(x), dtype=float)
         if omega is not None and self.b_fluct is not None:
             b = b + np.asarray(self.b_fluct(x, omega), dtype=float)
         return b
 
-    def c_at(self, x, omega=None):
+    def c_at(self, x):
         c = np.zeros(len(x))
         if self.c_mean is not None:
             c = c + np.asarray(self.c_mean(x), dtype=float)
-        if omega is not None and self.c_fluct is not None:
-            c = c + np.asarray(self.c_fluct(x, omega), dtype=float)
         return c
 
     @property
     def has_random_advection(self):
-        return self.b_fluct is not None
-
-    @property
-    def has_random_reaction(self):
-        return self.c_fluct is not None
+        return bool(self.b_modes)
 
     def validate(self, space, mesh, quad=None):
-        """Check positivity of eps and zero-mean advection fluctuation."""
+        """Check positivity of eps and zero-mean advection modes.
+
+        The weighted mean of the fluctuation, sum_k E[theta_k] beta_k,
+        must vanish at every quadrature point.
+        """
         self.eps_bounds(space)
-        if self.b_fluct is not None:
+        if self.b_modes:
             quad = quad or default_quadrature()
             xq = mesh.quad_points(quad).reshape(-1, 2)
-            acc = np.zeros((len(xq), 2))
-            for m, omega in zip(space.weights, space.samples):
-                acc += m * np.asarray(self.b_fluct(xq, omega), dtype=float)
+            acc = sum(float(np.dot(space.weights, theta))
+                      * np.asarray(beta(xq), dtype=float)
+                      for theta, beta in self.advection_modes(space))
             if np.max(np.abs(acc)) > 1e-10:
                 raise ConfigError("advection fluctuation is not zero-mean")
         return self
@@ -128,10 +154,11 @@ class CoefficientModel:
 class ReactionAnalysis:
     """Shifted reaction field and associated scalars.
 
-    mu_tilde(x, omega) = c - |c|/2 - div(b)/2, mu = mu_tilde + nu >= 0,
-    nu = -min(inf mu_tilde, 0), mu0 = inf mu.  Infima and element
-    sup-norms come from an exhaustive scan over quadrature points and
-    collocation samples, which is all the discrete problem ever sees.
+    mu_tilde(x) = c - |c|/2 - div(b)/2, mu = mu_tilde + nu >= 0,
+    nu = -min(inf mu_tilde, 0), mu0 = inf mu.  The reaction and the
+    divergence do not depend on the sample, so infima and element
+    sup-norms come from one scan over the quadrature points, which is
+    all the discrete problem ever sees.
     """
 
     mu_tilde: callable
@@ -142,7 +169,6 @@ class ReactionAnalysis:
     eps_star_sup: float
     eps_hat: float
     C_E: float
-    reaction_random: bool
 
 
 class StabilizationParams:
@@ -169,38 +195,27 @@ class StabilizationParams:
                                    self.C_I, self.C_E, self.d)
 
 
-def _scan_samples(model, space):
-    """Sample iterator for reaction scans; collapses when nothing varies."""
-    if model.has_random_reaction or model.div_b_random:
-        return list(zip(space.weights, space.samples))
-    return [(1.0, space.samples[0])]
-
-
 def analyze_reaction(model, mesh, space, quad=None):
     quad = quad or default_quadrature()
     xq = mesh.quad_points(quad)
     flat = xq.reshape(-1, 2)
     ne, nq = xq.shape[0], xq.shape[1]
 
-    def mu_tilde(x, omega):
-        c = model.c_at(x, omega)
-        div = np.asarray(model.div_b(x, omega), dtype=float)
+    def mu_tilde(x):
+        c = model.c_at(x)
+        div = np.asarray(model.div_b(x), dtype=float)
         return c - 0.5 * np.abs(c) - 0.5 * div
 
-    mt_min = np.inf
-    c_sup_K = np.zeros(ne)
-    for _, omega in _scan_samples(model, space):
-        mt = mu_tilde(flat, omega)
-        c = model.c_at(flat, omega)
-        if not np.all(np.isfinite(mt)):
-            raise ConfigError("reaction analysis hit non-finite values")
-        mt_min = min(mt_min, float(mt.min()))
-        c_sup_K = np.maximum(c_sup_K, np.abs(c).reshape(ne, nq).max(axis=1))
+    mt = mu_tilde(flat)
+    if not np.all(np.isfinite(mt)):
+        raise ConfigError("reaction analysis hit non-finite values")
+    mt_min = float(mt.min())
+    c_sup_K = np.abs(model.c_at(flat)).reshape(ne, nq).max(axis=1)
 
     nu = max(-min(mt_min, 0.0), 0.0)
 
-    def mu(x, omega):
-        return mu_tilde(x, omega) + nu
+    def mu(x):
+        return mu_tilde(x) + nu
 
     mu0 = mt_min + nu
     if mu0 < -1e-12:
@@ -212,8 +227,7 @@ def analyze_reaction(model, mesh, space, quad=None):
     return ReactionAnalysis(
         mu_tilde=mu_tilde, nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
         eps_star_sup=float(np.max(np.abs(eps_star))),
-        eps_hat=eps_hat, C_E=C_E,
-        reaction_random=model.has_random_reaction or model.div_b_random)
+        eps_hat=eps_hat, C_E=C_E)
 
 
 def estimate_inverse_constant(mesh, blocks, max_iter=5000, tol=1e-10,
@@ -317,42 +331,25 @@ def local_peclet(model, mesh, space, quad=None):
 
 @dataclass
 class StochasticityReport:
-    eps_ok: bool
     eps_margin: float
-    c_ok: bool
-    c_margin: float
 
     @property
     def ok(self):
-        return self.eps_ok and self.c_ok
+        return self.eps_margin >= 0
 
 
-def check_moderate_stochasticity(model, analysis, space, mesh, quad=None):
-    """Verify |eps_star| <= eps_hat/32 and |c_star| <= mu/32.
+def check_moderate_stochasticity(model, analysis, space):
+    """Verify |eps_star| <= eps_hat/32 over the samples.
 
-    Margins are the worst-case slack over samples (and quadrature points
-    for the reaction); deterministic coefficients give infinite margin.
+    The margin is the worst-case slack over samples; deterministic
+    diffusion gives infinite margin.  The reaction is deterministic, so
+    its half of the condition holds trivially.
     """
     _, eps_star = model.eps_split(space)
     if np.max(np.abs(eps_star)) <= 1e-14 * analysis.eps_hat:
-        eps_margin = np.inf
-    else:
-        eps_margin = float(np.min(analysis.eps_hat / 32.0
-                                  - np.abs(eps_star)))
-    eps_ok = eps_margin >= 0
-
-    if model.c_fluct is None:
-        c_margin, c_ok = np.inf, True
-    else:
-        quad = quad or default_quadrature()
-        flat = mesh.quad_points(quad).reshape(-1, 2)
-        c_margin = np.inf
-        for omega in space.samples:
-            cs = np.asarray(model.c_fluct(flat, omega), dtype=float)
-            slack = analysis.mu(flat, omega) / 32.0 - np.abs(cs)
-            c_margin = min(c_margin, float(slack.min()))
-        c_ok = c_margin >= 0
-    return StochasticityReport(eps_ok, eps_margin, c_ok, c_margin)
+        return StochasticityReport(np.inf)
+    return StochasticityReport(float(np.min(analysis.eps_hat / 32.0
+                                            - np.abs(eps_star))))
 
 
 # -- built-in models -----------------------------------------------------
@@ -377,8 +374,9 @@ def boundary_layer(space):
     """Skew advection toward the top-right corner, random strength.
 
     Parameters y in [5000,6000] x [-1,1]^3; eps = 1/y1; the advection is
-    (1,1) plus (y2 - k)(x2, x1) with k the weighted mean of y2, so the
-    fluctuation is zero-mean by construction and divergence free.
+    (1,1) plus one affine mode (y2 - k)(x2, x1) with k the weighted mean
+    of y2, so the fluctuation is zero-mean by construction and divergence
+    free.
     """
     k = float(np.dot(space.weights, space.samples[:, 1]))
 
@@ -388,11 +386,14 @@ def boundary_layer(space):
     def b_mean(x):
         return np.ones((len(x), 2))
 
-    def b_fluct(x, omega):
-        return (omega[1] - k) * np.column_stack([x[:, 1], x[:, 0]])
+    def theta(samples):
+        return np.atleast_2d(samples)[:, 1] - k
+
+    def beta(x):
+        return np.column_stack([x[:, 1], x[:, 0]])
 
     return CoefficientModel(name="boundary_layer", eps=eps, b_mean=b_mean,
-                            b_fluct=b_fluct, param_dim=4,
+                            b_modes=((theta, beta),), param_dim=4,
                             params={"k": k})
 
 
@@ -400,8 +401,7 @@ def constant_adr(eps_value=1.0, b=(1.0, 0.0), c=0.0, f=None,
                  eps_fn=None, param_dim=1):
     """Constant-coefficient model; eps_fn overrides the scalar diffusion.
 
-    f may be a constant or a callable (t, points) -> (n,); it is always
-    deterministic here.
+    f may be a constant or a callable (t, points) -> (n,).
     """
     if eps_fn is None:
         def eps(samples):
@@ -422,13 +422,11 @@ def constant_adr(eps_value=1.0, b=(1.0, 0.0), c=0.0, f=None,
     forcing = None
     if f is not None:
         if callable(f):
-            def forcing(t, x, omega, _f=f):
-                return np.asarray(_f(t, x), dtype=float)
+            forcing = f
         else:
-            def forcing(t, x, omega, _f=float(f)):
+            def forcing(t, x, _f=float(f)):
                 return np.full(len(x), _f)
 
     return CoefficientModel(name="constant_adr", eps=eps, b_mean=b_mean,
                             c_mean=c_mean, forcing=forcing,
-                            forcing_deterministic=True,
                             param_dim=param_dim)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .coefficients import StabilizationParams
+from .mesh import assemble_streamline
 from .lowrank import DlrState
 from .sampling import expectation
 
@@ -73,51 +74,33 @@ class StepReport:
 class NormEvaluator:
     """Evaluates the L2 and stabilized energy norms of a low-rank state.
 
-    With deterministic advection and reaction the mode sums use the
-    assembled matrices directly; random advection or reaction falls
-    back to a per-sample quadrature loop.  The energy norm is
+    The energy norm is
     eps_hat |grad u|^2 + sum_K delta_K |b.grad u|^2_K + |mu^(1/2) u|^2
-    with the stabilizing field of the workspace.
+    with b the advection of each sample and the deterministic reaction
+    mu.  The advection of sample i is b_0 + sum_k theta_k[i] b_k, with
+    b_0 the mean field and b_k the divergence-free affine modes
+    (theta_0 = 1).  Its streamline term is then a sum of assembled
+    quadratic forms S_kl = sum_K delta_K (b_l . grad phi_j,
+    b_k . grad phi_i)_K weighted by Y_full^T diag(w theta_k theta_l)
+    Y_full; S_00 is supg_conv.  Every form is assembled here, once, and
+    no sample is visited per evaluation.
     """
 
     def __init__(self, ws):
         self.ws = ws
-        a = ws.analysis
-        self.mu_random = a.reaction_random
-        self.b_random = ws.model.has_random_advection
-        self.mu_qp = None
-        if not self.mu_random:
-            mq = a.mu(ws.xq_flat, ws.space.samples[0])
-            mq = np.asarray(mq, dtype=float).reshape(ws.pw.shape)
-            if np.max(np.abs(mq)) > 0:
-                self.mu_qp = mq
-
-    # -- per-sample quadrature pieces ---------------------------------
-
-    def _sample_terms(self, u, omega):
-        ws = self.ws
-        tri = u[ws.mesh.triangles]
-        g = np.einsum("ead,ea->ed", ws.mesh.grads, tri)
-        b = np.asarray(ws.model.b_at(ws.xq_flat, omega),
-                       dtype=float).reshape(*ws.pw.shape, 2)
-        bg = np.einsum("eqd,ed->eq", b, g)
-        bterm = float(np.einsum("e,eq,eq->", ws.delta,
-                                ws.pw, bg ** 2))
-        vq = np.einsum("qa,ea->eq", ws.phi, tri)
-        mu = np.asarray(ws.analysis.mu(ws.xq_flat, omega),
+        mq = np.asarray(ws.analysis.mu(ws.xq_flat),
                         dtype=float).reshape(ws.pw.shape)
-        muterm = float(np.einsum("eq,eq,eq->", ws.pw, mu, vq ** 2))
-        return bterm, muterm
-
-    def _sample_norms(self, fields):
-        """Weighted streamline and reaction terms, sample by sample."""
-        w = self.ws.space.weights
-        bsq = musq = 0.0
-        for i, omega in enumerate(self.ws.space.samples):
-            bterm, muterm = self._sample_terms(fields[:, i], omega)
-            bsq += w[i] * bterm
-            musq += w[i] * muterm
-        return bsq, musq
+        self.mu_qp = mq if np.max(np.abs(mq)) > 0 else None
+        modes = [(np.ones(ws.space.count), ws.blocks.bg_at_qp)] \
+            + ws.modes if ws.modes else []
+        # (weight over samples, S_kl) for k <= l, (k, l) != (0, 0);
+        # the off-diagonal pairs count twice
+        self.b_forms = [
+            (theta_k * theta_l * (1.0 if k == l else 2.0),
+             assemble_streamline(ws.blocks, vg_k, vg_l))
+            for k, (theta_k, vg_k) in enumerate(modes)
+            for l, (theta_l, vg_l) in enumerate(modes)
+            if l >= max(k, 1)]
 
     def _dlr_norms(self, state):
         ws = self.ws
@@ -126,18 +109,20 @@ class NormEvaluator:
         colM = np.einsum("kr,kr->r", U_full, M @ U_full)
         l2sq = float(colM.sum())
         gradsq = float(np.einsum("kr,kr->", U_full, A @ U_full))
-        if self.b_random or self.mu_random:
-            # dense fallback, intended for small sample counts
-            bsq, musq = self._sample_norms(state.dense())
+        bsq = float(np.einsum("kr,kr->", U_full, D @ U_full))
+        if self.b_forms:
+            w = ws.space.weights
+            Y_full = np.column_stack([np.ones(state.n_samples), state.Y])
+            for psi, S in self.b_forms:
+                Yw = Y_full.T @ ((w * psi)[:, None] * Y_full)
+                bsq += float(np.sum((U_full.T @ (S @ U_full)) * Yw))
+        if self.mu_qp is None:
+            musq = 0.0
         else:
-            bsq = float(np.einsum("kr,kr->", U_full, D @ U_full))
-            if self.mu_qp is None:
-                musq = 0.0
-            else:
-                tri = U_full[ws.mesh.triangles]
-                vq = np.einsum("qa,ear->eqr", ws.phi, tri)
-                musq = float(np.einsum("eq,eq,eqr->", ws.pw, self.mu_qp,
-                                       vq ** 2))
+            tri = U_full[ws.mesh.triangles]
+            vq = np.einsum("qa,ear->eqr", ws.phi, tri)
+            musq = float(np.einsum("eq,eq,eqr->", ws.pw, self.mu_qp,
+                                   vq ** 2))
         mode_norms = [float(np.sqrt(max(c, 0.0))) for c in colM]
         return l2sq, gradsq, max(bsq, 0.0), max(musq, 0.0), mode_norms
 
@@ -172,7 +157,7 @@ def l2_norm(state, mass, space):
 
 def supg_norm(state, ws):
     """Stabilized energy norm via the workspace norm evaluator."""
-    return ws.norm_evaluator().norms(state)["supg"]
+    return ws.norms.norms(state)["supg"]
 
 
 def md_metric(field):
@@ -196,7 +181,7 @@ def range_excess(field, lo, hi):
 
 def step_report(state, ws, wcond=1.0, defect_cross=0.0,
                 tangent_residual=None):
-    nrm = ws.norm_evaluator().norms(state)
+    nrm = ws.norms.norms(state)
     if isinstance(state, DlrState) and state.rank:
         w = ws.space.weights
         g = (state.Y * w[:, None]).T @ state.Y
@@ -228,12 +213,12 @@ def check_coercivity(model, analysis, blocks, space, trials=500, seed=0):
     Draws random interior nodal fields (one column per sample) and
     verifies a(u,u) >= 1/2 |u|_SUPG^2 - nu |u|^2 with slack above
     -1e-10 relative to the magnitude of the tested quantities.
-    Supports random diffusion; random advection or reaction would need
-    per-sample assembly and is rejected.
+    Supports random diffusion; random advection would need per-sample
+    assembly and is rejected.
     """
-    if model.has_random_advection or model.has_random_reaction:
+    if model.has_random_advection:
         raise ConfigError("coercivity checker needs deterministic "
-                          "advection and reaction")
+                          "advection")
     mesh = blocks.mesh
     quad = blocks.quad
     phi = quad.basis_values()
@@ -245,8 +230,7 @@ def check_coercivity(model, analysis, blocks, space, trials=500, seed=0):
     M, A, D = blocks.mass, blocks.stiffness, blocks.supg_conv
     Kdet = blocks.convection + blocks.reaction \
         + blocks.supg_conv + blocks.supg_reaction
-    mu_qp = np.asarray(analysis.mu(flat, space.samples[0]),
-                       dtype=float).reshape(pw.shape)
+    mu_qp = np.asarray(analysis.mu(flat), dtype=float).reshape(pw.shape)
     has_mu = np.max(np.abs(mu_qp)) > 0
 
     rng = np.random.default_rng(seed)
@@ -389,24 +373,13 @@ def _not_applicable(theorem, case, reason):
 
 
 def forcing_norms(ws, t0, n_steps):
-    """Weighted L2 norms of the forcing at the times each step uses."""
+    """L2 norms of the forcing at the times each step uses."""
     if ws.model.forcing is None:
         return np.zeros(n_steps)
     out = np.empty(n_steps)
-    flat = ws.xq_flat
     for k in range(n_steps):
-        t_f = ws.forcing_time(t0 + k * ws.cfg.dt)
-        if ws.model.forcing_deterministic:
-            f = np.asarray(ws.model.forcing(t_f, flat, None),
-                           dtype=float).reshape(ws.pw.shape)
-            out[k] = np.sqrt(np.einsum("eq,eq->", ws.pw, f ** 2))
-        else:
-            sq = 0.0
-            for m, omega in zip(ws.space.weights, ws.space.samples):
-                f = np.asarray(ws.model.forcing(t_f, flat, omega),
-                               dtype=float).reshape(ws.pw.shape)
-                sq += m * np.einsum("eq,eq->", ws.pw, f ** 2)
-            out[k] = np.sqrt(sq)
+        f = ws.forcing_qp(t0 + k * ws.cfg.dt)
+        out[k] = np.sqrt(np.einsum("eq,eq->", ws.pw, f ** 2))
     return out
 
 
@@ -470,8 +443,7 @@ def evaluate_bound(reports, theorem, case, analysis, delta, dt, T,
             return _not_applicable(
                 theorem, case,
                 "moderate-stochasticity conditions violated "
-                f"(eps margin {stoch_report.eps_margin:.3e}, "
-                f"c margin {stoch_report.c_margin:.3e})")
+                f"(eps margin {stoch_report.eps_margin:.3e})")
 
     if f_norms is None:
         f_norms = np.zeros(N)

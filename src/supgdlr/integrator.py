@@ -10,10 +10,18 @@ implicit_euler_deterministic   fully implicit, deterministic coefficients
 explicit                       everything explicit (no stability claim)
 
 Stochastic advection is handled by the same mean/fluctuation split as
-the diffusion and reaction: the mean field drives the implicit operator
-and the streamline test skew, the fluctuation enters the explicit
-right-hand side.  This extends the published scheme, which assumes a
-deterministic advection field.
+the diffusion: the mean field drives the implicit operator and the
+streamline test skew, the fluctuation enters the explicit right-hand
+side.  This extends the published scheme, which assumes a deterministic
+advection field.
+
+The explicit operator is a list of terms (theta over samples, assembled
+sparse block B): the diffusion fluctuation (eps_star, stiffness), one
+skewed block (beta_k . grad phi_j, phi_i + delta_K b . grad phi_i) per
+affine advection mode, and in the explicit scheme the full diffusion
+and the mean operator with theta = 1.  Sample i sees
+sum_k theta_k[i] B_k u_i, so both mode systems reduce to small dense
+products and no step visits the samples one by one.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +33,7 @@ import scipy.sparse.linalg as spla
 from . import diagnostics
 from .errors import BlowupError, ConfigError, NearSingularError
 from .mesh import DirichletCondition, assemble_blocks, assemble_load, \
-    default_quadrature
+    assemble_skewed, default_quadrature, directional_gradients
 from .sampling import expectation, project_complement, \
     weighted_orthonormalize
 from .lowrank import DlrState
@@ -91,41 +99,43 @@ class StepWorkspace:
     lu: object
     eps_bar: float
     eps_expl: np.ndarray              # per-sample explicit diffusion
-    c_expl: object                    # callable (x, omega) or None
+    c_expl: object                    # callable points or None
     b_expl: object                    # callable (x, omega) or None
     time_matrix: object               # mass + supg_mass
+    modes: list                       # (theta, beta . grad phi at qp)
+    terms: list                       # explicit operator, (theta, B)
     phi: np.ndarray = field(init=False)
     pw: np.ndarray = field(init=False)
     xq_flat: np.ndarray = field(init=False)
-    norms: object = field(init=False, default=None)   # see norm_evaluator
+    norms: object = field(init=False)  # diagnostics.NormEvaluator
 
     def __post_init__(self):
         self.phi = self.quad.basis_values()
         self.pw = self.mesh.quad_weights(self.quad)
         self.xq_flat = self.mesh.quad_points(self.quad).reshape(-1, 2)
+        self.norms = diagnostics.NormEvaluator(self)
 
     @property
     def has_explicit_eps(self):
         return bool(np.any(self.eps_expl != 0.0))
 
     @property
-    def has_stochastic_forcing(self):
-        return (self.model.forcing is not None
-                and not self.model.forcing_deterministic)
-
-    @property
     def has_sample_loop(self):
-        return (self.c_expl is not None or self.b_expl is not None
-                or self.has_stochastic_forcing)
+        """Whether the full-order step evaluates explicit advection or
+        reaction at the quadrature points (sample by sample for b)."""
+        return self.c_expl is not None or self.b_expl is not None
 
-    def forcing_time(self, t):
-        """Time level at which the forcing enters the right-hand side."""
-        return t if self.cfg.scheme == "explicit" else t + self.cfg.dt
+    def forcing_qp(self, t):
+        """Forcing at the quadrature points, (ne, nq), or None.
 
-    def norm_evaluator(self):
-        if self.norms is None:
-            self.norms = diagnostics.NormEvaluator(self)
-        return self.norms
+        Evaluated at the time level the step from t uses: t for the
+        explicit scheme, t + dt otherwise.
+        """
+        if self.model.forcing is None:
+            return None
+        t_f = t if self.cfg.scheme == "explicit" else t + self.cfg.dt
+        f = self.model.forcing(t_f, self.xq_flat)
+        return np.asarray(f, dtype=float).reshape(self.pw.shape)
 
 
 def _resolve_delta(cfg, mesh):
@@ -158,29 +168,37 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
 
     if cfg.scheme == "implicit_euler_deterministic":
         if (np.max(np.abs(eps_star)) > 1e-14 * eps_bar
-                or model.b_fluct is not None or model.c_fluct is not None):
+                or model.has_random_advection):
             raise ConfigError("the deterministic implicit scheme requires "
                               "coefficients without fluctuations")
-        if not model.forcing_deterministic:
-            raise ConfigError("the deterministic implicit scheme requires "
-                              "deterministic forcing")
 
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta, quad)
     if analysis is None:
         analysis = analyze_reaction(model, mesh, space, quad)
 
-    if cfg.scheme == "explicit":
+    explicit = cfg.scheme == "explicit"
+    if explicit:
         K_impl = None
         eps_expl = eps_full
-        c_expl = model.c_at if (model.c_mean or model.c_fluct) else None
+        c_expl = model.c_mean
         b_expl = model.b_at
     else:
         K_impl = (eps_bar * blocks.stiffness + blocks.convection
                   + blocks.reaction
                   + blocks.supg_conv + blocks.supg_reaction)
         eps_expl = eps_star
-        c_expl = model.c_fluct
+        c_expl = None
         b_expl = model.b_fluct
+
+    terms = [(eps_expl, blocks.stiffness)] if np.any(eps_expl != 0.0) \
+        else []
+    if explicit:
+        terms.append((np.ones(space.count),
+                      blocks.convection + blocks.reaction
+                      + blocks.supg_conv + blocks.supg_reaction))
+    modes = [(theta, directional_gradients(blocks, beta))
+             for theta, beta in model.advection_modes(space)]
+    terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
 
     time_matrix = (blocks.mass + blocks.supg_mass).tocsr()
     Braw = (time_matrix / cfg.dt + K_impl).tocsr() if K_impl is not None \
@@ -194,7 +212,8 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
         quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc0=bc0,
         bc_hom=bc_hom, lu=lu, eps_bar=eps_bar, eps_expl=eps_expl,
-        c_expl=c_expl, b_expl=b_expl, time_matrix=time_matrix)
+        c_expl=c_expl, b_expl=b_expl, time_matrix=time_matrix,
+        modes=modes, terms=terms)
 
 
 def _full_factors(state):
@@ -203,77 +222,24 @@ def _full_factors(state):
     return U_full, Y_full
 
 
-def _mode_frames(ws, U_cols):
-    """Values and gradients of mode columns at quadrature points.
-
-    Returns (V, G): V[e,q,r] mode values, G[e,i,r] element-constant
-    gradient components.
-    """
-    elem = U_cols[ws.mesh.triangles]                  # (ne, 3, r)
-    V = np.einsum("qa,ear->eqr", ws.phi, elem)
-    G = np.einsum("eai,ear->eir", ws.mesh.grads, elem)
-    return V, G
-
-
-def _sample_residual_qp(ws, t, u_qp_of, grad_of, n_samples):
-    """Explicit reaction/advection residual minus stochastic forcing.
-
-    Returns (ne, nq, N_C) values of c_expl u + b_expl . grad u - f_st
-    at quadrature points; only called when ws.has_sample_loop.
-    """
-    ne, nq = ws.pw.shape
-    flat = ws.xq_flat
-    val = np.zeros((ne, nq, n_samples))
-    t_f = ws.forcing_time(t)
-    for i, omega in enumerate(ws.space.samples):
-        acc = np.zeros((ne, nq))
-        if ws.c_expl is not None:
-            acc += np.asarray(ws.c_expl(flat, omega),
-                              dtype=float).reshape(ne, nq) * u_qp_of(i)
-        if ws.b_expl is not None:
-            bf = np.asarray(ws.b_expl(flat, omega),
-                            dtype=float).reshape(ne, nq, 2)
-            acc += np.einsum("eqd,ed->eq", bf, grad_of(i))
-        if ws.has_stochastic_forcing:
-            acc -= np.asarray(ws.model.forcing(t_f, flat, omega),
-                              dtype=float).reshape(ne, nq)
-        val[:, :, i] = acc
-    return val
-
-
-def _deterministic_forcing_qp(ws, t):
-    if ws.model.forcing is None or not ws.model.forcing_deterministic:
-        return None
-    ne, nq = ws.pw.shape
-    f = ws.model.forcing(ws.forcing_time(t), ws.xq_flat, None)
-    return np.asarray(f, dtype=float).reshape(ne, nq)
-
-
 def step_deterministic_modes(state, ws):
-    """Solve the R+1 implicit mode systems; returns (U_tilde, caches)."""
+    """Solve the R+1 implicit mode systems; returns (U_tilde, caches).
+
+    Mode j of the explicit right-hand side is
+    sum_k B_k U_full (Y_full^T diag(w theta_k) Y_full)[:, j].
+    """
     U_full, Y_full = _full_factors(state)
     w = ws.space.weights
 
     rhs = ws.time_matrix @ U_full / ws.cfg.dt
 
-    fqp = _deterministic_forcing_qp(ws, state.t)
+    fqp = ws.forcing_qp(state.t)
     if fqp is not None:
         rhs[:, 0] += assemble_load(ws.blocks, fqp, skew=True)
 
-    if ws.has_explicit_eps:
-        Emat = Y_full.T @ ((w * ws.eps_expl)[:, None] * Y_full)
-        rhs -= ws.blocks.stiffness @ (U_full @ Emat)
-
-    val = None
-    if ws.has_sample_loop:
-        Vm, Gm = _mode_frames(ws, U_full)
-        val = _sample_residual_qp(
-            ws, state.t,
-            u_qp_of=lambda i: Vm @ Y_full[i],
-            grad_of=lambda i: Gm @ Y_full[i],
-            n_samples=state.n_samples)
-        valY = np.einsum("eqi,ir->eqr", val, w[:, None] * Y_full)
-        rhs -= assemble_load(ws.blocks, valY, skew=True)
+    for theta, B in ws.terms:
+        E = Y_full.T @ ((w * theta)[:, None] * Y_full)
+        rhs -= B @ (U_full @ E)
 
     constrained = np.empty_like(rhs)
     constrained[:, 0] = ws.bc0.constrain_rhs(rhs[:, 0])
@@ -283,19 +249,21 @@ def step_deterministic_modes(state, ws):
     if not np.all(np.isfinite(U_tilde)):
         raise ConfigError("deterministic mode solve returned non-finite "
                           "values")
-    return U_tilde, (U_full, Y_full, val)
+    return U_tilde, (U_full, Y_full)
 
 
 def step_stochastic_modes(state, U_tilde, ws, caches):
     """Solve the per-sample increment systems in the complement.
 
-    caches is the second result of step_deterministic_modes.
+    caches is the second result of step_deterministic_modes.  Sample i
+    of the explicit right-hand side is
+    sum_k theta_k[i] (Um^T B_k U_full) Y_full[i].
     Returns (Y_tilde, dY, w_condition).
     """
     R = state.rank
     if R == 0:
         return state.Y.copy(), np.zeros_like(state.Y), 1.0
-    U_full, Y_full, val = caches
+    U_full, Y_full = caches
 
     Um = U_tilde[:, 1:]
     What = Um.T @ (ws.Braw.T @ Um)
@@ -306,14 +274,9 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
             f"{ws.cfg.wcond_threshold:.1e}", condition=cond)
 
     rhs = np.zeros((state.n_samples, R))
-    if ws.has_explicit_eps:
-        G = Um.T @ (ws.blocks.stiffness @ U_full)      # (R, R+1)
-        rhs -= ws.eps_expl[:, None] * (Y_full @ G.T)
-    if val is not None:
-        Vt, Gt = _mode_frames(ws, Um)
-        bG = np.einsum("eqi,eir->eqr", ws.blocks.b_at_qp, Gt)
-        Htest = Vt + ws.delta[:, None, None] * bG
-        rhs -= np.einsum("eq,eqi,eqr->ir", ws.pw, val, Htest)
+    for theta, B in ws.terms:
+        G = Um.T @ (B @ U_full)                        # (R, R+1)
+        rhs -= theta[:, None] * (Y_full @ G.T)
 
     if not np.any(rhs):
         dY = np.zeros_like(state.Y)

@@ -2,7 +2,8 @@
 
 Provides the mesh, a symmetric triangle quadrature rule, assembly of all
 sparse bilinear-form blocks used by the Galerkin and streamline-upwind
-terms, and Dirichlet boundary handling.
+terms (including the skewed and streamline blocks of advection modes),
+and Dirichlet boundary handling.
 """
 
 import numpy as np
@@ -18,6 +19,9 @@ __all__ = [
     "default_quadrature",
     "assemble_blocks",
     "assemble_load",
+    "assemble_skewed",
+    "assemble_streamline",
+    "directional_gradients",
     "DirichletCondition",
     "tag_boundary_layer",
 ]
@@ -187,12 +191,13 @@ class FemBlocks:
     reaction      (cbar phi_j, phi_i)
     supg_reaction sum_K delta_K (cbar phi_j, b . grad phi_i)_K
 
-    The stabilized test-function index is always i (rows).
+    The stabilized test-function index is always i (rows).  bg_at_qp
+    holds b . grad phi_a at the quadrature points, shape (ne, nq, 3).
     """
 
     def __init__(self, mesh, quad, delta, mass, stiffness, convection,
                  supg_mass, supg_conv, reaction, supg_reaction,
-                 b_at_qp, c_at_qp):
+                 bg_at_qp, c_at_qp):
         self.mesh = mesh
         self.quad = quad
         self.delta = delta
@@ -203,7 +208,7 @@ class FemBlocks:
         self.supg_conv = supg_conv
         self.reaction = reaction
         self.supg_reaction = supg_reaction
-        self.b_at_qp = b_at_qp          # (ne, nq, 2), stabilizing field
+        self.bg_at_qp = bg_at_qp        # (ne, nq, 3), stabilizing field
         self.c_at_qp = c_at_qp          # (ne, nq), mean reaction
 
 
@@ -218,6 +223,14 @@ def _scatter(mesh, elem_mats):
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
+
+
+def _gradients_along(mesh, xq, v):
+    """v . grad phi_a at the points xq (ne, nq, 2), shape (ne, nq, 3)."""
+    vq = np.asarray(v(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
+    if not np.all(np.isfinite(vq)):
+        raise ConfigError("advection field evaluated to non-finite values")
+    return np.einsum("eqi,eai->eqa", vq, mesh.grads)
 
 
 def assemble_blocks(mesh, b, c_bar, delta, quad=None):
@@ -243,18 +256,13 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
     phi = quad.basis_values()                          # (nq, 3)
     g = mesh.grads                                     # (ne, 3, 2)
 
-    bq = b(xq.reshape(-1, 2)).reshape(*xq.shape)
-    if not np.all(np.isfinite(bq)):
-        raise ConfigError("advection field evaluated to non-finite values")
+    bg = _gradients_along(mesh, xq, b)
     if c_bar is None:
         cq = np.zeros(pw.shape)
     else:
         cq = c_bar(xq.reshape(-1, 2)).reshape(pw.shape)
         if not np.all(np.isfinite(cq)):
             raise ConfigError("reaction field evaluated to non-finite values")
-
-    # b . grad(phi_a) at each quadrature point, (ne, nq, 3)
-    bg = np.einsum("eqi,eai->eqa", bq, g)
 
     area = mesh.signed_areas
     mass_e = np.einsum("eq,qa,qb->eab", pw, phi, phi)
@@ -274,8 +282,48 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
         supg_conv=_scatter(mesh, sc_e),
         reaction=_scatter(mesh, reac_e),
         supg_reaction=_scatter(mesh, sr_e),
-        b_at_qp=bq, c_at_qp=cq,
+        bg_at_qp=bg, c_at_qp=cq,
     )
+
+
+def directional_gradients(blocks, v):
+    """v . grad phi_a at the quadrature points of blocks, (ne, nq, 3).
+
+    v is a callable (n,2) -> (n,2), such as an advection mode.
+    """
+    mesh = blocks.mesh
+    return _gradients_along(mesh, mesh.quad_points(blocks.quad), v)
+
+
+def _skewed_test(blocks):
+    """Streamline test functions phi_a + delta_K b . grad phi_a at the
+    quadrature points, shape (ne, nq, 3)."""
+    return blocks.quad.basis_values()[None] \
+        + blocks.delta[:, None, None] * blocks.bg_at_qp
+
+
+def assemble_skewed(blocks, vg):
+    """(v . grad phi_j, phi_i + delta_K b . grad phi_i) for a field v.
+
+    vg is directional_gradients(blocks, v) and b the stabilizing field
+    of blocks; with vg = blocks.bg_at_qp this is convection + supg_conv.
+    """
+    mesh = blocks.mesh
+    pw = mesh.quad_weights(blocks.quad)
+    elem = np.einsum("eq,eqa,eqb->eab", pw, _skewed_test(blocks), vg)
+    return _scatter(mesh, elem)
+
+
+def assemble_streamline(blocks, vg_test, vg_trial):
+    """sum_K delta_K (v_trial . grad phi_j, v_test . grad phi_i)_K.
+
+    The arguments are the fields' directional_gradients; with both
+    blocks.bg_at_qp this is supg_conv.
+    """
+    mesh = blocks.mesh
+    dpw = blocks.delta[:, None] * mesh.quad_weights(blocks.quad)
+    elem = np.einsum("eq,eqa,eqb->eab", dpw, vg_test, vg_trial)
+    return _scatter(mesh, elem)
 
 
 def assemble_load(blocks, values_at_qp, skew=False):
@@ -289,18 +337,14 @@ def assemble_load(blocks, values_at_qp, skew=False):
     """
     mesh, quad = blocks.mesh, blocks.quad
     pw = mesh.quad_weights(quad)
-    phi = quad.basis_values()
     vals = np.asarray(values_at_qp, dtype=float)
     squeeze = vals.ndim == 2
     if squeeze:
         vals = vals[..., None]
     k = vals.shape[-1]
 
-    test = phi[None, :, :, None]                       # (1, nq, 3, 1)
-    if skew:
-        bg = np.einsum("eqi,eai->eqa", blocks.b_at_qp, mesh.grads)
-        test = test + (blocks.delta[:, None, None] * bg)[..., None]
-    contrib = np.einsum("eq,eqk,eqak->eak", pw, vals, test)
+    test = _skewed_test(blocks) if skew else quad.basis_values()[None]
+    contrib = np.einsum("eq,eqk,eqak->eak", pw, vals, test[..., None])
 
     out = np.zeros((mesh.n_vertices, k))
     np.add.at(out, mesh.triangles.ravel(),

@@ -331,8 +331,7 @@ def run_from_config(cfg):
         if cfg.bounds:
             n_steps = len(reports) - 1
             fn = forcing_norms(ws, state.t, n_steps)
-            stoch = check_moderate_stochasticity(model, analysis, space,
-                                                 mesh)
+            stoch = check_moderate_stochasticity(model, analysis, space)
             ledgers = [
                 evaluate_bound(reports, theorem, case, analysis, delta,
                                cfg.dt, n_steps * cfg.dt, f_norms=fn,

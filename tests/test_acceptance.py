@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    DlrState, FomState, RunConfig, SchemeConfig, StabilizationParams,
-    analyze_reaction, assemble_blocks, build_problem,
-    build_structured_mesh, check_coercivity, check_moderate_stochasticity,
-    constant_adr, delta_coercivity, delta_experiment, delta_semi_implicit,
-    estimate_inverse_constant, evaluate_bound, evaluate_realization,
-    fom_step, forcing_norms, init_from_modes, local_peclet,
-    make_monte_carlo, md_metric, prepare_workspace, preset_boundary_layer,
-    preset_rotating_body, rotating_body, run, step,
+    DlrState, FomState, RunConfig, SchemeConfig, analyze_reaction,
+    assemble_blocks, build_problem, build_structured_mesh, check_coercivity,
+    check_moderate_stochasticity, constant_adr, delta_experiment,
+    evaluate_bound, evaluate_realization, fom_step, forcing_norms,
+    init_from_modes, local_peclet, make_monte_carlo, md_metric,
+    prepare_workspace, preset_boundary_layer, preset_rotating_body,
+    rotating_body, run, step,
 )
+from supgdlr.runner import resolve_delta
 
 
 def verdict(num, ok, detail):
@@ -105,12 +105,7 @@ def test_criterion_4_coercivity():
                              cfg.sampler["count"], cfg.sampler["seed"])
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E)
-    delta = delta_coercivity(mesh, analysis, params).capped(mesh.h_K / 4)
+    delta = resolve_delta("coercivity", mesh, model, analysis, cfg.dt)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
     report = check_coercivity(model, analysis, blocks, space, trials=500,
@@ -127,12 +122,7 @@ def decay_problem(scheme, c=0.0, f=None, dt=0.005, seed=25):
     space = make_monte_carlo([(-1.0, 1.0)], 8, seed=seed)
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=c, f=f)
     analysis = analyze_reaction(model, mesh, space)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E)
-    delta = delta_semi_implicit(mesh, analysis, params, dt)
+    delta = resolve_delta("semi_implicit", mesh, model, analysis, dt)
     cfg = SchemeConfig(dt=dt, scheme=scheme, stabilization="supg",
                        delta=delta)
     ws = prepare_workspace(model, mesh, space, cfg, analysis=analysis)
@@ -151,8 +141,7 @@ def test_criterion_5_decay_case_ii():
         _, reports = run(state, ws, 200 * ws.cfg.dt)
         l2s = np.array([r.l2 for r in reports])
         monotone = bool(np.all(np.diff(l2s) <= 1e-12 * l2s[0]))
-        stoch = check_moderate_stochasticity(model, analysis, space,
-                                             mesh)
+        stoch = check_moderate_stochasticity(model, analysis, space)
         led = evaluate_bound(reports, theorem, "ii", analysis, delta,
                              ws.cfg.dt, 200 * ws.cfg.dt,
                              stoch_report=stoch)
@@ -209,19 +198,13 @@ def test_criterion_7_moderate_stochasticity_gate():
 
         model = constant_adr(eps_fn=eps, b=(1.0, 0.0))
         analysis = analyze_reaction(model, mesh, space)
-        plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                                np.zeros(mesh.n_triangles))
-        C_I = estimate_inverse_constant(mesh, plain)
-        params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                     C_I=C_I, C_E=analysis.C_E)
-        delta = delta_semi_implicit(mesh, analysis, params, 0.01)
+        delta = resolve_delta("semi_implicit", mesh, model, analysis, 0.01)
         cfg = SchemeConfig(dt=0.01, stabilization="supg", delta=delta)
         ws = prepare_workspace(model, mesh, space, cfg,
                                analysis=analysis)
         state = random_state(mesh, space, rank=1, seed=27)
         _, reports = run(state, ws, 0.05)
-        stoch = check_moderate_stochasticity(model, analysis, space,
-                                             mesh)
+        stoch = check_moderate_stochasticity(model, analysis, space)
         led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
                              0.01, 0.05, stoch_report=stoch)
         outcomes.append(led.applicable == expect_ok

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, StabilizationParams, analyze_reaction,
+    CoefficientModel, ConfigError, StabilizationParams, analyze_reaction,
     assemble_blocks, boundary_layer, build_structured_mesh,
     check_moderate_stochasticity, constant_adr, delta_coercivity,
     delta_experiment, delta_semi_implicit, estimate_inverse_constant,
@@ -73,7 +73,7 @@ def test_reaction_analysis_negative_constant():
     assert abs(a.nu - 1.5) <= 1e-13
     assert abs(a.mu0) <= 1e-13
     xq = np.array([[0.3, 0.4]])
-    assert abs(a.mu(xq, space.samples[0])[0]) <= 1e-13
+    assert abs(a.mu(xq)[0]) <= 1e-13
 
 
 def test_reaction_analysis_no_reaction():
@@ -82,7 +82,6 @@ def test_reaction_analysis_no_reaction():
     a = analyze_reaction(rotating_body(), mesh, space)
     assert a.nu == 0.0 and a.mu0 == 0.0
     assert np.all(a.c_sup_K == 0.0)
-    assert not a.reaction_random
 
 
 def test_inverse_inequality_holds():
@@ -177,15 +176,15 @@ def test_moderate_stochasticity_gate():
     wide = constant_adr(eps_fn=eps_wide, b=(1.0, 0.0))
     narrow = constant_adr(eps_fn=eps_narrow, b=(1.0, 0.0))
     rep_w = check_moderate_stochasticity(
-        wide, analyze_reaction(wide, mesh, space), space, mesh)
+        wide, analyze_reaction(wide, mesh, space), space)
     rep_n = check_moderate_stochasticity(
-        narrow, analyze_reaction(narrow, mesh, space), space, mesh)
+        narrow, analyze_reaction(narrow, mesh, space), space)
     assert not rep_w.ok and rep_w.eps_margin < 0
     assert rep_n.ok and rep_n.eps_margin >= 0
     # fully deterministic diffusion: infinite margin
     det = constant_adr(eps_value=1.0)
     rep_d = check_moderate_stochasticity(
-        det, analyze_reaction(det, mesh, space), space, mesh)
+        det, analyze_reaction(det, mesh, space), space)
     assert rep_d.ok and np.isinf(rep_d.eps_margin)
 
 
@@ -202,6 +201,23 @@ def test_boundary_layer_mean_advection():
     model.validate(space, mesh)
     eps = model.eps_values(space)
     assert np.all((eps >= 1.0 / 6000.0) & (eps <= 1.0 / 5000.0))
+
+
+def test_validate_rejects_biased_advection_mode():
+    space = make_monte_carlo([(-1.0, 1.0)], 8, seed=5)
+    mesh = build_structured_mesh(3)
+    base = constant_adr()
+
+    def model(shift):
+        return CoefficientModel(
+            name="modes", eps=base.eps, b_mean=base.b_mean,
+            b_modes=((lambda s: np.atleast_2d(s)[:, 0] - shift,
+                      lambda x: np.column_stack([x[:, 1], -x[:, 0]])),))
+
+    centered = float(space.weights @ space.samples[:, 0])
+    model(centered).validate(space, mesh)
+    with pytest.raises(ConfigError):
+        model(centered - 0.1).validate(space, mesh)
 
 
 def test_negative_delta_rejected():

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, SchemeConfig, StabilizationParams, analyze_reaction,
+    ConfigError, SchemeConfig, analyze_reaction,
     assemble_blocks, boundary_layer, build_structured_mesh,
     check_coercivity, check_moderate_stochasticity, check_tangent_residual,
-    constant_adr, delta_coercivity, delta_experiment, delta_semi_implicit,
-    estimate_inverse_constant, evaluate_bound, forcing_norms,
+    constant_adr, delta_experiment, evaluate_bound, forcing_norms,
     init_from_modes, l2_norm, make_monte_carlo, md_metric,
     prepare_workspace, rotating_body, run, step, step_report, supg_norm,
     write_ledgers_csv, write_reports_csv,
@@ -18,6 +17,7 @@ from supgdlr import (
 from supgdlr.diagnostics import StepReport
 from supgdlr.integrator import step_deterministic_modes, \
     step_stochastic_modes
+from supgdlr.runner import resolve_delta
 
 
 def random_state(mesh, space, rank, seed=0):
@@ -52,10 +52,16 @@ def test_l2_norm_matches_dense():
     assert abs(fast - slow) <= 1e-12 * max(slow, 1.0)
 
 
-def test_supg_norm_dense_oracle():
+@pytest.mark.parametrize("case", ["constant_adr", "boundary_layer"])
+def test_supg_norm_dense_oracle(case):
     mesh = build_structured_mesh(4)
-    space = make_monte_carlo([(-1.0, 1.0)], 6, seed=2)
-    model = constant_adr(eps_value=0.2, b=(1.0, -0.5), c=3.0)
+    if case == "boundary_layer":
+        space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
+                                 6, seed=2)
+        model = boundary_layer(space)
+    else:
+        space = make_monte_carlo([(-1.0, 1.0)], 6, seed=2)
+        model = constant_adr(eps_value=0.2, b=(1.0, -0.5), c=3.0)
     ws = make_ws(mesh, space, model)
     state = random_state(mesh, space, rank=2, seed=3)
     got = supg_norm(state, ws)
@@ -64,25 +70,26 @@ def test_supg_norm_dense_oracle():
     a = ws.analysis
     fields = state.dense()
     w = space.weights
+    mu = a.mu(ws.xq_flat).reshape(ws.pw.shape)
     total = 0.0
     for i in range(space.count):
         u = fields[:, i]
         tri = u[mesh.triangles]
         g = np.einsum("ead,ea->ed", mesh.grads, tri)
         gradsq = float(np.sum(mesh.signed_areas * np.sum(g * g, axis=1)))
-        bq = ws.blocks.b_at_qp
+        bq = model.b_at(ws.xq_flat, space.samples[i]).reshape(
+            *ws.pw.shape, 2)
         bg = np.einsum("eqd,ed->eq", bq, g)
         bsq = float(np.einsum("e,eq,eq->", ws.delta, ws.pw, bg ** 2))
         vq = np.einsum("qa,ea->eq", ws.phi, tri)
-        mu = a.mu(ws.xq_flat, space.samples[i]).reshape(ws.pw.shape)
         musq = float(np.einsum("eq,eq,eq->", ws.pw, mu, vq ** 2))
         total += w[i] * (a.eps_hat * gradsq + bsq + musq)
     assert abs(got - np.sqrt(total)) <= 1e-10 * max(np.sqrt(total), 1.0)
 
 
-def test_norms_fallback_matches_matrix_path():
-    # a zero advection fluctuation forces the per-sample path; the
-    # numbers must agree with the deterministic matrix path
+def test_zero_advection_mode_changes_no_norm():
+    # a zero mode adds its (zero) streamline forms; every norm must
+    # match the model without modes
     from supgdlr.coefficients import CoefficientModel
 
     mesh = build_structured_mesh(4)
@@ -90,13 +97,16 @@ def test_norms_fallback_matches_matrix_path():
     det = constant_adr(eps_value=0.3, b=(1.0, 1.0), c=1.0)
     rand = CoefficientModel(
         name="pseudo", eps=det.eps, b_mean=det.b_mean,
-        b_fluct=lambda x, omega: np.zeros((len(x), 2)),
+        b_modes=((lambda s: np.atleast_2d(s)[:, 0] - space.weights
+                  @ space.samples[:, 0],
+                  lambda x: np.zeros((len(x), 2))),),
         c_mean=det.c_mean, param_dim=1)
     ws_det = make_ws(mesh, space, det)
     ws_rand = make_ws(mesh, space, rand)
+    assert len(ws_rand.norms.b_forms) == 2
     state = random_state(mesh, space, rank=2, seed=5)
-    nd = ws_det.norm_evaluator().norms(state)
-    nr = ws_rand.norm_evaluator().norms(state)
+    nd = ws_det.norms.norms(state)
+    nr = ws_rand.norms.norms(state)
     for key in ("l2", "grad", "supg", "mu_half", "bconv"):
         assert abs(nd[key] - nr[key]) <= 1e-10 * max(nd[key], 1.0), key
 
@@ -113,12 +123,7 @@ def test_coercivity_check_passes_with_compliant_delta():
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 20, seed=6)
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E)
-    delta = delta_coercivity(mesh, analysis, params).capped(mesh.h_K / 4)
+    delta = resolve_delta("coercivity", mesh, model, analysis, None)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
     report = check_coercivity(model, analysis, blocks, space, trials=50,
@@ -141,8 +146,9 @@ def test_coercivity_check_rejects_random_advection():
 
 def tangent_setup(case):
     """Rotating body with stabilization `case` ("supg" or "none"), or
-    the "boundary_layer" model, whose random advection runs the
-    per-sample residual."""
+    the "boundary_layer" model, whose random advection enters through
+    the assembled mode block (and through per-sample quadrature in the
+    full-order step the check compares with)."""
     mesh = build_structured_mesh(3)
     if case == "boundary_layer":
         space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
@@ -180,18 +186,13 @@ def decay_run(scheme, c=0.0, f=None, dt=0.01, T=0.5, eps=0.05):
     space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
     model = constant_adr(eps_value=eps, b=(1.0, 1.0), c=c, f=f)
     analysis = analyze_reaction(model, mesh, space)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E)
-    delta = delta_semi_implicit(mesh, analysis, params, dt)
+    delta = resolve_delta("semi_implicit", mesh, model, analysis, dt)
     cfg = SchemeConfig(dt=dt, scheme=scheme, stabilization="supg",
                        delta=delta)
     ws = prepare_workspace(model, mesh, space, cfg, analysis=analysis)
     state = random_state(mesh, space, rank=1, seed=11)
     _, reports = run(state, ws, T)
-    stoch = check_moderate_stochasticity(model, analysis, space, mesh)
+    stoch = check_moderate_stochasticity(model, analysis, space)
     return ws, analysis, delta, reports, stoch
 
 

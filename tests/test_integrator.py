@@ -7,7 +7,7 @@ from supgdlr import (
     BlowupError, ConfigError, FomState, SchemeConfig, delta_experiment,
     build_structured_mesh, constant_adr, fom_run, fom_step,
     init_from_modes, load_state, make_monte_carlo, prepare_workspace,
-    rotating_body, run, save_state, step,
+    rotating_body, run, save_state, step, step_report,
 )
 
 
@@ -167,22 +167,26 @@ def test_explicit_diffusion_blowup_detected(loop):
     assert err.value.step_index >= 1
 
 
-def test_step_without_sample_loop_builds_no_mode_frames(monkeypatch):
-    # deterministic advection and reaction: no per-sample residual, so
-    # the quadrature-point mode frames are never needed
-    from supgdlr import integrator
+def test_low_rank_step_evaluates_no_coefficient_callable():
+    # random advection enters the low-rank step and its norms only
+    # through the assembled mode blocks: after setup, no coefficient
+    # callable is evaluated, so none of them is evaluated per sample
+    from supgdlr import boundary_layer
 
     def refuse(*args):
-        raise AssertionError("mode frames built without a sample loop")
+        raise AssertionError("coefficient callable evaluated in a step")
 
-    monkeypatch.setattr(integrator, "_mode_frames", refuse)
     mesh = build_structured_mesh(4)
-    space = make_monte_carlo([(-1.0, 1.0)] * 3, 10, seed=11)
-    ws = make_ws(mesh, space, rotating_body(), dt=1e-3)
-    assert not ws.has_sample_loop
-    state, report = step(random_state(mesh, space, rank=2, seed=12), ws)
+    space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
+                             10, seed=11)
+    model = boundary_layer(space)
+    ws = make_ws(mesh, space, model, dt=1e-3)
+    model.b_fluct = ws.b_expl = ws.c_expl = ws.analysis.mu = refuse
+    state = random_state(mesh, space, rank=2, seed=12)
+    state, report = step(state, ws)
     assert abs(state.t - 1e-3) <= 1e-15
-    assert np.isfinite(report.l2)
+    assert np.isfinite(report.l2) and report.bconv > 0
+    assert step_report(state, ws).l2 == report.l2
 
 
 def test_semi_implicit_trajectory_reproducible():
@@ -215,15 +219,17 @@ def test_checkpoint_continuation(tmp_path):
     assert resumed.t == ref.t
 
 
-def test_stochastic_advection_full_rank_oracle():
-    # random advection exercises the explicit per-sample residual loop
+@pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
+def test_stochastic_advection_full_rank_oracle(scheme):
+    # the assembled mode blocks (and, in the explicit scheme, the mean
+    # operator term) against the per-sample quadrature of the FOM
     from supgdlr import boundary_layer
 
     mesh = build_structured_mesh(3)
     space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
                              5, seed=9)
     model = boundary_layer(space)
-    ws = make_ws(mesh, space, model, dt=1e-3)
+    ws = make_ws(mesh, space, model, scheme=scheme, dt=1e-3)
     state = random_state(mesh, space, rank=space.count - 1, seed=10)
     fom = FomState(state.dense(), t=0.0)
     for _ in range(5):
