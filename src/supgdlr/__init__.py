@@ -6,7 +6,7 @@ mesh          structured P1 elements, quadrature, sparse assembly
 sampling      collocation sample spaces and weighted orthonormalization
 coefficients  random coefficient models and stabilization parameters
 lowrank       the two-factor low-rank state and its factorizations
-integrator    staggered semi-implicit/implicit/explicit time stepping
+integrator    staggered semi-implicit time stepping
 fom           per-sample full-order reference solver
 diagnostics   norms, coercivity/tangent checks, stability-bound ledgers
 runner        experiment presets and configuration-driven batch runs
@@ -45,8 +45,8 @@ from .integrator import (
 )
 from .fom import FomState, fom_step, fom_run
 from .diagnostics import (
-    StepReport, BoundLedger, NormEvaluator, l2_norm, supg_norm,
-    md_metric, range_excess, check_coercivity, check_tangent_residual,
+    StepReport, BoundLedger, NormEvaluator, l2_norm, md_metric,
+    range_excess, check_coercivity, check_tangent_residual,
     evaluate_bound, forcing_norms, step_report, write_reports_csv,
     write_ledgers_csv,
 )

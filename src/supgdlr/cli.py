@@ -72,16 +72,16 @@ def _suite_coercivity():
     return 0 if report.ok else 3
 
 
-def _decay_setup(scheme):
+def _decay_setup():
     mesh = build_structured_mesh(12)
     space = make_monte_carlo([(-1.0, 1.0)], 8, seed=2)
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=0.0)
     analysis = analyze_reaction(model, mesh, space)
     dt = 0.01
     delta = runner.resolve_delta("semi_implicit", mesh, model, analysis, dt)
-    cfg = SchemeConfig(dt=dt, scheme=scheme, stabilization="supg",
-                       delta=delta)
-    ws = prepare_workspace(model, mesh, space, cfg, analysis=analysis)
+    ws = prepare_workspace(model, mesh, space,
+                           SchemeConfig(dt=dt, delta=delta),
+                           analysis=analysis)
 
     rng = np.random.default_rng(3)
     x = mesh.vertices
@@ -96,12 +96,10 @@ def _decay_setup(scheme):
 
 def _suite_bounds():
     status = 0
-    for scheme, theorem in (("implicit_euler_deterministic", "im_stab"),
-                            ("semi_implicit", "si_stab")):
-        mesh, space, model, analysis, delta, ws, state = \
-            _decay_setup(scheme)
-        _, reports = run(state, ws, 1.0)
-        stoch = check_moderate_stochasticity(model, analysis, space)
+    mesh, space, model, analysis, delta, ws, state = _decay_setup()
+    _, reports = run(state, ws, 1.0)
+    stoch = check_moderate_stochasticity(model, analysis, space)
+    for theorem in ("im_stab", "si_stab"):
         led = evaluate_bound(reports, theorem, "ii", analysis, delta,
                              ws.cfg.dt, 1.0, stoch_report=stoch)
         verdict = "PASS" if led.applicable and led.passed else "FAIL"
@@ -116,9 +114,7 @@ def _suite_oracle():
     mesh = build_structured_mesh(3)
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=4)
     model = rotating_body()
-    cfg = SchemeConfig(dt=1e-3, scheme="semi_implicit",
-                       stabilization="supg",
-                       delta=delta_experiment(mesh))
+    cfg = SchemeConfig(dt=1e-3, delta=delta_experiment(mesh))
     ws = prepare_workspace(model, mesh, space, cfg)
     rng = np.random.default_rng(5)
     interior = mesh.interior_index()

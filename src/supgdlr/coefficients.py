@@ -158,7 +158,9 @@ class ReactionAnalysis:
     nu = -min(inf mu_tilde, 0), mu0 = inf mu.  The reaction and the
     divergence do not depend on the sample, so infima and element
     sup-norms come from one scan over the quadrature points, which is
-    all the discrete problem ever sees.
+    all the discrete problem ever sees.  eps_star_sup and
+    random_advection record which coefficients vary with the sample;
+    the stability theorems assume some of them do not.
     """
 
     mu_tilde: callable
@@ -169,6 +171,7 @@ class ReactionAnalysis:
     eps_star_sup: float
     eps_hat: float
     C_E: float
+    random_advection: bool
 
 
 class StabilizationParams:
@@ -227,7 +230,8 @@ def analyze_reaction(model, mesh, space, quad=None):
     return ReactionAnalysis(
         mu_tilde=mu_tilde, nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
         eps_star_sup=float(np.max(np.abs(eps_star))),
-        eps_hat=eps_hat, C_E=C_E)
+        eps_hat=eps_hat, C_E=C_E,
+        random_advection=model.has_random_advection)
 
 
 def estimate_inverse_constant(mesh, blocks, max_iter=5000, tol=1e-10,

@@ -22,7 +22,6 @@ __all__ = [
     "BoundLedger",
     "NormEvaluator",
     "l2_norm",
-    "supg_norm",
     "md_metric",
     "range_excess",
     "check_coercivity",
@@ -84,10 +83,16 @@ class NormEvaluator:
     b_k . grad phi_i)_K weighted by Y_full^T diag(w theta_k theta_l)
     Y_full; S_00 is supg_conv.  Every form is assembled here, once, and
     no sample is visited per evaluation.
+
+    It keeps the parts of the workspace it reads, not the workspace: a
+    reference back would make every workspace a reference cycle, whose
+    arrays only the cyclic garbage collector frees.
     """
 
     def __init__(self, ws):
-        self.ws = ws
+        self.blocks, self.space, self.mesh = ws.blocks, ws.space, ws.mesh
+        self.phi, self.pw = ws.phi, ws.pw
+        self.eps_hat = ws.analysis.eps_hat
         mq = np.asarray(ws.analysis.mu(ws.xq_flat),
                         dtype=float).reshape(ws.pw.shape)
         self.mu_qp = mq if np.max(np.abs(mq)) > 0 else None
@@ -103,15 +108,15 @@ class NormEvaluator:
             if l >= max(k, 1)]
 
     def _dlr_norms(self, state):
-        ws = self.ws
         U_full = np.column_stack([state.U0, state.U])
-        M, A, D = ws.blocks.mass, ws.blocks.stiffness, ws.blocks.supg_conv
+        M, A, D = self.blocks.mass, self.blocks.stiffness, \
+            self.blocks.supg_conv
         colM = np.einsum("kr,kr->r", U_full, M @ U_full)
         l2sq = float(colM.sum())
         gradsq = float(np.einsum("kr,kr->", U_full, A @ U_full))
         bsq = float(np.einsum("kr,kr->", U_full, D @ U_full))
         if self.b_forms:
-            w = ws.space.weights
+            w = self.space.weights
             Y_full = np.column_stack([np.ones(state.n_samples), state.Y])
             for psi, S in self.b_forms:
                 Yw = Y_full.T @ ((w * psi)[:, None] * Y_full)
@@ -119,9 +124,9 @@ class NormEvaluator:
         if self.mu_qp is None:
             musq = 0.0
         else:
-            tri = U_full[ws.mesh.triangles]
-            vq = np.einsum("qa,ear->eqr", ws.phi, tri)
-            musq = float(np.einsum("eq,eq,eqr->", ws.pw, self.mu_qp,
+            tri = U_full[self.mesh.triangles]
+            vq = np.einsum("qa,ear->eqr", self.phi, tri)
+            musq = float(np.einsum("eq,eq,eqr->", self.pw, self.mu_qp,
                                    vq ** 2))
         mode_norms = [float(np.sqrt(max(c, 0.0))) for c in colM]
         return l2sq, gradsq, max(bsq, 0.0), max(musq, 0.0), mode_norms
@@ -129,7 +134,7 @@ class NormEvaluator:
     def norms(self, state):
         """Returns a dict of l2, grad, supg, mu_half, bconv, mode_norms."""
         l2sq, gradsq, bsq, musq, mode_norms = self._dlr_norms(state)
-        supgsq = self.ws.analysis.eps_hat * gradsq + bsq + musq
+        supgsq = self.eps_hat * gradsq + bsq + musq
         return {
             "l2": float(np.sqrt(max(l2sq, 0.0))),
             "grad": float(np.sqrt(max(gradsq, 0.0))),
@@ -141,23 +146,15 @@ class NormEvaluator:
 
 
 def l2_norm(state, mass, space):
-    """Weighted space-probability L2 norm of a state or field matrix.
+    """Weighted space-probability L2 norm of a full-order state.
 
-    Exploits mode orthonormality for low-rank states.
+    state is a FomState or an (N_h, N_C) field matrix; low-rank states
+    are measured by NormEvaluator.
     """
-    if isinstance(state, DlrState):
-        U_full = np.column_stack([state.U0, state.U])
-        sq = float(np.einsum("kr,kr->", U_full, mass @ U_full))
-    else:
-        fields = state.fields if hasattr(state, "fields") else state
-        sq = float(np.einsum("ki,ki,i->", fields, mass @ fields,
-                             space.weights))
+    fields = state.fields if hasattr(state, "fields") else state
+    sq = float(np.einsum("ki,ki,i->", fields, mass @ fields,
+                         space.weights))
     return float(np.sqrt(max(sq, 0.0)))
-
-
-def supg_norm(state, ws):
-    """Stabilized energy norm via the workspace norm evaluator."""
-    return ws.norms.norms(state)["supg"]
 
 
 def md_metric(field):
@@ -416,10 +413,11 @@ def evaluate_bound(reports, theorem, case, analysis, delta, dt, T,
     """Evaluate one norm-stability inequality over a trajectory.
 
     reports must include the initial state (index 0).  f_norms is one
-    forcing norm per step, at the time level the scheme used.  The
-    semi-implicit theorem additionally requires a moderate-stochasticity
-    report.  Preconditions that fail yield a not-applicable ledger, not
-    a silent pass.
+    forcing norm per step, at the time level the scheme used.  Both
+    theorems assume a deterministic advection field; the implicit one
+    (im_stab) also deterministic diffusion, and the semi-implicit one
+    (si_stab) a moderate-stochasticity report.  Preconditions that fail
+    yield a not-applicable ledger, not a silent pass.
     """
     if theorem not in ("im_stab", "si_stab"):
         raise ConfigError(f"unknown theorem {theorem!r}")
@@ -428,6 +426,14 @@ def evaluate_bound(reports, theorem, case, analysis, delta, dt, T,
     N = len(reports) - 1
     if N < 1:
         return _not_applicable(theorem, case, "empty trajectory")
+    if analysis.random_advection:
+        return _not_applicable(theorem, case, "the advection is random; "
+                               "the theorems assume it deterministic")
+    if (theorem == "im_stab"
+            and analysis.eps_star_sup > 1e-14 * analysis.eps_hat):
+        return _not_applicable(theorem, case, "the diffusion is random; "
+                               "the implicit theorem assumes it "
+                               "deterministic")
 
     dk, delta_reason = _check_delta_preconditions(theorem, delta,
                                                   analysis, dt)

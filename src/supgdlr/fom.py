@@ -1,13 +1,12 @@
 """Per-sample full-order reference solver.
 
 Collocation decouples the full-order problem into independent PDE
-solves, one per sample, advanced with the same time splitting,
+solves, one per sample, advanced with the same semi-implicit splitting,
 stabilization, implicit operator and boundary handling as the low-rank
-path.  The explicit advection and reaction, however, are evaluated
-independently: by quadrature of each sample's own coefficient field
-(`b_fluct`, or the full `b_at` in the explicit scheme), not through the
-assembled affine-mode blocks the low-rank step uses.  That makes the
-full-order step the oracle that checks those blocks.
+path.  The explicit advection fluctuation, however, is evaluated
+independently: by quadrature of each sample's own field (`b_fluct`),
+not through the assembled affine-mode blocks the low-rank step uses.
+That makes the full-order step the oracle that checks those blocks.
 """
 
 import numpy as np
@@ -35,29 +34,25 @@ class FomState:
 
 
 def _sample_residual_qp(ws, fields):
-    """Explicit reaction and advection residual of every sample.
+    """Explicit advection residual of every sample.
 
-    Returns (ne, nq, N_C) values of c_expl u + b_expl . grad u at the
-    quadrature points, with the advection of each sample evaluated at
-    that sample's parameters.
+    Returns (ne, nq, N_C) values of b_expl . grad u at the quadrature
+    points, with the advection of each sample evaluated at that
+    sample's parameters.
     """
     elem = fields[ws.mesh.triangles]                   # (ne, 3, N_C)
     Gq = np.einsum("ead,eai->edi", ws.mesh.grads, elem)
     ne, nq = ws.pw.shape
     val = np.zeros((ne, nq, fields.shape[1]))
-    if ws.c_expl is not None:
-        c = np.asarray(ws.c_expl(ws.xq_flat), dtype=float).reshape(ne, nq)
-        val += c[:, :, None] * np.einsum("qa,eai->eqi", ws.phi, elem)
-    if ws.b_expl is not None:
-        for i, omega in enumerate(ws.space.samples):
-            bf = np.asarray(ws.b_expl(ws.xq_flat, omega),
-                            dtype=float).reshape(ne, nq, 2)
-            val[:, :, i] += np.einsum("eqd,ed->eq", bf, Gq[:, :, i])
+    for i, omega in enumerate(ws.space.samples):
+        bf = np.asarray(ws.b_expl(ws.xq_flat, omega),
+                        dtype=float).reshape(ne, nq, 2)
+        val[:, :, i] += np.einsum("eqd,ed->eq", bf, Gq[:, :, i])
     return val
 
 
 def fom_step(state, ws):
-    """Advance every sample by one step of the configured scheme."""
+    """Advance every sample by one semi-implicit step."""
     fields = state.fields
     if fields.shape[1] != ws.space.count:
         raise ConfigError("field columns must match the sample count")
@@ -75,7 +70,7 @@ def fom_step(state, ws):
         rhs -= assemble_load(ws.blocks, _sample_residual_qp(ws, fields),
                              skew=True)
 
-    constrained = ws.bc0.constrain_rhs(rhs)
+    constrained = ws.bc.constrain_rhs(rhs)
     out = ws.lu.solve(constrained)
     if not np.all(np.isfinite(out)):
         raise ConfigError("full-order solve returned non-finite values")

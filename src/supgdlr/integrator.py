@@ -1,13 +1,12 @@
-"""Staggered time stepper for the stabilized low-rank scheme.
+"""Staggered semi-implicit time stepper for the stabilized low-rank scheme.
 
-One step solves the deterministic modes with the mean coefficients
+One step solves the deterministic modes with the mean operator
 implicit and the fluctuations explicit, then the stochastic increments
 in the orthogonal complement of the current stochastic basis, and
-finally re-orthonormalizes.  Three scheme variants share the skeleton:
-
-semi_implicit                  mean part implicit, fluctuations explicit
-implicit_euler_deterministic   fully implicit, deterministic coefficients
-explicit                       everything explicit (no stability claim)
+finally re-orthonormalizes.  The forcing is taken at the new time level.
+With deterministic coefficients the explicit part vanishes and the step
+is implicit Euler; standard Galerkin is the same step with an all-zero
+delta.
 
 Stochastic advection is handled by the same mean/fluctuation split as
 the diffusion: the mean field drives the implicit operator and the
@@ -16,12 +15,11 @@ side.  This extends the published scheme, which assumes a deterministic
 advection field.
 
 The explicit operator is a list of terms (theta over samples, assembled
-sparse block B): the diffusion fluctuation (eps_star, stiffness), one
-skewed block (beta_k . grad phi_j, phi_i + delta_K b . grad phi_i) per
-affine advection mode, and in the explicit scheme the full diffusion
-and the mean operator with theta = 1.  Sample i sees
-sum_k theta_k[i] B_k u_i, so both mode systems reduce to small dense
-products and no step visits the samples one by one.
+sparse block B): the diffusion fluctuation (eps_star, stiffness) and
+one skewed block (beta_k . grad phi_j, phi_i + delta_K b . grad phi_i)
+per affine advection mode.  Sample i sees sum_k theta_k[i] B_k u_i, so
+both mode systems reduce to small dense products and no step visits
+the samples one by one.
 """
 
 from dataclasses import dataclass, field
@@ -49,31 +47,33 @@ __all__ = [
     "run",
 ]
 
-SCHEMES = ("semi_implicit", "implicit_euler_deterministic", "explicit")
-STABILIZATIONS = ("none", "supg")
+# A projected mode-coupling matrix with a larger condition number
+# stops the run with NearSingularError.
+WCOND_THRESHOLD = 1e12
+# A norm above this multiple of the initial one (at least 1) stops the
+# run with BlowupError.
+BLOWUP_FACTOR = 1e8
 
 
 @dataclass
 class SchemeConfig:
-    """Time-stepping selections for one run."""
+    """Time-stepping settings for one run.
+
+    delta is a StabilizationParams or a per-element array; an all-zero
+    delta gives standard Galerkin.
+    """
 
     dt: float
-    scheme: str = "semi_implicit"
-    stabilization: str = "supg"
-    delta: object = None          # StabilizationParams or per-element array
+    delta: object = None
     bc: dict = field(default_factory=lambda: {"boundary": 0.0})
     compute_tangent_residual: bool = False
-    wcond_threshold: float = 1e12
-    blowup_factor: float = 1e8
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.stabilization not in STABILIZATIONS:
-            raise ConfigError(
-                f"unknown stabilization {self.stabilization!r}")
+        if self.delta is None:
+            raise ConfigError("delta is required (all zeros for standard "
+                              "Galerkin)")
 
 
 @dataclass(eq=False)
@@ -94,16 +94,15 @@ class StepWorkspace:
     delta: np.ndarray
     blocks: object
     Braw: object
-    bc0: DirichletCondition
-    bc_hom: DirichletCondition
+    bc: DirichletCondition
     lu: object
     eps_bar: float
-    eps_expl: np.ndarray              # per-sample explicit diffusion
-    c_expl: object                    # callable points or None
+    eps_expl: np.ndarray              # per-sample diffusion fluctuation
     b_expl: object                    # callable (x, omega) or None
     time_matrix: object               # mass + supg_mass
     modes: list                       # (theta, beta . grad phi at qp)
     terms: list                       # explicit operator, (theta, B)
+    c_expl: object = None             # always None: reaction is implicit
     phi: np.ndarray = field(init=False)
     pw: np.ndarray = field(init=False)
     xq_flat: np.ndarray = field(init=False)
@@ -121,30 +120,24 @@ class StepWorkspace:
 
     @property
     def has_sample_loop(self):
-        """Whether the full-order step evaluates explicit advection or
-        reaction at the quadrature points (sample by sample for b)."""
-        return self.c_expl is not None or self.b_expl is not None
+        """Whether the full-order step evaluates the explicit advection
+        sample by sample at the quadrature points."""
+        return self.b_expl is not None
 
     def forcing_qp(self, t):
         """Forcing at the quadrature points, (ne, nq), or None.
 
-        Evaluated at the time level the step from t uses: t for the
-        explicit scheme, t + dt otherwise.
+        Evaluated at t + dt, the time level the step from t uses.
         """
         if self.model.forcing is None:
             return None
-        t_f = t if self.cfg.scheme == "explicit" else t + self.cfg.dt
-        f = self.model.forcing(t_f, self.xq_flat)
+        f = self.model.forcing(t + self.cfg.dt, self.xq_flat)
         return np.asarray(f, dtype=float).reshape(self.pw.shape)
 
 
-def _resolve_delta(cfg, mesh):
-    if cfg.stabilization == "none":
-        return np.zeros(mesh.n_triangles)
-    if cfg.delta is None:
-        raise ConfigError("supg stabilization needs a delta policy")
-    dk = cfg.delta.delta_K if isinstance(cfg.delta, StabilizationParams) \
-        else np.asarray(cfg.delta, dtype=float)
+def _resolve_delta(delta, mesh):
+    dk = delta.delta_K if isinstance(delta, StabilizationParams) \
+        else np.asarray(delta, dtype=float)
     if dk.shape != (mesh.n_triangles,):
         raise ConfigError("delta must have one entry per element")
     if not np.all(np.isfinite(dk)):
@@ -162,58 +155,30 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
         raise ConfigError(
             "the tangent residual check needs at most "
             f"{diagnostics.TANGENT_MAX_SAMPLES} samples, got {space.count}")
-    delta = _resolve_delta(cfg, mesh)
+    delta = _resolve_delta(cfg.delta, mesh)
     eps_bar, eps_star = model.eps_split(space)
-    eps_full = eps_bar + eps_star
-
-    if cfg.scheme == "implicit_euler_deterministic":
-        if (np.max(np.abs(eps_star)) > 1e-14 * eps_bar
-                or model.has_random_advection):
-            raise ConfigError("the deterministic implicit scheme requires "
-                              "coefficients without fluctuations")
 
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta, quad)
     if analysis is None:
         analysis = analyze_reaction(model, mesh, space, quad)
 
-    explicit = cfg.scheme == "explicit"
-    if explicit:
-        K_impl = None
-        eps_expl = eps_full
-        c_expl = model.c_mean
-        b_expl = model.b_at
-    else:
-        K_impl = (eps_bar * blocks.stiffness + blocks.convection
-                  + blocks.reaction
-                  + blocks.supg_conv + blocks.supg_reaction)
-        eps_expl = eps_star
-        c_expl = None
-        b_expl = model.b_fluct
-
-    terms = [(eps_expl, blocks.stiffness)] if np.any(eps_expl != 0.0) \
+    K_impl = (eps_bar * blocks.stiffness + blocks.convection
+              + blocks.reaction + blocks.supg_conv + blocks.supg_reaction)
+    terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
-    if explicit:
-        terms.append((np.ones(space.count),
-                      blocks.convection + blocks.reaction
-                      + blocks.supg_conv + blocks.supg_reaction))
     modes = [(theta, directional_gradients(blocks, beta))
              for theta, beta in model.advection_modes(space)]
     terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
 
     time_matrix = (blocks.mass + blocks.supg_mass).tocsr()
-    Braw = (time_matrix / cfg.dt + K_impl).tocsr() if K_impl is not None \
-        else (time_matrix / cfg.dt).tocsr()
-
-    bc0 = DirichletCondition(Braw, mesh, cfg.bc)
-    bc_hom = DirichletCondition(Braw, mesh,
-                                {tag: 0.0 for tag in cfg.bc})
-    lu = spla.splu(bc0.matrix.tocsc())
+    Braw = (time_matrix / cfg.dt + K_impl).tocsr()
+    bc = DirichletCondition(Braw, mesh, cfg.bc)
+    lu = spla.splu(bc.matrix.tocsc())
     return StepWorkspace(
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
-        quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc0=bc0,
-        bc_hom=bc_hom, lu=lu, eps_bar=eps_bar, eps_expl=eps_expl,
-        c_expl=c_expl, b_expl=b_expl, time_matrix=time_matrix,
-        modes=modes, terms=terms)
+        quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc=bc, lu=lu,
+        eps_bar=eps_bar, eps_expl=eps_star, b_expl=model.b_fluct,
+        time_matrix=time_matrix, modes=modes, terms=terms)
 
 
 def _full_factors(state):
@@ -241,11 +206,11 @@ def step_deterministic_modes(state, ws):
         E = Y_full.T @ ((w * theta)[:, None] * Y_full)
         rhs -= B @ (U_full @ E)
 
-    constrained = np.empty_like(rhs)
-    constrained[:, 0] = ws.bc0.constrain_rhs(rhs[:, 0])
-    for j in range(1, rhs.shape[1]):
-        constrained[:, j] = ws.bc_hom.constrain_rhs(rhs[:, j])
-    U_tilde = ws.lu.solve(constrained)
+    # the mean mode carries the boundary values, the fluctuation modes
+    # vanish on the Dirichlet boundary
+    rhs[:, 0] = ws.bc.constrain_rhs(rhs[:, 0])
+    rhs[ws.bc.dofs, 1:] = 0.0
+    U_tilde = ws.lu.solve(rhs)
     if not np.all(np.isfinite(U_tilde)):
         raise ConfigError("deterministic mode solve returned non-finite "
                           "values")
@@ -268,10 +233,10 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
     Um = U_tilde[:, 1:]
     What = Um.T @ (ws.Braw.T @ Um)
     cond = float(np.linalg.cond(What))
-    if not np.isfinite(cond) or cond > ws.cfg.wcond_threshold:
+    if not np.isfinite(cond) or cond > WCOND_THRESHOLD:
         raise NearSingularError(
             f"mode coupling matrix condition {cond:.3e} exceeds "
-            f"{ws.cfg.wcond_threshold:.1e}", condition=cond)
+            f"{WCOND_THRESHOLD:.1e}", condition=cond)
 
     rhs = np.zeros((state.n_samples, R))
     for theta, B in ws.terms:
@@ -281,8 +246,7 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
     if not np.any(rhs):
         dY = np.zeros_like(state.Y)
     else:
-        for j in range(R):
-            rhs[:, j] = project_complement(rhs[:, j], state.Y, ws.space)
+        rhs = project_complement(rhs, state.Y, ws.space)
         dY = np.linalg.solve(What.T, rhs.T).T
     return state.Y + dY, dY, cond
 
@@ -324,7 +288,7 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
     Checks that ws.cfg.dt divides [initial.t, T], records
     measure(initial), then calls advance(state) -> (state, record) once
     per step.  A record whose l2_of is not finite or exceeds
-    blowup_factor times the initial one (at least 1) raises BlowupError
+    BLOWUP_FACTOR times the initial one (at least 1) raises BlowupError
     carrying the step index.  Every record, the initial one included,
     is passed on as cb(state, record).  Returns (state, list of records).
     """
@@ -345,7 +309,7 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
     for n in range(n_steps):
         state, record = advance(state)
         l2 = l2_of(record)
-        if not np.isfinite(l2) or l2 > ws.cfg.blowup_factor * ref:
+        if not np.isfinite(l2) or l2 > BLOWUP_FACTOR * ref:
             raise BlowupError(
                 f"norm {l2:.3e} at step {n + 1} indicates blow-up",
                 step_index=n + 1)

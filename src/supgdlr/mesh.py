@@ -379,13 +379,12 @@ class DirichletCondition:
         self.values = self.values[order]
         self._cols = matrix.tocsc()[:, self.dofs].tocsr()
 
-        n = matrix.shape[0]
-        mask = np.ones(n, dtype=bool)
-        mask[self.dofs] = False
-        diag = sp.diags(mask.astype(float))
-        constrained = (diag @ matrix @ diag).tolil()
-        constrained[self.dofs, self.dofs] = 1.0
-        self.matrix = constrained.tocsr()
+        # D A D + diag(boundary indicator), D the interior indicator
+        boundary = np.zeros(matrix.shape[0])
+        boundary[self.dofs] = 1.0
+        interior = sp.diags(1.0 - boundary)
+        self.matrix = (interior @ matrix @ interior
+                       + sp.diags(boundary)).tocsr()
         self.matrix.sort_indices()
 
     def constrain_rhs(self, rhs):

@@ -1,7 +1,7 @@
 """Configuration-driven batch runs and the experiment presets.
 
 A RunConfig fully determines one run: mesh, sample space, coefficient
-model, initial condition, scheme, stabilization policy and outputs.
+model, initial condition, stabilization policy and outputs.
 Presets reproduce the two reference experiments at `paper` scale
 (exact published parameters, hours of compute) or `desk` scale (same
 structure, minutes).  All outputs are plain text and byte-reproducible
@@ -55,7 +55,6 @@ class RunConfig:
     n_per_side: int
     dt: float
     T: float
-    scheme: str = "semi_implicit"
     stabilization: str = "supg"
     delta_policy: str = "experiment"
     rank: int = None
@@ -96,7 +95,6 @@ class RunConfig:
             "T": self.T,
             "R": self.rank,
             "snapshot_tol": self.snapshot_tol,
-            "scheme": self.scheme,
             "stabilization": self.stabilization,
             "delta_policy": self.delta_policy,
             "model": self.model,
@@ -118,8 +116,8 @@ def preset_rotating_body(scale="desk", seed=1234):
         n, count, T, dt = 32, 200, 0.5, 0.5 / 800.0
     return RunConfig(
         name="rotating_body", scale=scale, n_per_side=n, dt=dt, T=T,
-        scheme="semi_implicit", stabilization="supg",
-        delta_policy="experiment", rank=2, model="rotating_body",
+        stabilization="supg", delta_policy="experiment", rank=2,
+        model="rotating_body",
         sampler={"kind": "monte_carlo", "count": count, "seed": seed,
                  "intervals": [(-1.0, 1.0)] * 3},
         initial="rotating_body_shapes", bc={"boundary": 0.0})
@@ -136,9 +134,8 @@ def preset_boundary_layer(scale="desk"):
         n, N, rank, tol = 20, 4, None, 1e-4
     return RunConfig(
         name="boundary_layer", scale=scale, n_per_side=n, dt=T / 50.0,
-        T=T, scheme="semi_implicit", stabilization="supg",
-        delta_policy="experiment", rank=rank, snapshot_tol=tol,
-        model="boundary_layer",
+        T=T, stabilization="supg", delta_policy="experiment", rank=rank,
+        snapshot_tol=tol, model="boundary_layer",
         sampler={"kind": "tensor_grid",
                  "intervals": [(5000.0, 6000.0, N)]
                  + [(-1.0, 1.0, N)] * 3},
@@ -251,12 +248,13 @@ def build_problem(cfg):
     analysis = analyze_reaction(model, mesh, space, quad)
     if cfg.stabilization == "none":
         delta = StabilizationParams(np.zeros(mesh.n_triangles), "off")
-    else:
+    elif cfg.stabilization == "supg":
         delta = resolve_delta(cfg.delta_policy, mesh, model, analysis,
                               cfg.dt, quad)
+    else:
+        raise ConfigError(f"unknown stabilization {cfg.stabilization!r}")
     scheme_cfg = SchemeConfig(
-        dt=cfg.dt, scheme=cfg.scheme, stabilization=cfg.stabilization,
-        delta=delta, bc=dict(cfg.bc),
+        dt=cfg.dt, delta=delta, bc=dict(cfg.bc),
         compute_tangent_residual=cfg.tangent_residual)
     ws = prepare_workspace(model, mesh, space, scheme_cfg,
                            analysis=analysis, quad=quad)
@@ -380,7 +378,7 @@ def write_config(cfg, path):
         "name": cfg.name, "scale": cfg.scale,
         "n_per_side": str(cfg.n_per_side),
         "dt": f"{cfg.dt:.17g}", "T": f"{cfg.T:.17g}",
-        "scheme": cfg.scheme, "stabilization": cfg.stabilization,
+        "stabilization": cfg.stabilization,
         "delta_policy": cfg.delta_policy,
         "initial": cfg.initial,
     }
@@ -423,6 +421,11 @@ def load_config(path):
         raise ConfigError(f"cannot read config file {path}")
     try:
         r = cp["run"]
+        # the semi-implicit step is the only scheme; a file asking for
+        # another one must not silently run it
+        if r.get("scheme", "semi_implicit") != "semi_implicit":
+            raise ConfigError(f"unknown scheme {r['scheme']!r} in {path}; "
+                              "only semi_implicit is supported")
         sampler = {"kind": cp["sampling"]["kind"]}
         ivs = cp["sampling"].get("intervals", "")
         parts = [p for p in ivs.split(";") if p]
@@ -455,7 +458,7 @@ def load_config(path):
         return RunConfig(
             name=r.get("name", "run"), scale=r.get("scale", "desk"),
             n_per_side=int(r["n_per_side"]), dt=float(r["dt"]),
-            T=float(r["T"]), scheme=r.get("scheme", "semi_implicit"),
+            T=float(r["T"]),
             stabilization=r.get("stabilization", "supg"),
             delta_policy=r.get("delta_policy", "experiment"),
             rank=int(r["rank"]) if "rank" in r else None,

@@ -94,6 +94,7 @@ def _gram(Y, space):
 def project_complement(z, Y, space):
     """Project z onto the complement of span{1, Y_1..Y_R}.
 
+    z : (N_C,) or (N_C, m), projected column by column.
     Y : (N_C, R) with orthonormal zero-mean columns.  The result is
     zero-mean and orthogonal to every column.
     """
@@ -107,10 +108,9 @@ def project_complement(z, Y, space):
         means = expectation(Y, space)
         if np.max(np.abs(means)) > ORTHO_TOL:
             raise ConfigError("basis is not zero-mean")
-    _, zf = split_mean(z, space)
+    zf = z - expectation(z, space)
     if Y.size:
-        coeffs = expectation(Y * zf[:, None], space)
-        zf = zf - Y @ coeffs
+        zf = zf - Y @ ((Y * space.weights[:, None]).T @ zf)
     return zf
 
 

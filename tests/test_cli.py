@@ -52,6 +52,15 @@ def test_check_oracle_suite(capsys):
     assert "oracle" in out
 
 
+def test_check_bounds_suite(capsys):
+    # one decay run, both theorems of case ii
+    code = main(["check", "--suite", "bounds"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "bounds[im_stab case ii]: PASS" in out
+    assert "bounds[si_stab case ii]: PASS" in out
+
+
 def test_unknown_preset_choice_rejected():
     with pytest.raises(SystemExit):
         main(["preset", "mystery", "--out", "x"])

@@ -11,7 +11,7 @@ from supgdlr import (
     check_coercivity, check_moderate_stochasticity, check_tangent_residual,
     constant_adr, delta_experiment, evaluate_bound, forcing_norms,
     init_from_modes, l2_norm, make_monte_carlo, md_metric,
-    prepare_workspace, rotating_body, run, step, step_report, supg_norm,
+    prepare_workspace, rotating_body, run, step, step_report,
     write_ledgers_csv, write_reports_csv,
 )
 from supgdlr.diagnostics import StepReport
@@ -33,9 +33,9 @@ def random_state(mesh, space, rank, seed=0):
 
 def make_ws(mesh, space, model, stabilization="supg", dt=1e-3,
             tangent=False):
-    delta = delta_experiment(mesh) if stabilization == "supg" else None
-    cfg = SchemeConfig(dt=dt, stabilization=stabilization, delta=delta,
-                       compute_tangent_residual=tangent)
+    delta = delta_experiment(mesh) if stabilization == "supg" \
+        else np.zeros(mesh.n_triangles)
+    cfg = SchemeConfig(dt=dt, delta=delta, compute_tangent_residual=tangent)
     return prepare_workspace(model, mesh, space, cfg)
 
 
@@ -45,11 +45,14 @@ def test_l2_norm_matches_dense():
     blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
                              np.zeros(mesh.n_triangles))
     state = random_state(mesh, space, rank=3, seed=1)
-    fast = l2_norm(state, blocks.mass, space)
+    ws = make_ws(mesh, space, rotating_body())
+    fast = ws.norms.norms(state)["l2"]
     fields = state.dense()
     per = np.einsum("ki,ki->i", fields, blocks.mass @ fields)
     slow = np.sqrt(float(space.weights @ per))
     assert abs(fast - slow) <= 1e-12 * max(slow, 1.0)
+    assert abs(l2_norm(fields, blocks.mass, space) - slow) \
+        <= 1e-12 * max(slow, 1.0)
 
 
 @pytest.mark.parametrize("case", ["constant_adr", "boundary_layer"])
@@ -64,7 +67,7 @@ def test_supg_norm_dense_oracle(case):
         model = constant_adr(eps_value=0.2, b=(1.0, -0.5), c=3.0)
     ws = make_ws(mesh, space, model)
     state = random_state(mesh, space, rank=2, seed=3)
-    got = supg_norm(state, ws)
+    got = ws.norms.norms(state)["supg"]
 
     # brute force: per-sample quadrature evaluation of every term
     a = ws.analysis
@@ -181,15 +184,16 @@ def test_tangent_residual_perturbation_sensitivity(case):
     assert res > 1e-5
 
 
-def decay_run(scheme, c=0.0, f=None, dt=0.01, T=0.5, eps=0.05):
+def decay_run(c=0.0, f=None, dt=0.01, T=0.5, eps=0.05, eps_fn=None):
     mesh = build_structured_mesh(8)
     space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
-    model = constant_adr(eps_value=eps, b=(1.0, 1.0), c=c, f=f)
+    model = constant_adr(eps_value=eps, b=(1.0, 1.0), c=c, f=f,
+                         eps_fn=eps_fn)
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("semi_implicit", mesh, model, analysis, dt)
-    cfg = SchemeConfig(dt=dt, scheme=scheme, stabilization="supg",
-                       delta=delta)
-    ws = prepare_workspace(model, mesh, space, cfg, analysis=analysis)
+    ws = prepare_workspace(model, mesh, space,
+                           SchemeConfig(dt=dt, delta=delta),
+                           analysis=analysis)
     state = random_state(mesh, space, rank=1, seed=11)
     _, reports = run(state, ws, T)
     stoch = check_moderate_stochasticity(model, analysis, space)
@@ -197,7 +201,9 @@ def decay_run(scheme, c=0.0, f=None, dt=0.01, T=0.5, eps=0.05):
 
 
 def test_bound_case_ii_passes():
-    ws, analysis, delta, reports, stoch = decay_run("semi_implicit")
+    # one run, both theorems: with deterministic coefficients the step
+    # is the implicit Euler step of im_stab as well
+    ws, analysis, delta, reports, stoch = decay_run()
     led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
                          ws.cfg.dt, 0.5, stoch_report=stoch)
     assert led.applicable and led.passed
@@ -205,11 +211,14 @@ def test_bound_case_ii_passes():
     assert led.constants["C2"] == 0.0
     assert "margin_proof" in led.constants
     assert led.constants["margin_proof"] >= 0.0
+    led = evaluate_bound(reports, "im_stab", "ii", analysis, delta,
+                         ws.cfg.dt, 0.5)
+    assert led.applicable and led.passed
+    assert led.constants["C1"] == 0.75
 
 
 def test_bound_case_i_constants_and_pass():
-    ws, analysis, delta, reports, stoch = decay_run(
-        "implicit_euler_deterministic", c=2.0, f=1.0)
+    ws, analysis, delta, reports, stoch = decay_run(c=2.0, f=1.0)
     n_steps = len(reports) - 1
     fn = forcing_norms(ws, 0.0, n_steps)
     led = evaluate_bound(reports, "im_stab", "i", analysis, delta,
@@ -221,8 +230,7 @@ def test_bound_case_i_constants_and_pass():
 
 
 def test_bound_case_iii_constants_and_pass():
-    ws, analysis, delta, reports, stoch = decay_run(
-        "implicit_euler_deterministic", c=0.0, f=1.0)
+    ws, analysis, delta, reports, stoch = decay_run(c=0.0, f=1.0)
     n_steps = len(reports) - 1
     fn = forcing_norms(ws, 0.0, n_steps)
     led = evaluate_bound(reports, "im_stab", "iii", analysis, delta,
@@ -233,7 +241,7 @@ def test_bound_case_iii_constants_and_pass():
 
 
 def test_bound_case_gating():
-    ws, analysis, delta, reports, stoch = decay_run("semi_implicit")
+    ws, analysis, delta, reports, stoch = decay_run()
     # case i needs positive mu0
     led = evaluate_bound(reports, "si_stab", "i", analysis, delta,
                          ws.cfg.dt, 0.5, stoch_report=stoch)
@@ -255,8 +263,36 @@ def test_bound_case_gating():
     assert not led.applicable
 
 
+def test_bound_refuses_random_coefficients():
+    # im_stab assumes deterministic diffusion: random diffusion under the
+    # semi-implicit delta policy must not be certified by it
+    ws, analysis, delta, reports, stoch = decay_run(
+        eps_fn=lambda s: 10.0 ** (np.atleast_2d(s)[:, 0] / 2.0 - 1.5))
+    assert analysis.eps_star_sup > analysis.eps_hat
+    led = evaluate_bound(reports, "im_stab", "ii", analysis, delta,
+                         ws.cfg.dt, 0.5, stoch_report=stoch)
+    assert not led.applicable and "diffusion is random" in led.reason
+
+    # both theorems assume deterministic advection
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
+                             6, seed=2)
+    model = boundary_layer(space)
+    analysis = analyze_reaction(model, mesh, space)
+    delta = resolve_delta("semi_implicit", mesh, model, analysis, 0.01)
+    ws = prepare_workspace(model, mesh, space,
+                           SchemeConfig(dt=0.01, delta=delta),
+                           analysis=analysis)
+    _, reports = run(random_state(mesh, space, rank=1, seed=3), ws, 0.05)
+    stoch = check_moderate_stochasticity(model, analysis, space)
+    for theorem in ("im_stab", "si_stab"):
+        led = evaluate_bound(reports, theorem, "ii", analysis, delta,
+                             0.01, 0.05, stoch_report=stoch)
+        assert not led.applicable and "advection is random" in led.reason
+
+
 def test_bound_zero_trajectory_trivially_passes():
-    ws, analysis, delta, _, stoch = decay_run("semi_implicit", T=0.02)
+    ws, analysis, delta, _, stoch = decay_run(T=0.02)
     zero = StepReport(t=0.0, l2=0.0, grad=0.0, supg=0.0, mu_half=0.0,
                       bconv=0.0, mode_norms=[], wtilde_cond=1.0,
                       defect_gram=0.0, defect_mean=0.0, defect_cross=0.0)
@@ -278,8 +314,7 @@ def test_forcing_norms_constant_oracle():
 
 
 def test_csv_round_trip(tmp_path):
-    ws, analysis, delta, reports, stoch = decay_run("semi_implicit",
-                                                    T=0.05)
+    ws, analysis, delta, reports, stoch = decay_run(T=0.05)
     rpath = tmp_path / "norms.csv"
     write_reports_csv(reports, rpath)
     with open(rpath) as fh:

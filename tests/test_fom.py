@@ -10,9 +10,8 @@ from supgdlr import (
 )
 
 
-def make_ws(mesh, space, model, dt=1e-3, scheme="semi_implicit"):
-    cfg = SchemeConfig(dt=dt, scheme=scheme, stabilization="supg",
-                       delta=delta_experiment(mesh))
+def make_ws(mesh, space, model, dt=1e-3):
+    cfg = SchemeConfig(dt=dt, delta=delta_experiment(mesh))
     return prepare_workspace(model, mesh, space, cfg)
 
 

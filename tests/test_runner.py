@@ -18,8 +18,8 @@ from supgdlr import (
 def tiny_config(out_dir, **overrides):
     cfg = RunConfig(
         name="tiny", n_per_side=8, dt=0.01, T=0.1,
-        scheme="semi_implicit", stabilization="supg",
-        delta_policy="experiment", rank=2, model="rotating_body",
+        stabilization="supg", delta_policy="experiment", rank=2,
+        model="rotating_body",
         sampler={"kind": "monte_carlo", "count": 20, "seed": 3,
                  "intervals": [(-1.0, 1.0)] * 3},
         initial="rotating_body_shapes", bc={"boundary": 0.0},
@@ -80,6 +80,22 @@ def test_boundary_layer_config_round_trip(tmp_path):
 def test_load_missing_config_raises(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")
+
+
+def test_load_config_rejects_removed_scheme(tmp_path, capsys):
+    from supgdlr.cli import main
+
+    path = tmp_path / "config.ini"
+    write_config(tiny_config(str(tmp_path / "out")), path)
+    text, head = path.read_text(), "[run]\n"
+    # an old file naming the one remaining scheme still loads
+    path.write_text(text.replace(head, head + "scheme = semi_implicit\n"))
+    assert load_config(path).n_per_side == 8
+    path.write_text(text.replace(head, head + "scheme = explicit\n"))
+    with pytest.raises(ConfigError, match="explicit"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_field_dump_round_trip(tmp_path):
@@ -158,6 +174,13 @@ def test_run_from_config_bad_model(tmp_path):
     status, manifest = run_from_config(cfg)
     assert status == 1
     assert manifest["status"] == "config_error"
+
+
+def test_run_from_config_bad_stabilization(tmp_path):
+    cfg = tiny_config(str(tmp_path / "bad"), stabilization="gls")
+    status, manifest = run_from_config(cfg)
+    assert status == 1
+    assert "gls" in manifest["error"]
 
 
 def test_run_from_config_rejects_tangent_check_on_many_samples(tmp_path):

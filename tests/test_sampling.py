@@ -96,6 +96,12 @@ def test_project_complement_properties():
         assert abs(inner(p, Y[:, j], space)) <= 1e-12
     # idempotent
     assert np.max(np.abs(project_complement(p, Y, space) - p)) <= 1e-12
+    # a matrix is projected column by column
+    Z = np.column_stack([z, rng.standard_normal((12, 2))])
+    P = project_complement(Z, Y, space)
+    assert np.max(np.abs(P[:, 0] - p)) <= 1e-14
+    assert np.max(np.abs(expectation(P, space))) <= 1e-12
+    assert np.max(np.abs((Y * space.weights[:, None]).T @ P)) <= 1e-12
 
 
 def test_project_complement_rejects_bad_basis():
