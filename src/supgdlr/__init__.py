@@ -25,9 +25,8 @@ from .mesh import (
     tag_boundary_layer,
 )
 from .sampling import (
-    SampleSpace, expectation, inner, split_mean, project_complement,
+    SampleSpace, expectation, inner, project_complement,
     weighted_orthonormalize, make_tensor_grid, make_monte_carlo,
-    save_sample_space, load_sample_space,
 )
 from .coefficients import (
     CoefficientModel, ReactionAnalysis, StabilizationParams,
@@ -36,8 +35,7 @@ from .coefficients import (
     delta_experiment, local_peclet, check_moderate_stochasticity,
 )
 from .lowrank import (
-    DlrState, init_from_modes, init_from_snapshot,
-    evaluate_realization, save_state, load_state,
+    DlrState, init_from_modes, init_from_snapshot, evaluate_realization,
 )
 from .integrator import (
     SchemeConfig, StepWorkspace, prepare_workspace,
@@ -53,5 +51,5 @@ from .diagnostics import (
 from .runner import (
     RunConfig, preset_rotating_body, preset_boundary_layer,
     run_from_config, build_problem, write_config, load_config,
-    write_field_dump, read_field_dump,
+    write_field_dump,
 )

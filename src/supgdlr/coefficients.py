@@ -52,8 +52,8 @@ class CoefficientModel:
                modes it is the divergence of every sample's advection
     forcing  : None or callable (t, points) -> (n,) deterministic source
 
-    b_fluct(points, omega) is derived from the modes for per-sample
-    evaluation.  c_fluct is always None: the reaction is deterministic,
+    b_fluct(points, omega) evaluates the fluctuation of one sample from
+    the modes.  c_fluct is always None: the reaction is deterministic,
     so that the shifted reaction mu stays deterministic; the attribute
     is kept for tools that wrap every coefficient callable
     (bench/spans.py).
@@ -66,22 +66,12 @@ class CoefficientModel:
     c_mean: callable = None
     div_b: callable = None
     forcing: callable = None
-    param_dim: int = 1
-    params: dict = field(default_factory=dict)
-    b_fluct: callable = field(init=False, default=None, repr=False)
     c_fluct: callable = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.b_modes = tuple(self.b_modes)
         if self.div_b is None:
             self.div_b = lambda x: np.zeros(len(x))
-        if self.b_modes:
-            def b_fluct(x, omega):
-                omega = np.atleast_2d(omega)
-                return reduce(add, (float(theta(omega)[0])
-                                    * np.asarray(beta(x), dtype=float)
-                                    for theta, beta in self.b_modes))
-            self.b_fluct = b_fluct
 
     # -- sample-wise accessors -------------------------------------------
 
@@ -116,9 +106,17 @@ class CoefficientModel:
             out.append((vals, beta))
         return out
 
+    def b_fluct(self, x, omega):
+        """Advection fluctuation sum_k theta_k(omega) beta_k(x); needs
+        at least one mode."""
+        omega = np.atleast_2d(omega)
+        return reduce(add, (float(theta(omega)[0])
+                            * np.asarray(beta(x), dtype=float)
+                            for theta, beta in self.b_modes))
+
     def b_at(self, x, omega=None):
         b = np.asarray(self.b_mean(x), dtype=float)
-        if omega is not None and self.b_fluct is not None:
+        if omega is not None and self.b_modes:
             b = b + np.asarray(self.b_fluct(x, omega), dtype=float)
         return b
 
@@ -175,27 +173,24 @@ class ReactionAnalysis:
 
 
 class StabilizationParams:
-    """Per-element stabilization parameter with provenance.
+    """Per-element stabilization parameter, with the inverse constant C_I
+    and the space dimension d that the bound policies read.
 
-    delta_K may contain +inf entries when every constraint of the
-    policy is inactive; the caller must cap those (the runner caps with
-    the h_K/4 policy by default).
+    Every policy here gives finite entries; `capped` clips them at a
+    per-element cap (the runner caps the coercivity policy at h_K/4).
     """
 
-    def __init__(self, delta_K, policy, C_I=None, C_E=None, d=2):
+    def __init__(self, delta_K, C_I=None, d=2):
         self.delta_K = np.asarray(delta_K, dtype=float)
-        self.policy = policy
         self.C_I = C_I
-        self.C_E = C_E
         self.d = d
         if np.any(self.delta_K < 0):
             raise ConfigError("delta_K must be nonnegative")
 
     def capped(self, cap_delta_K):
-        """Replace +inf entries with the given per-element cap."""
-        out = np.minimum(self.delta_K, cap_delta_K)
-        return StabilizationParams(out, self.policy + "+cap",
-                                   self.C_I, self.C_E, self.d)
+        """Clip delta_K at the given per-element cap."""
+        return StabilizationParams(np.minimum(self.delta_K, cap_delta_K),
+                                   self.C_I, self.d)
 
 
 def analyze_reaction(model, mesh, space, quad=None):
@@ -234,22 +229,21 @@ def analyze_reaction(model, mesh, space, quad=None):
         random_advection=model.has_random_advection)
 
 
-def estimate_inverse_constant(mesh, blocks, max_iter=5000, tol=1e-10,
-                              seed=0):
+def estimate_inverse_constant(mesh, blocks):
     """Inverse-inequality constant C_I with grad-norm <= (C_I/h) L2-norm.
 
     C_I = h sqrt(lambda_max) where lambda_max is the largest generalized
     eigenvalue of (stiffness, mass) restricted to interior nodes, found
-    by power iteration on the mass-preconditioned stiffness.
+    by Lanczos iteration on the mass-preconditioned stiffness from a
+    fixed random start, so C_I is reproducible.
     """
     interior = mesh.interior_index()
     A = blocks.stiffness[np.ix_(interior, interior)].tocsc()
     M = blocks.mass[np.ix_(interior, interior)].tocsc()
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(len(interior))
+    v0 = np.random.default_rng(0).standard_normal(len(interior))
     try:
         lam = spla.eigsh(A, k=1, M=M, which="LA", v0=v0,
-                         maxiter=max_iter, tol=tol,
+                         maxiter=5000, tol=1e-10,
                          return_eigenvectors=False)
     except spla.ArpackNoConvergence as err:
         raise SolverError("largest generalized eigenvalue for the "
@@ -258,28 +252,22 @@ def estimate_inverse_constant(mesh, blocks, max_iter=5000, tol=1e-10,
     return mesh.h * np.sqrt(float(lam[0]) * (1.0 + 1e-6))
 
 
-def delta_coercivity(mesh, analysis, params, drop_p1_diffusion=False):
+def delta_coercivity(mesh, analysis, params):
     """Largest delta_K admitted by the weak-coercivity lemma.
 
     Per element the minimum of 1/(2 |||c|||_K) and
-    h_K^2/(2 d C_I^2 C_E^2 eps_hat).  The diffusion constraint may be
-    dropped for piecewise-linear elements (flag, default keep).  When
-    every active constraint is infinite the entry is +inf and must be
-    capped by the caller.
+    h_K^2/(2 d C_I^2 C_E^2 eps_hat).  The reaction constraint is
+    inactive (+inf) without reaction, the diffusion constraint is
+    always finite, so every entry is finite.
     """
+    if params.C_I is None:
+        raise ConfigError("diffusion constraint needs C_I")
     with np.errstate(divide="ignore"):
         b1 = np.where(analysis.c_sup_K > 0,
                       1.0 / (2.0 * analysis.c_sup_K), np.inf)
-    if drop_p1_diffusion:
-        dk = b1
-    else:
-        if params.C_I is None:
-            raise ConfigError("diffusion constraint needs C_I")
-        b2 = mesh.h_K ** 2 / (2.0 * params.d * params.C_I ** 2
-                              * analysis.C_E ** 2 * analysis.eps_hat)
-        dk = np.minimum(b1, b2)
-    return StabilizationParams(dk, "coercivity", params.C_I,
-                               analysis.C_E, params.d)
+    b2 = mesh.h_K ** 2 / (2.0 * params.d * params.C_I ** 2
+                          * analysis.C_E ** 2 * analysis.eps_hat)
+    return StabilizationParams(np.minimum(b1, b2), params.C_I, params.d)
 
 
 def delta_semi_implicit(mesh, analysis, params, dt):
@@ -295,13 +283,12 @@ def delta_semi_implicit(mesh, analysis, params, dt):
                           * max(analysis.C_E ** 2, 1.0) * params.d)
     b3 = np.full_like(b1, 2.0 * dt)
     dk = 0.125 * np.minimum(np.minimum(b1, b2), b3)
-    return StabilizationParams(dk, "semi_implicit", params.C_I,
-                               analysis.C_E, params.d)
+    return StabilizationParams(dk, params.C_I, params.d)
 
 
 def delta_experiment(mesh):
     """The h_K/4 policy used by the experiment presets."""
-    return StabilizationParams(mesh.h_K / 4.0, "experiment")
+    return StabilizationParams(mesh.h_K / 4.0)
 
 
 @dataclass
@@ -370,8 +357,7 @@ def rotating_body():
     def b_mean(x):
         return np.column_stack([0.5 - x[:, 1], x[:, 0] - 0.5])
 
-    return CoefficientModel(name="rotating_body", eps=eps, b_mean=b_mean,
-                            param_dim=3)
+    return CoefficientModel(name="rotating_body", eps=eps, b_mean=b_mean)
 
 
 def boundary_layer(space):
@@ -397,12 +383,11 @@ def boundary_layer(space):
         return np.column_stack([x[:, 1], x[:, 0]])
 
     return CoefficientModel(name="boundary_layer", eps=eps, b_mean=b_mean,
-                            b_modes=((theta, beta),), param_dim=4,
-                            params={"k": k})
+                            b_modes=((theta, beta),))
 
 
 def constant_adr(eps_value=1.0, b=(1.0, 0.0), c=0.0, f=None,
-                 eps_fn=None, param_dim=1):
+                 eps_fn=None):
     """Constant-coefficient model; eps_fn overrides the scalar diffusion.
 
     f may be a constant or a callable (t, points) -> (n,).
@@ -432,5 +417,4 @@ def constant_adr(eps_value=1.0, b=(1.0, 0.0), c=0.0, f=None,
                 return np.full(len(x), _f)
 
     return CoefficientModel(name="constant_adr", eps=eps, b_mean=b_mean,
-                            c_mean=c_mean, forcing=forcing,
-                            param_dim=param_dim)
+                            c_mean=c_mean, forcing=forcing)

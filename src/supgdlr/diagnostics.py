@@ -261,43 +261,18 @@ def check_coercivity(model, analysis, blocks, space, trials=500, seed=0):
 
 
 def _complement_basis(Y, space):
-    """Orthonormal basis of the complement of span{1, Y columns}.
+    """Weighted-orthonormal basis of the complement of span{1, Y columns}.
 
-    Only meant for small sample counts; the production stepper never
-    builds this basis.
+    The trailing columns of the complete QR of sqrt(w) [1, Y], scaled
+    back by 1/sqrt(w).  The basis is N_C x N_C, so only meant for small
+    sample counts; the production stepper never builds it.
     """
-    n = space.count
-    w = space.weights
-    fixed = [np.ones(n)]
-    if Y.size:
-        fixed.extend(Y[:, j].copy() for j in range(Y.shape[1]))
-    # normalize the fixed part for a clean projection
-    basis = []
-    for v in fixed:
-        v = v.copy()
-        for u in basis:
-            v -= float(np.dot(w * u, v)) * u
-        nv = np.sqrt(float(np.dot(w * v, v)))
-        if nv < 1e-12:
-            raise ConfigError("degenerate stochastic basis")
-        basis.append(v / nv)
-    n_fixed = len(basis)
-    comp = []
-    for k in range(n):
-        v = np.zeros(n)
-        v[k] = 1.0
-        for u in basis:
-            v -= float(np.dot(w * u, v)) * u
-        for u in basis:
-            v -= float(np.dot(w * u, v)) * u
-        nv = np.sqrt(float(np.dot(w * v, v)))
-        if nv > 1e-10:
-            v /= nv
-            basis.append(v)
-            comp.append(v)
-        if len(comp) == n - n_fixed:
-            break
-    return np.column_stack(comp) if comp else np.zeros((n, 0))
+    sw = np.sqrt(space.weights)
+    fixed = np.column_stack([np.ones(space.count), Y])
+    Q, R = np.linalg.qr(sw[:, None] * fixed, mode="complete")
+    if np.any(np.abs(np.diag(R)) < 1e-12):
+        raise ConfigError("degenerate stochastic basis")
+    return Q[:, fixed.shape[1]:] / sw[:, None]
 
 
 def check_tangent_residual(ws, state_n, U_tilde, Y_tilde):
@@ -381,17 +356,15 @@ def forcing_norms(ws, t0, n_steps):
 
 
 def _check_delta_preconditions(theorem, delta, analysis, dt):
-    """Verify the stabilization-parameter bounds the theorems assume.
+    """Verify the reaction and time-step constraints the theorems put
+    on delta_K.
 
-    The diffusion constraint is verified only when the inverse constant
-    is available on the StabilizationParams; the reaction and time-step
-    constraints are always checked.
+    The diffusion constraint is not re-checked; the coercivity and
+    semi_implicit policies satisfy it by construction.
     """
     tol = 1.0 + 1e-12
-    if isinstance(delta, StabilizationParams):
-        dk, C_I, d = delta.delta_K, delta.C_I, delta.d
-    else:
-        dk, C_I, d = np.asarray(delta, dtype=float), None, 2
+    dk = delta.delta_K if isinstance(delta, StabilizationParams) \
+        else np.asarray(delta, dtype=float)
     with np.errstate(divide="ignore"):
         c_bound = np.where(analysis.c_sup_K > 0,
                            1.0 / (2.0 * analysis.c_sup_K), np.inf)

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["SupgDlrError", "ConfigError", "RankLossError",
+           "NearSingularError", "BlowupError", "SolverError"]
+
 
 class SupgDlrError(Exception):
     """Base class for all package errors."""

@@ -141,8 +141,7 @@ def _resolve_delta(delta, mesh):
     if dk.shape != (mesh.n_triangles,):
         raise ConfigError("delta must have one entry per element")
     if not np.all(np.isfinite(dk)):
-        raise ConfigError("delta contains non-finite entries; cap the "
-                          "inactive-constraint sentinels first")
+        raise ConfigError("delta contains non-finite entries")
     return dk
 
 
@@ -177,7 +176,8 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
     return StepWorkspace(
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
         quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc=bc, lu=lu,
-        eps_bar=eps_bar, eps_expl=eps_star, b_expl=model.b_fluct,
+        eps_bar=eps_bar, eps_expl=eps_star,
+        b_expl=model.b_fluct if model.b_modes else None,
         time_matrix=time_matrix, modes=modes, terms=terms)
 
 

@@ -16,8 +16,6 @@ __all__ = [
     "init_from_modes",
     "init_from_snapshot",
     "evaluate_realization",
-    "save_state",
-    "load_state",
 ]
 
 
@@ -28,15 +26,22 @@ class DlrState:
     U  : (N_h, R) deterministic modes, linearly independent
     Y  : (N_C, R) stochastic modes, orthonormal and zero-mean in the
          weighted inner product
+
+    The factor shapes are checked, never guessed: a transposed U raises
+    ConfigError.
     """
 
     def __init__(self, U0, U, Y, t=0.0):
         self.U0 = np.asarray(U0, dtype=float)
-        self.U = np.asarray(U, dtype=float).reshape(len(self.U0), -1)
+        self.U = np.asarray(U, dtype=float)
         self.Y = np.asarray(Y, dtype=float)
-        if self.Y.ndim == 1:
-            self.Y = self.Y.reshape(-1, self.U.shape[1])
         self.t = float(t)
+        if self.U0.ndim != 1 or self.U.ndim != 2 or self.Y.ndim != 2:
+            raise ConfigError("U0 must be a vector, U and Y matrices")
+        if self.U.shape[0] != len(self.U0):
+            raise ConfigError(
+                f"deterministic modes have shape {self.U.shape}, expected "
+                f"({len(self.U0)}, R)")
         if self.U.shape[1] != self.Y.shape[1]:
             raise ConfigError("deterministic and stochastic ranks differ")
 
@@ -56,20 +61,6 @@ class DlrState:
         """All realizations as columns, (N_h, N_C)."""
         return self.U0[:, None] + self.U @ self.Y.T
 
-    def validate(self, space, mass, gram_tol=1e-10, cond_tol=1e-12):
-        """Check the manifold invariants; raises ConfigError on failure."""
-        if self.rank:
-            g = (self.Y * space.weights[:, None]).T @ self.Y
-            if np.max(np.abs(g - np.eye(self.rank))) > gram_tol:
-                raise ConfigError("stochastic modes are not orthonormal")
-            if np.max(np.abs(expectation(self.Y, space))) > gram_tol:
-                raise ConfigError("stochastic modes are not zero-mean")
-            gu = self.U.T @ (mass @ self.U)
-            sv = np.linalg.svd(gu, compute_uv=False)
-            if sv[-1] < cond_tol * sv[0]:
-                raise ConfigError("deterministic modes nearly dependent")
-        return self
-
 
 def init_from_modes(U0, U, Y, space):
     """Build a valid state from raw factor matrices.
@@ -78,23 +69,13 @@ def init_from_modes(U0, U, Y, space):
     and orthonormalized, with the transfer matrix absorbed into U, so
     the represented field is unchanged.
     """
-    U0 = np.asarray(U0, dtype=float).copy()
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if U.shape[0] != len(U0):
-        U = U.T
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y.reshape(-1, 1)
-    if Y.shape[0] != space.count:
+    raw = DlrState(U0, U, Y)            # checks the factor shapes
+    if raw.n_samples != space.count:
         raise ConfigError("stochastic modes sized unlike the sample space")
-    if U.shape[1] != Y.shape[1]:
-        raise ConfigError("mode counts differ")
 
-    means = expectation(Y, space)
-    U0 += U @ means
-    Yc = Y - means
-    Yo, T = weighted_orthonormalize(Yc, space)
-    return DlrState(U0, U @ T.T, Yo)
+    means = expectation(raw.Y, space)
+    Yo, T = weighted_orthonormalize(raw.Y - means, space)
+    return DlrState(raw.U0 + raw.U @ means, raw.U @ T.T, Yo)
 
 
 def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
@@ -157,16 +138,3 @@ def evaluate_realization(state, i):
     if state.rank == 0:
         return state.U0.copy()
     return state.U0 + state.U @ state.Y[i]
-
-
-def save_state(state, path, n_per_side=None):
-    """Checkpoint (t, R, U0, U, Y) to an npz file; bit-exact round trip."""
-    np.savez(path, t=state.t, rank=state.rank, U0=state.U0, U=state.U,
-             Y=state.Y, n_per_side=-1 if n_per_side is None else n_per_side,
-             n_samples=state.n_samples)
-
-
-def load_state(path):
-    with np.load(path) as data:
-        return DlrState(data["U0"], data["U"], data["Y"],
-                        t=float(data["t"]))

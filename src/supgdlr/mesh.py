@@ -34,10 +34,9 @@ class QuadratureRule:
     triangle area 1/2.
     """
 
-    def __init__(self, points, weights, degree):
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.degree = degree
         if np.any(self.weights <= 0):
             raise ConfigError("quadrature weights must be positive")
 
@@ -62,7 +61,7 @@ def default_quadrature():
         (1 - 2 * b, b, b), (b, 1 - 2 * b, b), (b, b, 1 - 2 * b),
     ]
     wts = [wa, wa, wa, wb, wb, wb]
-    return QuadratureRule(pts, 0.5 * np.array(wts), degree=4)
+    return QuadratureRule(pts, 0.5 * np.array(wts))
 
 
 class Mesh:
@@ -160,11 +159,11 @@ def build_structured_mesh(n_per_side):
     return Mesh(n, vertices, triangles, tags)
 
 
-def tag_boundary_layer(mesh, inflow_left_y=0.2, inflow_right_y=0.02):
+def tag_boundary_layer(mesh):
     """Split the boundary into inflow ('d1') and outflow ('d2') parts.
 
-    'd1' covers the left edge up to y=inflow_left_y, the whole bottom
-    edge and the right edge up to y=inflow_right_y; 'd2' is the rest.
+    'd1' covers the left edge up to y=0.2, the whole bottom edge and the
+    right edge up to y=0.02; 'd2' is the rest.
     Returns a new Mesh sharing geometry with the retagged boundary.
     """
     all_bdry = mesh.boundary_index()
@@ -172,9 +171,9 @@ def tag_boundary_layer(mesh, inflow_left_y=0.2, inflow_right_y=0.02):
     y = mesh.vertices[all_bdry, 1]
     tol = 1e-12
     d1 = (
-        ((x < tol) & (y <= inflow_left_y + tol))
+        ((x < tol) & (y <= 0.2 + tol))
         | (y < tol)
-        | ((x > 1.0 - tol) & (y <= inflow_right_y + tol))
+        | ((x > 1.0 - tol) & (y <= 0.02 + tol))
     )
     tags = {"d1": all_bdry[d1], "d2": all_bdry[~d1]}
     return Mesh(mesh.n_per_side, mesh.vertices, mesh.triangles, tags)
@@ -196,8 +195,7 @@ class FemBlocks:
     """
 
     def __init__(self, mesh, quad, delta, mass, stiffness, convection,
-                 supg_mass, supg_conv, reaction, supg_reaction,
-                 bg_at_qp, c_at_qp):
+                 supg_mass, supg_conv, reaction, supg_reaction, bg_at_qp):
         self.mesh = mesh
         self.quad = quad
         self.delta = delta
@@ -209,7 +207,6 @@ class FemBlocks:
         self.reaction = reaction
         self.supg_reaction = supg_reaction
         self.bg_at_qp = bg_at_qp        # (ne, nq, 3), stabilizing field
-        self.c_at_qp = c_at_qp          # (ne, nq), mean reaction
 
 
 def _scatter(mesh, elem_mats):
@@ -282,7 +279,7 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
         supg_conv=_scatter(mesh, sc_e),
         reaction=_scatter(mesh, reac_e),
         supg_reaction=_scatter(mesh, sr_e),
-        bg_at_qp=bg, c_at_qp=cq,
+        bg_at_qp=bg,
     )
 
 

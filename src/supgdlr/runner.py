@@ -43,7 +43,6 @@ __all__ = [
     "write_config",
     "load_config",
     "write_field_dump",
-    "read_field_dump",
 ]
 
 
@@ -216,16 +215,15 @@ def resolve_delta(policy, mesh, model, analysis, dt, quad=None):
     """Per-element stabilization parameter of one delta policy.
 
     Policies other than the plain h_K/4 rule ("experiment") need the
-    inverse constant; the coercivity policy caps its inactive-constraint
-    sentinels with h_K/4, and only the semi_implicit policy reads dt.
+    inverse constant; the coercivity policy is capped at h_K/4, and only
+    the semi_implicit policy reads dt.
     """
     if policy == "experiment":
         return delta_experiment(mesh)
     plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
                             np.zeros(mesh.n_triangles), quad)
     C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                                 C_I=C_I, C_E=analysis.C_E, d=2)
+    params = StabilizationParams(np.zeros(mesh.n_triangles), C_I=C_I, d=2)
     if policy == "coercivity":
         dk = delta_coercivity(mesh, analysis, params)
         return dk.capped(mesh.h_K / 4.0)
@@ -247,7 +245,7 @@ def build_problem(cfg):
     quad = default_quadrature()
     analysis = analyze_reaction(model, mesh, space, quad)
     if cfg.stabilization == "none":
-        delta = StabilizationParams(np.zeros(mesh.n_triangles), "off")
+        delta = StabilizationParams(np.zeros(mesh.n_triangles))
     elif cfg.stabilization == "supg":
         delta = resolve_delta(cfg.delta_policy, mesh, model, analysis,
                               cfg.dt, quad)
@@ -263,20 +261,15 @@ def build_problem(cfg):
 
 
 def write_field_dump(path, t, rank, n_per_side, n_samples, values):
-    """Nodal values of one realization, plain text, exact round trip."""
+    """Nodal values of one realization as plain text.
+
+    A header line `t rank n_per_side n_samples`, then one value per line
+    with 17 significant digits, so the values read back exactly.
+    """
     with open(path, "w") as fh:
         fh.write(f"{t:.17g} {rank} {n_per_side} {n_samples}\n")
         fh.write("\n".join(f"{v:.17g}" for v in np.asarray(values).ravel()))
         fh.write("\n")
-
-
-def read_field_dump(path):
-    with open(path) as fh:
-        head = fh.readline().split()
-        values = np.array([float(line) for line in fh if line.strip()])
-    meta = {"t": float(head[0]), "rank": int(head[1]),
-            "n_per_side": int(head[2]), "n_samples": int(head[3])}
-    return meta, values
 
 
 def run_from_config(cfg):

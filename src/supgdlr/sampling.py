@@ -1,12 +1,10 @@
 """Discrete probability space over collocation samples.
 
 All stochastic inner products are realized by an empirical measure with
-positive weights summing to one.  Provides mean/fluctuation splitting,
-projection onto the orthogonal complement of a stochastic basis, and a
-weighted orthonormalization used after every time step.
+positive weights summing to one.  Provides weighted means and inner
+products, projection onto the orthogonal complement of a stochastic
+basis, and a weighted orthonormalization used after every time step.
 """
-
-import io
 
 import numpy as np
 
@@ -16,13 +14,10 @@ __all__ = [
     "SampleSpace",
     "expectation",
     "inner",
-    "split_mean",
     "project_complement",
     "weighted_orthonormalize",
     "make_tensor_grid",
     "make_monte_carlo",
-    "save_sample_space",
-    "load_sample_space",
 ]
 
 ORTHO_TOL = 1e-8
@@ -78,13 +73,6 @@ def inner(Y, Z, space):
     Y = _check_len(Y, space)
     Z = _check_len(Z, space)
     return float(np.dot(space.weights * Y, Z))
-
-
-def split_mean(Z, space):
-    """Split into (mean, zero-mean fluctuation)."""
-    Z = _check_len(Z, space)
-    mean = float(expectation(Z, space))
-    return mean, Z - mean
 
 
 def _gram(Y, space):
@@ -184,28 +172,3 @@ def make_monte_carlo(intervals, n_samples, seed):
     hi = np.array([b for _, b in intervals])
     samples = rng.uniform(lo, hi, size=(n, len(intervals)))
     return SampleSpace(samples, _uniform_weights(n))
-
-
-def save_sample_space(space, path_or_file):
-    """Write the plain text table: header `N_C p`, rows `m_i w_i1 ... w_ip`."""
-    rows = np.column_stack([space.weights, space.samples])
-    header = f"{space.count} {space.dim}"
-    body = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in rows)
-    text = header + "\n" + body + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-
-
-def load_sample_space(path_or_file):
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as fh:
-            text = fh.read()
-    lines = text.strip().splitlines()
-    n, p = (int(v) for v in lines[0].split())
-    data = np.loadtxt(io.StringIO("\n".join(lines[1:]))).reshape(n, p + 1)
-    return SampleSpace(data[:, 1:], data[:, 0])

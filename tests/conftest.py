@@ -1,0 +1,23 @@
+"""Helpers shared by the test modules."""
+
+import numpy as np
+
+from supgdlr import expectation
+
+
+def check_invariants(state, space, mass, gram_tol=1e-10, cond_tol=1e-12):
+    """Assert the low-rank manifold invariants of state.
+
+    The stochastic modes are orthonormal and zero-mean in the weighted
+    inner product, and the deterministic modes are independent: their
+    mass Gram matrix has a condition number below 1/cond_tol.
+    """
+    if not state.rank:
+        return
+    g = (state.Y * space.weights[:, None]).T @ state.Y
+    assert np.max(np.abs(g - np.eye(state.rank))) <= gram_tol, \
+        "stochastic modes are not orthonormal"
+    assert np.max(np.abs(expectation(state.Y, space))) <= gram_tol, \
+        "stochastic modes are not zero-mean"
+    sv = np.linalg.svd(state.U.T @ (mass @ state.U), compute_uv=False)
+    assert sv[-1] >= cond_tol * sv[0], "deterministic modes nearly dependent"

@@ -112,8 +112,7 @@ def test_delta_coercivity_formula():
     space = make_monte_carlo([(-1.0, 1.0)], 5, seed=0)
     model = constant_adr(eps_value=0.01, b=(1.0, 1.0), c=2.0)
     a = analyze_reaction(model, mesh, space)
-    seed = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                               C_I=3.0, C_E=a.C_E, d=2)
+    seed = StabilizationParams(np.zeros(mesh.n_triangles), C_I=3.0, d=2)
     d = delta_coercivity(mesh, a, seed)
     b1 = 1.0 / (2.0 * 2.0)
     b2 = mesh.h_K ** 2 / (2.0 * 2 * 9.0 * a.C_E ** 2 * a.eps_hat)
@@ -121,17 +120,21 @@ def test_delta_coercivity_formula():
 
 
 def test_delta_coercivity_inf_needs_cap():
+    # without reaction only the diffusion constraint is active, and it
+    # is finite; with small diffusion it exceeds h_K/4, where the cap
+    # clips it
     mesh = build_structured_mesh(4)
     space = make_monte_carlo([(-1.0, 1.0)], 5, seed=0)
-    model = constant_adr(eps_value=1.0, b=(1.0, 0.0), c=0.0)
+    model = constant_adr(eps_value=1e-3, b=(1.0, 0.0), c=0.0)
     a = analyze_reaction(model, mesh, space)
     d = delta_coercivity(mesh, a,
                          StabilizationParams(np.zeros(mesh.n_triangles),
-                                             "seed", C_I=2.0, C_E=a.C_E),
-                         drop_p1_diffusion=True)
-    assert np.all(np.isinf(d.delta_K))
+                                             C_I=2.0))
+    assert np.all(np.isfinite(d.delta_K))
+    assert np.all(d.delta_K > mesh.h_K / 4.0)
     capped = d.capped(mesh.h_K / 4.0)
     assert np.allclose(capped.delta_K, mesh.h_K / 4.0)
+    assert capped.C_I == 2.0
 
 
 def test_delta_semi_implicit_formula():
@@ -140,8 +143,7 @@ def test_delta_semi_implicit_formula():
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=1.0)
     a = analyze_reaction(model, mesh, space)
     dt = 0.02
-    seed = StabilizationParams(np.zeros(mesh.n_triangles), "seed",
-                               C_I=2.5, C_E=a.C_E, d=2)
+    seed = StabilizationParams(np.zeros(mesh.n_triangles), C_I=2.5, d=2)
     d = delta_semi_implicit(mesh, a, seed, dt)
     b1 = 1.0 / (2.0 * 1.0)
     b2 = mesh.h_K ** 2 / (2.0 * a.eps_hat * 2.5 ** 2
@@ -222,4 +224,4 @@ def test_validate_rejects_biased_advection_mode():
 
 def test_negative_delta_rejected():
     with pytest.raises(ConfigError):
-        StabilizationParams(np.array([-0.1]), "bad")
+        StabilizationParams(np.array([-0.1]))

@@ -103,7 +103,7 @@ def test_zero_advection_mode_changes_no_norm():
         b_modes=((lambda s: np.atleast_2d(s)[:, 0] - space.weights
                   @ space.samples[:, 0],
                   lambda x: np.zeros((len(x), 2))),),
-        c_mean=det.c_mean, param_dim=1)
+        c_mean=det.c_mean)
     ws_det = make_ws(mesh, space, det)
     ws_rand = make_ws(mesh, space, rand)
     assert len(ws_rand.norms.b_forms) == 2

@@ -1,13 +1,15 @@
-"""Low-rank state construction, factorization and checkpointing."""
+"""Low-rank state construction and factorization."""
 
 import numpy as np
 import pytest
 
 from supgdlr import (
     ConfigError, DlrState, assemble_blocks, build_structured_mesh,
-    evaluate_realization, init_from_modes, init_from_snapshot, load_state,
-    make_monte_carlo, save_state,
+    evaluate_realization, init_from_modes, init_from_snapshot,
+    make_monte_carlo,
 )
+
+from conftest import check_invariants
 
 
 def setup(n=4, n_samples=10, seed=0):
@@ -27,7 +29,7 @@ def test_init_from_modes_preserves_field():
     dense = U0[:, None] + U @ Y.T
     state = init_from_modes(U0, U, Y, space)
     assert np.max(np.abs(state.dense() - dense)) <= 1e-12
-    state.validate(space, blocks.mass)
+    check_invariants(state, space, blocks.mass)
 
 
 def test_evaluate_realization_matches_dense():
@@ -50,7 +52,7 @@ def test_snapshot_full_rank_reconstructs():
     X = rng.standard_normal((mesh.n_vertices, space.count))
     state = init_from_snapshot(X, blocks.mass, space, R=space.count - 1)
     assert np.max(np.abs(state.dense() - X)) <= 1e-10
-    state.validate(space, blocks.mass)
+    check_invariants(state, space, blocks.mass)
 
 
 def test_snapshot_truncation_error_matches_svd_tail():
@@ -102,21 +104,21 @@ def test_validate_rejects_broken_invariants():
                             rng.standard_normal((mesh.n_vertices, 2)),
                             rng.standard_normal((space.count, 2)), space)
     bad = DlrState(state.U0, state.U, state.Y + 0.5, t=0.0)
+    with pytest.raises(AssertionError, match="not orthonormal"):
+        check_invariants(bad, space, blocks.mass)
+
+
+def test_transposed_factors_rejected():
+    # a (R, N_h) deterministic factor is refused, not reshaped
+    mesh, space, _ = setup(n=1, n_samples=3)
+    rng = np.random.default_rng(10)
+    U0 = rng.standard_normal(mesh.n_vertices)
+    U = rng.standard_normal((mesh.n_vertices, 2))
+    Y = rng.standard_normal((space.count, 2))
     with pytest.raises(ConfigError):
-        bad.validate(space, blocks.mass)
+        DlrState(U0, U.T, Y)
+    with pytest.raises(ConfigError):
+        init_from_modes(U0, U.T, Y, space)
+    with pytest.raises(ConfigError):
+        init_from_modes(U0, U, Y.T, space)
 
-
-def test_checkpoint_round_trip(tmp_path):
-    mesh, space, _ = setup()
-    rng = np.random.default_rng(11)
-    state = init_from_modes(rng.standard_normal(mesh.n_vertices),
-                            rng.standard_normal((mesh.n_vertices, 2)),
-                            rng.standard_normal((space.count, 2)), space)
-    state.t = 0.375
-    path = tmp_path / "state.npz"
-    save_state(state, path)
-    back = load_state(path)
-    assert back.t == state.t
-    assert np.array_equal(back.U0, state.U0)
-    assert np.array_equal(back.U, state.U)
-    assert np.array_equal(back.Y, state.Y)

@@ -1,7 +1,5 @@
 """Sample spaces, weighted algebra and orthonormalization."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,7 @@ from hypothesis import strategies as st
 
 from supgdlr import (
     ConfigError, RankLossError, SampleSpace, expectation, inner,
-    load_sample_space, make_monte_carlo, make_tensor_grid,
-    project_complement, save_sample_space, split_mean,
+    make_monte_carlo, make_tensor_grid, project_complement,
     weighted_orthonormalize,
 )
 
@@ -39,13 +36,6 @@ def test_expectation_trailing_axes():
     assert out.shape == (2, 2)
     want = 0.2 * Z[0] + 0.3 * Z[1] + 0.5 * Z[2]
     assert np.allclose(out, want, atol=1e-15)
-
-
-def test_split_mean_is_zero_mean():
-    space = small_space()
-    mean, fluct = split_mean(np.array([3.0, -1.0, 7.0]), space)
-    assert abs(expectation(fluct, space)) <= 1e-15
-    assert abs(mean + float(fluct[0]) - 3.0) <= 1e-15
 
 
 def test_space_validation():
@@ -128,21 +118,3 @@ def test_monte_carlo_reproducible_and_bounded():
     assert np.all(a.samples[:, 1] >= 2.0) and np.all(a.samples[:, 1] <= 3.0)
     assert abs(a.weights.sum() - 1.0) <= 1e-14
 
-
-def test_serialization_round_trip():
-    space = make_monte_carlo([(-1.0, 1.0)] * 3, 17, seed=9)
-    buf = io.StringIO()
-    save_sample_space(space, buf)
-    buf.seek(0)
-    back = load_sample_space(buf)
-    assert np.array_equal(back.samples, space.samples)
-    assert np.array_equal(back.weights, space.weights)
-
-
-def test_serialization_file_round_trip(tmp_path):
-    space = make_tensor_grid([(0.0, 1.0, 4), (-2.0, 2.0, 3)])
-    path = tmp_path / "space.txt"
-    save_sample_space(space, str(path))
-    back = load_sample_space(str(path))
-    assert np.array_equal(back.samples, space.samples)
-    assert np.array_equal(back.weights, space.weights)
