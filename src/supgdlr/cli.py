@@ -36,6 +36,9 @@ def _cmd_solve(args):
         cfg.out_dir = args.out
     status, manifest = runner.run_from_config(cfg)
     print(f"status={manifest['status']}")
+    if status in (1, 2):
+        label = ("configuration error", "numerical failure")[status - 1]
+        print(f"{label}: {manifest['error']}", file=sys.stderr)
     return status
 
 

@@ -155,8 +155,8 @@ class ReactionAnalysis:
     mu_tilde(x) = c - |c|/2 - div(b)/2, mu = mu_tilde + nu >= 0,
     nu = -min(inf mu_tilde, 0), mu0 = inf mu.  The reaction and the
     divergence do not depend on the sample, so infima and element
-    sup-norms come from one scan over the quadrature points, which is
-    all the discrete problem ever sees.  eps_star_sup and
+    sup-norms come from one scan over the quadrature points of mesh,
+    which is all the discrete problem ever sees.  eps_star_sup and
     random_advection record which coefficients vary with the sample;
     the stability theorems assume some of them do not.
     """
@@ -170,6 +170,7 @@ class ReactionAnalysis:
     eps_hat: float
     C_E: float
     random_advection: bool
+    mesh: object
 
 
 class StabilizationParams:
@@ -226,7 +227,7 @@ def analyze_reaction(model, mesh, space, quad=None):
         mu_tilde=mu_tilde, nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
         eps_star_sup=float(np.max(np.abs(eps_star))),
         eps_hat=eps_hat, C_E=C_E,
-        random_advection=model.has_random_advection)
+        random_advection=model.has_random_advection, mesh=mesh)
 
 
 def estimate_inverse_constant(mesh, blocks):

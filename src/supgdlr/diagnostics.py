@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .coefficients import StabilizationParams
-from .mesh import assemble_streamline
-from .lowrank import DlrState
+from .coefficients import StabilizationParams, delta_coercivity, \
+    delta_semi_implicit
+from .mesh import _form, assemble_streamline
 from .sampling import expectation
 
 __all__ = [
@@ -70,16 +70,35 @@ class StepReport:
         return row
 
 
+def _colwise(F, u):
+    """Column-wise quadratic form: entry r is u[:, r]^T F u[:, r]."""
+    return np.einsum("kr,kr->r", u, F @ u)
+
+
+def _mu_mass(blocks, mu):
+    """(mu phi_j, phi_i) for the shifted reaction mu, or None when mu
+    vanishes at every quadrature point."""
+    xq = blocks.mesh.quad_points(blocks.quad)
+    mq = np.asarray(mu(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
+    if not np.any(mq):
+        return None
+    phi = blocks.quad.basis_values()[None]
+    return _form(blocks, phi, phi, weight=mq)
+
+
 class NormEvaluator:
     """Evaluates the L2 and stabilized energy norms of a low-rank state.
 
     The energy norm is
     eps_hat |grad u|^2 + sum_K delta_K |b.grad u|^2_K + |mu^(1/2) u|^2
     with b the advection of each sample and the deterministic reaction
-    mu.  The advection of sample i is b_0 + sum_k theta_k[i] b_k, with
-    b_0 the mean field and b_k the divergence-free affine modes
-    (theta_0 = 1).  Its streamline term is then a sum of assembled
-    quadratic forms S_kl = sum_K delta_K (b_l . grad phi_j,
+    mu.  Each term is a quadratic form of an assembled matrix (mass,
+    stiffness, supg_conv, the mu-weighted mass or None when mu = 0)
+    summed over the columns of U_full = [U0, U], as Y_full = [1, Y] is
+    weighted orthonormal.  The advection of sample i is
+    b_0 + sum_k theta_k[i] b_k, with b_0 the mean field and b_k the
+    divergence-free affine modes (theta_0 = 1).  Its streamline term
+    adds the forms S_kl = sum_K delta_K (b_l . grad phi_j,
     b_k . grad phi_i)_K weighted by Y_full^T diag(w theta_k theta_l)
     Y_full; S_00 is supg_conv.  Every form is assembled here, once, and
     no sample is visited per evaluation.
@@ -90,12 +109,9 @@ class NormEvaluator:
     """
 
     def __init__(self, ws):
-        self.blocks, self.space, self.mesh = ws.blocks, ws.space, ws.mesh
-        self.phi, self.pw = ws.phi, ws.pw
+        self.blocks, self.space = ws.blocks, ws.space
         self.eps_hat = ws.analysis.eps_hat
-        mq = np.asarray(ws.analysis.mu(ws.xq_flat),
-                        dtype=float).reshape(ws.pw.shape)
-        self.mu_qp = mq if np.max(np.abs(mq)) > 0 else None
+        self.mu_mass = _mu_mass(ws.blocks, ws.analysis.mu)
         modes = [(np.ones(ws.space.count), ws.blocks.bg_at_qp)] \
             + ws.modes if ws.modes else []
         # (weight over samples, S_kl) for k <= l, (k, l) != (0, 0);
@@ -107,33 +123,22 @@ class NormEvaluator:
             for l, (theta_l, vg_l) in enumerate(modes)
             if l >= max(k, 1)]
 
-    def _dlr_norms(self, state):
+    def norms(self, state):
+        """Returns a dict of l2, grad, supg, mu_half, bconv, mode_norms."""
         U_full = np.column_stack([state.U0, state.U])
-        M, A, D = self.blocks.mass, self.blocks.stiffness, \
-            self.blocks.supg_conv
-        colM = np.einsum("kr,kr->r", U_full, M @ U_full)
+        colM = _colwise(self.blocks.mass, U_full)
         l2sq = float(colM.sum())
-        gradsq = float(np.einsum("kr,kr->", U_full, A @ U_full))
-        bsq = float(np.einsum("kr,kr->", U_full, D @ U_full))
+        gradsq = float(_colwise(self.blocks.stiffness, U_full).sum())
+        bsq = float(_colwise(self.blocks.supg_conv, U_full).sum())
         if self.b_forms:
             w = self.space.weights
             Y_full = np.column_stack([np.ones(state.n_samples), state.Y])
             for psi, S in self.b_forms:
                 Yw = Y_full.T @ ((w * psi)[:, None] * Y_full)
                 bsq += float(np.sum((U_full.T @ (S @ U_full)) * Yw))
-        if self.mu_qp is None:
-            musq = 0.0
-        else:
-            tri = U_full[self.mesh.triangles]
-            vq = np.einsum("qa,ear->eqr", self.phi, tri)
-            musq = float(np.einsum("eq,eq,eqr->", self.pw, self.mu_qp,
-                                   vq ** 2))
-        mode_norms = [float(np.sqrt(max(c, 0.0))) for c in colM]
-        return l2sq, gradsq, max(bsq, 0.0), max(musq, 0.0), mode_norms
-
-    def norms(self, state):
-        """Returns a dict of l2, grad, supg, mu_half, bconv, mode_norms."""
-        l2sq, gradsq, bsq, musq, mode_norms = self._dlr_norms(state)
+        bsq = max(bsq, 0.0)
+        musq = 0.0 if self.mu_mass is None \
+            else max(float(_colwise(self.mu_mass, U_full).sum()), 0.0)
         supgsq = self.eps_hat * gradsq + bsq + musq
         return {
             "l2": float(np.sqrt(max(l2sq, 0.0))),
@@ -141,7 +146,7 @@ class NormEvaluator:
             "supg": float(np.sqrt(max(supgsq, 0.0))),
             "mu_half": float(np.sqrt(musq)),
             "bconv": float(np.sqrt(bsq)),
-            "mode_norms": mode_norms,
+            "mode_norms": [float(np.sqrt(max(c, 0.0))) for c in colM],
         }
 
 
@@ -152,8 +157,7 @@ def l2_norm(state, mass, space):
     are measured by NormEvaluator.
     """
     fields = state.fields if hasattr(state, "fields") else state
-    sq = float(np.einsum("ki,ki,i->", fields, mass @ fields,
-                         space.weights))
+    sq = float(space.weights @ _colwise(mass, fields))
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -179,7 +183,7 @@ def range_excess(field, lo, hi):
 def step_report(state, ws, wcond=1.0, defect_cross=0.0,
                 tangent_residual=None):
     nrm = ws.norms.norms(state)
-    if isinstance(state, DlrState) and state.rank:
+    if state.rank:
         w = ws.space.weights
         g = (state.Y * w[:, None]).T @ state.Y
         defect_gram = float(np.max(np.abs(g - np.eye(state.rank))))
@@ -209,26 +213,20 @@ def check_coercivity(model, analysis, blocks, space, trials=500, seed=0):
 
     Draws random interior nodal fields (one column per sample) and
     verifies a(u,u) >= 1/2 |u|_SUPG^2 - nu |u|^2 with slack above
-    -1e-10 relative to the magnitude of the tested quantities.
-    Supports random diffusion; random advection would need per-sample
-    assembly and is rejected.
+    -1e-10 relative to the magnitude of the tested quantities.  Every
+    term is a column-wise quadratic form of an assembled matrix; a(u,u)
+    of sample i is eps_i (stiffness) + transport.  Supports random
+    diffusion; random advection would need per-sample assembly and is
+    rejected.
     """
     if model.has_random_advection:
         raise ConfigError("coercivity checker needs deterministic "
                           "advection")
     mesh = blocks.mesh
-    quad = blocks.quad
-    phi = quad.basis_values()
-    pw = mesh.quad_weights(quad)
-    flat = mesh.quad_points(quad).reshape(-1, 2)
     eps = model.eps_values(space)
     w = space.weights
     interior = mesh.interior_index()
-    M, A, D = blocks.mass, blocks.stiffness, blocks.supg_conv
-    Kdet = blocks.convection + blocks.reaction \
-        + blocks.supg_conv + blocks.supg_reaction
-    mu_qp = np.asarray(analysis.mu(flat), dtype=float).reshape(pw.shape)
-    has_mu = np.max(np.abs(mu_qp)) > 0
+    mu_mass = _mu_mass(blocks, analysis.mu)
 
     rng = np.random.default_rng(seed)
     worst = np.inf
@@ -236,19 +234,12 @@ def check_coercivity(model, analysis, blocks, space, trials=500, seed=0):
     for _ in range(trials):
         u = np.zeros((mesh.n_vertices, space.count))
         u[interior] = rng.standard_normal((len(interior), space.count))
-        colA = np.einsum("ki,ki->i", u, A @ u)
-        colK = np.einsum("ki,ki->i", u, Kdet @ u)
-        colM = np.einsum("ki,ki->i", u, M @ u)
-        colD = np.einsum("ki,ki->i", u, D @ u)
-        a_val = float(w @ (eps * colA + colK))
-        musq = 0.0
-        if has_mu:
-            vq = np.einsum("qa,eai->eqi", phi, u[mesh.triangles])
-            musq = float(w @ np.einsum("eq,eq,eqi->i", pw, mu_qp,
-                                       vq ** 2))
+        colA = _colwise(blocks.stiffness, u)
+        a_val = float(w @ (eps * colA + _colwise(blocks.transport, u)))
+        musq = 0.0 if mu_mass is None else float(w @ _colwise(mu_mass, u))
         supgsq = analysis.eps_hat * float(w @ colA) \
-            + float(w @ colD) + musq
-        l2sq = float(w @ colM)
+            + float(w @ _colwise(blocks.supg_conv, u)) + musq
+        l2sq = float(w @ _colwise(blocks.mass, u))
         slack = a_val - 0.5 * supgsq + analysis.nu * l2sq
         scale = max(abs(a_val), 0.5 * supgsq, 1.0)
         rel = slack / scale
@@ -356,29 +347,31 @@ def forcing_norms(ws, t0, n_steps):
 
 
 def _check_delta_preconditions(theorem, delta, analysis, dt):
-    """Verify the reaction and time-step constraints the theorems put
-    on delta_K.
+    """Why delta_K breaks the bound the theorem puts on it, or None.
 
-    The diffusion constraint is not re-checked; the coercivity and
-    semi_implicit policies satisfy it by construction.
+    The bound is min(dt/4, delta_coercivity) for im_stab and
+    delta_semi_implicit for si_stab, as in the coercivity and
+    semi_implicit policies.  Its diffusion constraint needs the C_I of
+    a StabilizationParams.
     """
-    tol = 1.0 + 1e-12
-    dk = delta.delta_K if isinstance(delta, StabilizationParams) \
-        else np.asarray(delta, dtype=float)
-    with np.errstate(divide="ignore"):
-        c_bound = np.where(analysis.c_sup_K > 0,
-                           1.0 / (2.0 * analysis.c_sup_K), np.inf)
+    if not isinstance(delta, StabilizationParams) or delta.C_I is None:
+        return ("delta_K carries no inverse constant C_I, so the "
+                "diffusion constraint cannot be checked")
+    dk = delta.delta_K
     if theorem == "im_stab":
-        if np.any(dk > tol * dt / 4.0):
-            return dk, "delta_K exceeds dt/4"
-        if np.any(dk > tol * c_bound):
-            return dk, "delta_K exceeds the reaction coercivity bound"
+        if np.any(dk > (1.0 + 1e-12) * dt / 4.0):
+            return "delta_K exceeds dt/4"
+        bound = delta_coercivity(analysis.mesh, analysis, delta).delta_K
+        name = "weak-coercivity bound (reaction and diffusion constraints)"
     else:
-        if np.any(dk > tol * 0.125 * 2.0 * dt):
-            return dk, "delta_K exceeds the semi-implicit dt bound"
-        if np.any(dk > tol * 0.125 * c_bound):
-            return dk, "delta_K exceeds the semi-implicit reaction bound"
-    return dk, None
+        bound = delta_semi_implicit(analysis.mesh, analysis, delta,
+                                    dt).delta_K
+        name = ("semi-implicit bound (reaction, diffusion and time-step "
+                "constraints)")
+    excess = float(np.max(dk / bound))
+    if excess > 1.0 + 1e-12:
+        return f"delta_K exceeds the {name} {excess:.3g}-fold"
+    return None
 
 
 def evaluate_bound(reports, theorem, case, analysis, delta, dt, T,
@@ -389,8 +382,10 @@ def evaluate_bound(reports, theorem, case, analysis, delta, dt, T,
     forcing norm per step, at the time level the scheme used.  Both
     theorems assume a deterministic advection field; the implicit one
     (im_stab) also deterministic diffusion, and the semi-implicit one
-    (si_stab) a moderate-stochasticity report.  Preconditions that fail
-    yield a not-applicable ledger, not a silent pass.
+    (si_stab) a moderate-stochasticity report.  delta is the
+    StabilizationParams of the run, carrying the inverse constant C_I
+    that its diffusion constraint needs.  Preconditions that fail or
+    cannot be checked yield a not-applicable ledger, not a silent pass.
     """
     if theorem not in ("im_stab", "si_stab"):
         raise ConfigError(f"unknown theorem {theorem!r}")
@@ -408,11 +403,10 @@ def evaluate_bound(reports, theorem, case, analysis, delta, dt, T,
                                "the implicit theorem assumes it "
                                "deterministic")
 
-    dk, delta_reason = _check_delta_preconditions(theorem, delta,
-                                                  analysis, dt)
+    delta_reason = _check_delta_preconditions(theorem, delta, analysis, dt)
     if delta_reason:
         return _not_applicable(theorem, case, delta_reason)
-    dmax = float(np.max(dk))
+    dmax = float(np.max(delta.delta_K))
 
     if theorem == "si_stab":
         if stoch_report is None:

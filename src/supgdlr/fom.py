@@ -57,7 +57,7 @@ def fom_step(state, ws):
     if fields.shape[1] != ws.space.count:
         raise ConfigError("field columns must match the sample count")
 
-    rhs = ws.time_matrix @ fields / ws.cfg.dt
+    rhs = ws.blocks.skewed_mass @ fields / ws.cfg.dt
 
     fqp = ws.forcing_qp(state.t)
     if fqp is not None:

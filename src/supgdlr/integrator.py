@@ -83,6 +83,8 @@ class StepWorkspace:
     The constrained implicit matrix is identical for all modes (only
     right-hand sides differ between the mean mode and the homogeneous
     fluctuation modes), so one sparse factorization serves them all.
+    Braw = skewed_mass / dt + eps_bar stiffness + transport is that
+    matrix before the Dirichlet rows are replaced.
     """
 
     model: object
@@ -96,20 +98,16 @@ class StepWorkspace:
     Braw: object
     bc: DirichletCondition
     lu: object
-    eps_bar: float
     eps_expl: np.ndarray              # per-sample diffusion fluctuation
     b_expl: object                    # callable (x, omega) or None
-    time_matrix: object               # mass + supg_mass
     modes: list                       # (theta, beta . grad phi at qp)
     terms: list                       # explicit operator, (theta, B)
     c_expl: object = None             # always None: reaction is implicit
-    phi: np.ndarray = field(init=False)
     pw: np.ndarray = field(init=False)
     xq_flat: np.ndarray = field(init=False)
     norms: object = field(init=False)  # diagnostics.NormEvaluator
 
     def __post_init__(self):
-        self.phi = self.quad.basis_values()
         self.pw = self.mesh.quad_weights(self.quad)
         self.xq_flat = self.mesh.quad_points(self.quad).reshape(-1, 2)
         self.norms = diagnostics.NormEvaluator(self)
@@ -161,24 +159,21 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
     if analysis is None:
         analysis = analyze_reaction(model, mesh, space, quad)
 
-    K_impl = (eps_bar * blocks.stiffness + blocks.convection
-              + blocks.reaction + blocks.supg_conv + blocks.supg_reaction)
     terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
     modes = [(theta, directional_gradients(blocks, beta))
              for theta, beta in model.advection_modes(space)]
     terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
 
-    time_matrix = (blocks.mass + blocks.supg_mass).tocsr()
-    Braw = (time_matrix / cfg.dt + K_impl).tocsr()
+    Braw = (blocks.skewed_mass / cfg.dt + eps_bar * blocks.stiffness
+            + blocks.transport).tocsr()
     bc = DirichletCondition(Braw, mesh, cfg.bc)
     lu = spla.splu(bc.matrix.tocsc())
     return StepWorkspace(
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
         quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc=bc, lu=lu,
-        eps_bar=eps_bar, eps_expl=eps_star,
-        b_expl=model.b_fluct if model.b_modes else None,
-        time_matrix=time_matrix, modes=modes, terms=terms)
+        eps_expl=eps_star, b_expl=model.b_fluct if model.b_modes else None,
+        modes=modes, terms=terms)
 
 
 def _full_factors(state):
@@ -196,7 +191,7 @@ def step_deterministic_modes(state, ws):
     U_full, Y_full = _full_factors(state)
     w = ws.space.weights
 
-    rhs = ws.time_matrix @ U_full / ws.cfg.dt
+    rhs = ws.blocks.skewed_mass @ U_full / ws.cfg.dt
 
     fqp = ws.forcing_qp(state.t)
     if fqp is not None:

@@ -1,7 +1,7 @@
 """Structured P1 triangular finite elements on the unit square.
 
-Provides the mesh, a symmetric triangle quadrature rule, assembly of all
-sparse bilinear-form blocks used by the Galerkin and streamline-upwind
+Provides the mesh, a symmetric triangle quadrature rule, one assembler
+for the sparse bilinear forms of the Galerkin and streamline-upwind
 terms (including the skewed and streamline blocks of advection modes),
 and Dirichlet boundary handling.
 """
@@ -180,43 +180,44 @@ def tag_boundary_layer(mesh):
 
 
 class FemBlocks:
-    """Assembled global sparse matrices for a fixed stabilizing field.
+    """Assembled global sparse matrices for a fixed stabilizing field b.
 
-    mass          (phi_j, phi_i)
-    stiffness     (grad phi_j, grad phi_i)
-    convection    (b . grad phi_j, phi_i)
-    supg_mass     sum_K delta_K (phi_j, b . grad phi_i)_K
-    supg_conv     sum_K delta_K (b . grad phi_j, b . grad phi_i)_K
-    reaction      (cbar phi_j, phi_i)
-    supg_reaction sum_K delta_K (cbar phi_j, b . grad phi_i)_K
+    mass         (phi_j, phi_i)
+    stiffness    (grad phi_j, grad phi_i)
+    supg_conv    sum_K delta_K (b . grad phi_j, b . grad phi_i)_K
+    skewed_mass  (phi_j, phi_i + delta_K b . grad phi_i)
+    transport    (b . grad phi_j + cbar phi_j, phi_i + delta_K b . grad phi_i)
 
-    The stabilized test-function index is always i (rows).  bg_at_qp
+    Each is one _form; the test index is always i (rows).  bg_at_qp
     holds b . grad phi_a at the quadrature points, shape (ne, nq, 3).
     """
 
-    def __init__(self, mesh, quad, delta, mass, stiffness, convection,
-                 supg_mass, supg_conv, reaction, supg_reaction, bg_at_qp):
+    def __init__(self, mesh, quad, delta, bg_at_qp):
         self.mesh = mesh
         self.quad = quad
         self.delta = delta
-        self.mass = mass
-        self.stiffness = stiffness
-        self.convection = convection
-        self.supg_mass = supg_mass
-        self.supg_conv = supg_conv
-        self.reaction = reaction
-        self.supg_reaction = supg_reaction
         self.bg_at_qp = bg_at_qp        # (ne, nq, 3), stabilizing field
 
 
-def _scatter(mesh, elem_mats):
-    """Sum element 3x3 matrices into a global CSR matrix."""
-    ne = mesh.n_triangles
+def _form(blocks, test, trial, weight=None):
+    """sum_K (weight trial_j, test_i)_K as a global CSR matrix.
+
+    test and trial hold the basis functions at the quadrature points of
+    blocks, broadcastable to (ne, nq, 3), or to (ne, nq, 3, 2) for vector
+    values, whose components the product contracts; weight is None or
+    broadcastable to (ne, nq).
+    """
+    mesh = blocks.mesh
+    pw = mesh.quad_weights(blocks.quad)
+    if weight is not None:
+        pw = pw * weight
+    test, trial = (f if f.ndim == 4 else f[..., None]
+                   for f in (test, trial))
+    elem = np.einsum("eq,eqac,eqbc->eab", pw, test, trial)
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    data = elem_mats.reshape(ne, 9).ravel()
     n = mesh.n_vertices
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    mat = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
@@ -249,38 +250,24 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
         raise ConfigError("delta entries must be >= 0")
 
     xq = mesh.quad_points(quad)                        # (ne, nq, 2)
-    pw = mesh.quad_weights(quad)                       # (ne, nq)
-    phi = quad.basis_values()                          # (nq, 3)
-    g = mesh.grads                                     # (ne, 3, 2)
-
-    bg = _gradients_along(mesh, xq, b)
-    if c_bar is None:
-        cq = np.zeros(pw.shape)
-    else:
-        cq = c_bar(xq.reshape(-1, 2)).reshape(pw.shape)
+    phi = quad.basis_values()[None]                    # (1, nq, 3)
+    grads = mesh.grads[:, None]                        # (ne, 1, 3, 2)
+    blocks = FemBlocks(mesh, quad, delta, _gradients_along(mesh, xq, b))
+    bg = blocks.bg_at_qp
+    transported = bg                   # b . grad phi_j + cbar phi_j
+    if c_bar is not None:
+        cq = c_bar(xq.reshape(-1, 2)).reshape(xq.shape[:2])
         if not np.all(np.isfinite(cq)):
             raise ConfigError("reaction field evaluated to non-finite values")
+        transported = bg + cq[..., None] * phi
 
-    area = mesh.signed_areas
-    mass_e = np.einsum("eq,qa,qb->eab", pw, phi, phi)
-    stiff_e = np.einsum("e,eai,ebi->eab", area, g, g)
-    conv_e = np.einsum("eq,qa,eqb->eab", pw, phi, bg)
-    sm_e = np.einsum("e,eq,eqa,qb->eab", delta, pw, bg, phi)
-    sc_e = np.einsum("e,eq,eqa,eqb->eab", delta, pw, bg, bg)
-    reac_e = np.einsum("eq,eq,qa,qb->eab", pw, cq, phi, phi)
-    sr_e = np.einsum("e,eq,eq,eqa,qb->eab", delta, pw, cq, bg, phi)
-
-    return FemBlocks(
-        mesh, quad, delta,
-        mass=_scatter(mesh, mass_e),
-        stiffness=_scatter(mesh, stiff_e),
-        convection=_scatter(mesh, conv_e),
-        supg_mass=_scatter(mesh, sm_e),
-        supg_conv=_scatter(mesh, sc_e),
-        reaction=_scatter(mesh, reac_e),
-        supg_reaction=_scatter(mesh, sr_e),
-        bg_at_qp=bg,
-    )
+    test = _skewed_test(blocks)
+    blocks.mass = _form(blocks, phi, phi)
+    blocks.stiffness = _form(blocks, grads, grads)
+    blocks.supg_conv = assemble_streamline(blocks, bg, bg)
+    blocks.skewed_mass = _form(blocks, test, phi)
+    blocks.transport = _form(blocks, test, transported)
+    return blocks
 
 
 def directional_gradients(blocks, v):
@@ -303,12 +290,10 @@ def assemble_skewed(blocks, vg):
     """(v . grad phi_j, phi_i + delta_K b . grad phi_i) for a field v.
 
     vg is directional_gradients(blocks, v) and b the stabilizing field
-    of blocks; with vg = blocks.bg_at_qp this is convection + supg_conv.
+    of blocks; with vg = blocks.bg_at_qp and no reaction this is
+    blocks.transport.
     """
-    mesh = blocks.mesh
-    pw = mesh.quad_weights(blocks.quad)
-    elem = np.einsum("eq,eqa,eqb->eab", pw, _skewed_test(blocks), vg)
-    return _scatter(mesh, elem)
+    return _form(blocks, _skewed_test(blocks), vg)
 
 
 def assemble_streamline(blocks, vg_test, vg_trial):
@@ -317,10 +302,7 @@ def assemble_streamline(blocks, vg_test, vg_trial):
     The arguments are the fields' directional_gradients; with both
     blocks.bg_at_qp this is supg_conv.
     """
-    mesh = blocks.mesh
-    dpw = blocks.delta[:, None] * mesh.quad_weights(blocks.quad)
-    elem = np.einsum("eq,eqa,eqb->eab", dpw, vg_test, vg_trial)
-    return _scatter(mesh, elem)
+    return _form(blocks, vg_test, vg_trial, blocks.delta[:, None])
 
 
 def assemble_load(blocks, values_at_qp, skew=False):

@@ -201,14 +201,28 @@ def build_space(cfg):
     raise ConfigError(f"unknown sampler kind {kind!r}")
 
 
+# The [model] keys each model accepts, all numbers (b = v gives the
+# advection (v, v)); the presets' models take none.
+MODEL_KEYS = {"rotating_body": (), "boundary_layer": (),
+              "constant_adr": ("eps_value", "b", "c", "f")}
+
+
 def build_model(cfg, space):
+    if cfg.model not in MODEL_KEYS:
+        raise ConfigError(f"unknown model {cfg.model!r}")
+    accepted = MODEL_KEYS[cfg.model]
+    for key, value in cfg.model_params.items():
+        if key not in accepted:
+            raise ConfigError(
+                f"model {cfg.model!r} does not accept the [model] key "
+                f"{key!r} (accepted: {', '.join(accepted) or 'none'})")
+        if not isinstance(value, (int, float)):
+            raise ConfigError(f"[model] {key} must be a number")
     if cfg.model == "rotating_body":
         return rotating_body()
     if cfg.model == "boundary_layer":
         return boundary_layer(space)
-    if cfg.model == "constant_adr":
-        return constant_adr(**cfg.model_params)
-    raise ConfigError(f"unknown model {cfg.model!r}")
+    return constant_adr(**cfg.model_params)
 
 
 def resolve_delta(policy, mesh, model, analysis, dt, quad=None):
@@ -320,6 +334,11 @@ def run_from_config(cfg):
                     fh.write(f"{t:.17g},{idx},{v:.17g},{x:.17g}\n")
 
         if cfg.bounds:
+            if delta.C_I is None:
+                # the ledgers check the diffusion constraint on delta_K
+                delta = StabilizationParams(
+                    delta.delta_K, C_I=estimate_inverse_constant(
+                        mesh, ws.blocks), d=delta.d)
             n_steps = len(reports) - 1
             fn = forcing_norms(ws, state.t, n_steps)
             stoch = check_moderate_stochasticity(model, analysis, space)

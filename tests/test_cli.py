@@ -45,6 +45,26 @@ def test_solve_missing_config_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, key", [("constant_adr", "bogus"),
+                                        ("rotating_body", "eps_value")])
+def test_solve_unknown_model_key_is_config_error(tmp_path, capsys, model,
+                                                 key):
+    from supgdlr.runner import RunConfig, write_config
+
+    cfg = RunConfig(
+        name="mini", n_per_side=4, dt=0.05, T=0.1, model=model,
+        model_params={key: 1.0},
+        sampler={"kind": "monte_carlo", "count": 4, "seed": 0,
+                 "intervals": [(-1.0, 1.0)] * 3},
+        out_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.ini"
+    write_config(cfg, path)
+    code = main(["solve", "--config", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+
+
 def test_check_oracle_suite(capsys):
     code = main(["check", "--suite", "oracle"])
     assert code == 0

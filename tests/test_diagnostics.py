@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, SchemeConfig, analyze_reaction,
+    ConfigError, SchemeConfig, StabilizationParams, analyze_reaction,
     assemble_blocks, boundary_layer, build_structured_mesh,
     check_coercivity, check_moderate_stochasticity, check_tangent_residual,
-    constant_adr, delta_experiment, evaluate_bound, forcing_norms,
+    constant_adr, delta_experiment, estimate_inverse_constant,
+    evaluate_bound, forcing_norms,
     init_from_modes, l2_norm, make_monte_carlo, md_metric,
     prepare_workspace, rotating_body, run, step, step_report,
     write_ledgers_csv, write_reports_csv,
@@ -84,7 +85,7 @@ def test_supg_norm_dense_oracle(case):
             *ws.pw.shape, 2)
         bg = np.einsum("eqd,ed->eq", bq, g)
         bsq = float(np.einsum("e,eq,eq->", ws.delta, ws.pw, bg ** 2))
-        vq = np.einsum("qa,ea->eq", ws.phi, tri)
+        vq = np.einsum("qa,ea->eq", ws.quad.basis_values(), tri)
         musq = float(np.einsum("eq,eq,eq->", ws.pw, mu, vq ** 2))
         total += w[i] * (a.eps_hat * gradsq + bsq + musq)
     assert abs(got - np.sqrt(total)) <= 1e-10 * max(np.sqrt(total), 1.0)
@@ -133,6 +134,51 @@ def test_coercivity_check_passes_with_compliant_delta():
                               seed=7)
     assert report.ok
     assert report.worst_margin > -1e-10
+
+
+def test_coercivity_check_mu_path_matches_elementwise_oracle():
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(-1.0, 1.0)], 3, seed=15)
+    model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=2.0)
+    analysis = analyze_reaction(model, mesh, space)
+    assert analysis.mu0 > 0          # the mu-weighted mass takes part
+    delta = resolve_delta("coercivity", mesh, model, analysis, None)
+    dk = delta.delta_K
+    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, dk)
+    trials, seed = 3, 16
+    report = check_coercivity(model, analysis, blocks, space,
+                              trials=trials, seed=seed)
+
+    # the same draws, every term by an element-by-element edge-midpoint
+    # rule, exact for the quadratic integrands of constant coefficients
+    eps, w = model.eps_values(space), space.weights
+    interior = mesh.interior_index()
+    lam = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        u = np.zeros((mesh.n_vertices, space.count))
+        u[interior] = rng.standard_normal((len(interior), space.count))
+        a_val = supgsq = l2sq = 0.0
+        for e, tri in enumerate(mesh.triangles):
+            area = mesh.signed_areas[e]
+            x = lam @ mesh.vertices[tri]
+            b, c, mu = model.b_mean(x), model.c_at(x), analysis.mu(x)
+            for i in range(space.count):
+                grad = mesh.grads[e].T @ u[tri, i]
+                uq = lam @ u[tri, i]
+                bgu = b @ grad
+                gradsq = area * float(grad @ grad)
+                a_val += w[i] * (eps[i] * gradsq + area / 3.0 * np.sum(
+                    (bgu + c * uq) * (uq + dk[e] * bgu)))
+                supgsq += w[i] * (analysis.eps_hat * gradsq
+                                  + area / 3.0 * np.sum(dk[e] * bgu ** 2
+                                                        + mu * uq ** 2))
+                l2sq += w[i] * area / 3.0 * np.sum(uq ** 2)
+        slack = a_val - 0.5 * supgsq + analysis.nu * l2sq
+        worst = min(worst, slack / max(abs(a_val), 0.5 * supgsq, 1.0))
+    assert report.ok
+    assert abs(report.worst_margin - worst) <= 1e-12
 
 
 def test_coercivity_check_rejects_random_advection():
@@ -261,6 +307,30 @@ def test_bound_case_gating():
     led = evaluate_bound(reports, "im_stab", "ii", analysis, big,
                          ws.cfg.dt, 0.5)
     assert not led.applicable
+
+
+def test_bound_checks_the_diffusion_constraint_on_delta():
+    # h_K/4 is below dt/4 but far above the semi-implicit diffusion
+    # constraint h_K^2 / (16 d C_I^2 C_E^2 eps_hat) at eps = 1
+    mesh = build_structured_mesh(8)
+    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
+    model = constant_adr(eps_value=1.0, b=(1.0, 1.0))
+    analysis = analyze_reaction(model, mesh, space)
+    delta = delta_experiment(mesh)
+    ws = prepare_workspace(model, mesh, space,
+                           SchemeConfig(dt=0.2, delta=delta),
+                           analysis=analysis)
+    _, reports = run(random_state(mesh, space, rank=1, seed=11), ws, 0.4)
+    stoch = check_moderate_stochasticity(model, analysis, space)
+    led = evaluate_bound(reports, "si_stab", "ii", analysis, delta, 0.2,
+                         0.4, stoch_report=stoch)
+    assert not led.applicable and "diffusion constraint" in led.reason
+    with_C_I = StabilizationParams(
+        delta.delta_K, C_I=estimate_inverse_constant(mesh, ws.blocks))
+    for theorem in ("im_stab", "si_stab"):
+        led = evaluate_bound(reports, theorem, "ii", analysis, with_C_I,
+                             0.2, 0.4, stoch_report=stoch)
+        assert not led.applicable and "diffusion" in led.reason
 
 
 def test_bound_refuses_random_coefficients():

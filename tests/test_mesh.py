@@ -5,7 +5,8 @@ import pytest
 
 from supgdlr import (
     ConfigError, DirichletCondition, assemble_blocks, assemble_load,
-    build_structured_mesh, default_quadrature, tag_boundary_layer,
+    assemble_skewed, assemble_streamline, build_structured_mesh,
+    default_quadrature, tag_boundary_layer,
 )
 
 
@@ -115,6 +116,7 @@ def test_assembled_blocks_match_bruteforce():
     mesh = build_structured_mesh(2)
     rng = np.random.default_rng(7)
     delta = rng.uniform(0.01, 0.2, mesh.n_triangles)
+    zero = np.zeros(mesh.n_triangles)
 
     def b_fn(x):
         return np.column_stack([0.5 - x[:, 1], x[:, 0] - 0.5])
@@ -122,15 +124,37 @@ def test_assembled_blocks_match_bruteforce():
     def c_fn(x):
         return 1.0 + x[:, 0]
 
-    blocks = assemble_blocks(mesh, b_fn, c_fn, delta)
     M, A, C, SM, SC, R, SR = element_oracle_matrices(mesh, b_fn, c_fn, delta)
+    full = assemble_blocks(mesh, b_fn, c_fn, delta)
+    # assembling without reaction or without delta pins C, SM, R and SR
+    # each on its own
+    no_c = assemble_blocks(mesh, b_fn, None, delta)
+    no_delta = assemble_blocks(mesh, b_fn, c_fn, zero)
+    plain = assemble_blocks(mesh, b_fn, None, zero)
     pairs = [
-        (blocks.mass, M), (blocks.stiffness, A), (blocks.convection, C),
-        (blocks.supg_mass, SM), (blocks.supg_conv, SC),
-        (blocks.reaction, R), (blocks.supg_reaction, SR),
+        (full.mass, M), (full.stiffness, A), (full.supg_conv, SC),
+        (full.skewed_mass, M + SM), (full.transport, C + SC + R + SR),
+        (no_c.skewed_mass, M + SM), (no_c.transport, C + SC),
+        (no_delta.skewed_mass, M), (no_delta.transport, C + R),
+        (plain.transport, C),
     ]
     for got, want in pairs:
         assert np.max(np.abs(got.toarray() - want)) <= 1e-13
+
+
+def test_skewed_and_streamline_reproduce_blocks():
+    mesh = build_structured_mesh(3)
+    delta = np.random.default_rng(8).uniform(0.01, 0.2, mesh.n_triangles)
+
+    def b_fn(x):
+        return np.column_stack([0.5 - x[:, 1], x[:, 0] - 0.5])
+
+    blocks = assemble_blocks(mesh, b_fn, None, delta)
+    bg = blocks.bg_at_qp
+    skewed = assemble_skewed(blocks, bg)
+    assert abs(skewed - blocks.transport).max() == 0.0
+    streamline = assemble_streamline(blocks, bg, bg)
+    assert abs(streamline - blocks.supg_conv).max() == 0.0
 
 
 def test_element_mass_closed_form():
@@ -183,9 +207,9 @@ def test_assemble_load_skew_adds_streamline_term():
     vals = np.ones((mesh.n_triangles, blocks.quad.n_points))
     plain = assemble_load(blocks, vals)
     skew = assemble_load(blocks, vals, skew=True)
-    # difference must equal sum_K delta (1, b.grad phi)_K = SM^T @ 1? no:
-    # it is the column sums of the supg_mass block applied to ones
-    want = plain + blocks.supg_mass @ np.ones(mesh.n_vertices)
+    # (1, phi_i + delta_K b.grad phi_i) is skewed_mass applied to ones
+    assert np.max(np.abs(skew - plain)) > 0.0
+    want = blocks.skewed_mass @ np.ones(mesh.n_vertices)
     assert np.max(np.abs(skew - want)) <= 1e-14
 
 

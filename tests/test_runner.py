@@ -136,6 +136,24 @@ def test_run_from_config_outputs(tmp_path):
     assert echoed["version"]
 
 
+def test_run_from_config_ledger_estimates_C_I(tmp_path):
+    # the h_K/4 policy carries no C_I; the runner estimates it, so the
+    # ledger reports the violated semi-implicit bound, not the missing
+    # constant
+    out = tmp_path / "ledger"
+    cfg = tiny_config(str(out), model="constant_adr",
+                      model_params={"eps_value": 1.0, "b": 1.0},
+                      initial="zero", dt=0.2, T=0.4, rank=None,
+                      bounds=(("si_stab", "ii"),))
+    status, _ = run_from_config(cfg)
+    assert status == 0
+    with open(out / "ledger.csv") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert row["applicable"] == "False"
+    assert "semi-implicit bound" in row["reason"]
+    assert "diffusion" in row["reason"]
+
+
 def test_md_csv_reports_range_excess(tmp_path):
     out = tmp_path / "md"
     cfg = tiny_config(str(out), track_md_samples=(0, 1))
