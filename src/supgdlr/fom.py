@@ -4,9 +4,12 @@ Collocation decouples the full-order problem into independent PDE
 solves, one per sample, advanced with the same semi-implicit splitting,
 stabilization, implicit operator and boundary handling as the low-rank
 path.  The explicit advection fluctuation, however, is evaluated
-independently: by quadrature of each sample's own field (`b_fluct`),
-not through the assembled affine-mode blocks the low-rank step uses.
-That makes the full-order step the oracle that checks those blocks.
+independently: by quadrature of each sample's own field (`b_fluct`,
+called once per sample and step), not through the assembled affine-mode
+blocks the low-rank step uses.  That makes the full-order step the
+oracle that checks those blocks.  The samples are taken in chunks of a
+fixed size, so the per-step temporaries are O(CHUNK n_e n_q) whatever
+the sample count.
 """
 
 import numpy as np
@@ -33,22 +36,27 @@ class FomState:
         return self.fields.shape[1]
 
 
-def _sample_residual_qp(ws, fields):
-    """Explicit advection residual of every sample.
+CHUNK = 32      # samples per chunk of the explicit advection residual
 
-    Returns (ne, nq, N_C) values of b_expl . grad u at the quadrature
-    points, with the advection of each sample evaluated at that
-    sample's parameters.
-    """
-    elem = fields[ws.mesh.triangles]                   # (ne, 3, N_C)
-    Gq = np.einsum("ead,eai->edi", ws.mesh.grads, elem)
+
+def _subtract_advection(rhs, ws, fields):
+    """rhs[:, i] -= the skewed load of b_expl(omega_i) . grad u_i, with
+    each sample's advection at its own parameters, CHUNK at a time."""
+    mesh = ws.mesh
     ne, nq = ws.pw.shape
-    val = np.zeros((ne, nq, fields.shape[1]))
-    for i, omega in enumerate(ws.space.samples):
-        bf = np.asarray(ws.b_expl(ws.xq_flat, omega),
-                        dtype=float).reshape(ne, nq, 2)
-        val[:, :, i] += np.einsum("eqd,ed->eq", bf, Gq[:, :, i])
-    return val
+    for start in range(0, fields.shape[1], CHUNK):
+        cols = slice(start, start + CHUNK)
+        Gq = np.matmul(mesh.grads.transpose(0, 2, 1),
+                       fields[mesh.triangles, cols])   # (ne, 2, c)
+        Gq = Gq.transpose(2, 1, 0).copy()               # (c, 2, ne)
+        val = np.empty((len(Gq), ne, nq))
+        for g, v, omega in zip(Gq, val, ws.space.samples[cols]):
+            bf = np.asarray(ws.b_expl(ws.xq_flat, omega),
+                            dtype=float).reshape(ne, nq, 2)
+            np.multiply(bf[..., 0], g[0, :, None], out=v)
+            v += bf[..., 1] * g[1, :, None]
+        rhs[:, cols] -= assemble_load(ws.blocks, val.transpose(1, 2, 0),
+                                      skew=True)
 
 
 def fom_step(state, ws):
@@ -67,8 +75,7 @@ def fom_step(state, ws):
         rhs -= ws.blocks.stiffness @ (fields * ws.eps_expl[None, :])
 
     if ws.has_sample_loop:
-        rhs -= assemble_load(ws.blocks, _sample_residual_qp(ws, fields),
-                             skew=True)
+        _subtract_advection(rhs, ws, fields)
 
     constrained = ws.bc.constrain_rhs(rhs)
     out = ws.lu.solve(constrained)

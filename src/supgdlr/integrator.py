@@ -186,7 +186,8 @@ def step_deterministic_modes(state, ws):
     """Solve the R+1 implicit mode systems; returns (U_tilde, caches).
 
     Mode j of the explicit right-hand side is
-    sum_k B_k U_full (Y_full^T diag(w theta_k) Y_full)[:, j].
+    sum_k (B_k U_full) (Y_full^T diag(w theta_k) Y_full)[:, j]; caches
+    carries the products B_k U_full on to the stochastic step.
     """
     U_full, Y_full = _full_factors(state)
     w = ws.space.weights
@@ -197,9 +198,10 @@ def step_deterministic_modes(state, ws):
     if fqp is not None:
         rhs[:, 0] += assemble_load(ws.blocks, fqp, skew=True)
 
-    for theta, B in ws.terms:
+    BU = [B @ U_full for _, B in ws.terms]
+    for (theta, _), BU_k in zip(ws.terms, BU):
         E = Y_full.T @ ((w * theta)[:, None] * Y_full)
-        rhs -= B @ (U_full @ E)
+        rhs -= BU_k @ E
 
     # the mean mode carries the boundary values, the fluctuation modes
     # vanish on the Dirichlet boundary
@@ -209,7 +211,7 @@ def step_deterministic_modes(state, ws):
     if not np.all(np.isfinite(U_tilde)):
         raise ConfigError("deterministic mode solve returned non-finite "
                           "values")
-    return U_tilde, (U_full, Y_full)
+    return U_tilde, (Y_full, BU)
 
 
 def step_stochastic_modes(state, U_tilde, ws, caches):
@@ -223,7 +225,7 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
     R = state.rank
     if R == 0:
         return state.Y.copy(), np.zeros_like(state.Y), 1.0
-    U_full, Y_full = caches
+    Y_full, BU = caches
 
     Um = U_tilde[:, 1:]
     What = Um.T @ (ws.Braw.T @ Um)
@@ -234,8 +236,8 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
             f"{WCOND_THRESHOLD:.1e}", condition=cond)
 
     rhs = np.zeros((state.n_samples, R))
-    for theta, B in ws.terms:
-        G = Um.T @ (B @ U_full)                        # (R, R+1)
+    for (theta, _), BU_k in zip(ws.terms, BU):
+        G = Um.T @ BU_k                                # (R, R+1)
         rhs -= theta[:, None] * (Y_full @ G.T)
 
     if not np.any(rhs):

@@ -6,6 +6,8 @@ terms (including the skewed and streamline blocks of advection modes),
 and Dirichlet boundary handling.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -98,6 +100,15 @@ class Mesh:
             grads[:, a, 0] = -d[:, 1] / twoA
             grads[:, a, 1] = d[:, 0] / twoA
         self.grads = grads
+
+    @cached_property
+    def scatter(self):
+        """Element-to-node incidence, CSR (N_h, 3 n_e): column 3 e + a
+        holds a one in the row of vertex a of element e."""
+        n = self.triangles.size
+        return sp.csr_matrix(
+            (np.ones(n), (self.triangles.ravel(), np.arange(n))),
+            shape=(self.n_vertices, n))
 
     @property
     def n_vertices(self):
@@ -310,24 +321,21 @@ def assemble_load(blocks, values_at_qp, skew=False):
 
     values_at_qp : (ne, nq) or (ne, nq, k) scalar source g; the result
     holds (g, phi_i) plus, when skew is True, the stabilized companion
-    sum_K delta_K (g, b.grad phi_i)_K.
+    sum_K delta_K (g, b.grad phi_i)_K.  The element vectors are one
+    batched matmul, summed into the nodes by the sparse mesh.scatter.
 
     Returns (N_h,) or (N_h, k).
     """
     mesh, quad = blocks.mesh, blocks.quad
-    pw = mesh.quad_weights(quad)
     vals = np.asarray(values_at_qp, dtype=float)
     squeeze = vals.ndim == 2
     if squeeze:
         vals = vals[..., None]
-    k = vals.shape[-1]
 
     test = _skewed_test(blocks) if skew else quad.basis_values()[None]
-    contrib = np.einsum("eq,eqk,eqak->eak", pw, vals, test[..., None])
-
-    out = np.zeros((mesh.n_vertices, k))
-    np.add.at(out, mesh.triangles.ravel(),
-              contrib.reshape(-1, k))
+    weighted = mesh.quad_weights(quad)[..., None] * test     # (ne, nq, 3)
+    contrib = np.matmul(weighted.transpose(0, 2, 1), vals)   # (ne, 3, k)
+    out = mesh.scatter @ contrib.reshape(-1, vals.shape[-1])
     return out[:, 0] if squeeze else out
 
 

@@ -201,8 +201,8 @@ def build_space(cfg):
     raise ConfigError(f"unknown sampler kind {kind!r}")
 
 
-# The [model] keys each model accepts, all numbers (b = v gives the
-# advection (v, v)); the presets' models take none.
+# The [model] keys each model accepts, all numbers, b also a pair bx,by
+# (b = v gives the advection (v, v)); the presets' models take none.
 MODEL_KEYS = {"rotating_body": (), "boundary_layer": (),
               "constant_adr": ("eps_value", "b", "c", "f")}
 
@@ -216,8 +216,10 @@ def build_model(cfg, space):
             raise ConfigError(
                 f"model {cfg.model!r} does not accept the [model] key "
                 f"{key!r} (accepted: {', '.join(accepted) or 'none'})")
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"[model] {key} must be a number")
+        nums = value if key == "b" and np.shape(value) == (2,) else (value,)
+        if not all(isinstance(v, (int, float)) for v in nums):
+            raise ConfigError(f"[model] {key} must be a number" + (
+                " or a pair of numbers" if key == "b" else ""))
     if cfg.model == "rotating_body":
         return rotating_body()
     if cfg.model == "boundary_layer":
@@ -400,7 +402,9 @@ def write_config(cfg, path):
         cp["run"]["snapshot_tol"] = f"{cfg.snapshot_tol:.17g}"
     cp["model"] = {"name": cfg.model}
     for k, v in cfg.model_params.items():
-        cp["model"][k] = f"{v:.17g}" if isinstance(v, float) else str(v)
+        cp["model"][k] = ",".join(
+            f"{x:.17g}" if isinstance(x, float) else str(x)
+            for x in (v if isinstance(v, (tuple, list)) else (v,)))
     s = cfg.sampler
     cp["sampling"] = {"kind": s["kind"]}
     if s["kind"] == "monte_carlo":
@@ -455,7 +459,8 @@ def load_config(path):
             if k == "name":
                 continue
             try:
-                model_params[k] = float(v)
+                nums = tuple(float(x) for x in v.split(","))
+                model_params[k] = nums[0] if len(nums) == 1 else nums
             except ValueError:
                 model_params[k] = v
         out = cp["output"] if "output" in cp else {}

@@ -84,3 +84,49 @@ def test_check_bounds_suite(capsys):
 def test_unknown_preset_choice_rejected():
     with pytest.raises(SystemExit):
         main(["preset", "mystery", "--out", "x"])
+
+
+def _constant_adr_config(tmp_path, b):
+    """A constant_adr config file whose [model] b line reads b."""
+    import configparser
+    from supgdlr.runner import RunConfig, write_config
+
+    cfg = RunConfig(
+        name="mini", n_per_side=4, dt=0.05, T=0.1, rank=1,
+        model="constant_adr", model_params={"eps_value": 0.1},
+        sampler={"kind": "monte_carlo", "count": 4, "seed": 0,
+                 "intervals": [(-1.0, 1.0)]},
+        out_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.ini"
+    write_config(cfg, path)
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp["model"]["b"] = b
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+def test_solve_constant_adr_advection_pair(tmp_path, capsys):
+    from supgdlr.runner import build_model, build_space, write_config
+
+    path = _constant_adr_config(tmp_path, "1,0")
+    cfg = load_config(path)
+    assert cfg.model_params["b"] == (1.0, 0.0)
+    model = build_model(cfg, build_space(cfg))
+    x = np.array([[0.2, 0.7], [0.9, 0.1]])
+    assert np.array_equal(model.b_mean(x), [[1.0, 0.0], [1.0, 0.0]])
+    assert main(["solve", "--config", str(path)]) == 0
+    assert "status=ok" in capsys.readouterr().out
+
+    cfg.model_params["b"] = (0.25, -3.0)
+    write_config(cfg, path)
+    assert load_config(path).model_params["b"] == (0.25, -3.0)
+
+
+def test_solve_constant_adr_advection_triple_is_config_error(tmp_path,
+                                                             capsys):
+    path = _constant_adr_config(tmp_path, "1,2,3")
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "pair of numbers" in err

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, FomState, SchemeConfig, build_structured_mesh,
-    constant_adr, delta_experiment, fom_run, fom_step, make_monte_carlo,
-    prepare_workspace, rotating_body,
+    ConfigError, FomState, SchemeConfig, boundary_layer,
+    build_structured_mesh, constant_adr, delta_experiment, fom_run,
+    fom_step, make_monte_carlo, prepare_workspace, rotating_body,
 )
+from supgdlr.fom import CHUNK
 
 
 def make_ws(mesh, space, model, dt=1e-3):
@@ -62,3 +63,48 @@ def test_column_count_validation():
         fom_step(FomState(np.zeros((mesh.n_vertices, 3))), ws)
     with pytest.raises(ConfigError):
         FomState(np.zeros(mesh.n_vertices))
+
+
+def _per_sample_step(state, ws):
+    """One full-order step, sample by sample, with an element-by-element
+    load: the explicit advection of each sample at its own parameters."""
+    mesh, fields = ws.mesh, state.fields
+    ne, nq = ws.pw.shape
+    Gq = np.einsum("ead,eai->edi", mesh.grads, fields[mesh.triangles])
+    test = ws.quad.basis_values()[None] \
+        + ws.delta[:, None, None] * ws.blocks.bg_at_qp
+    rhs = ws.blocks.skewed_mass @ fields / ws.cfg.dt
+    rhs -= ws.blocks.stiffness @ (fields * ws.eps_expl[None, :])
+    for i, omega in enumerate(ws.space.samples):
+        bf = ws.b_expl(ws.xq_flat, omega).reshape(ne, nq, 2)
+        val = np.einsum("eqd,ed->eq", bf, Gq[:, :, i])
+        contrib = np.einsum("eq,eq,eqa->ea", ws.pw, val, test)
+        for e in range(ne):
+            np.add.at(rhs[:, i], mesh.triangles[e], -contrib[e])
+    return ws.lu.solve(ws.bc.constrain_rhs(rhs))
+
+
+def test_chunked_step_matches_per_sample_reference():
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
+                             2 * CHUNK + 5, seed=4)
+    ws = make_ws(mesh, space, boundary_layer(space))
+    assert ws.has_sample_loop and ws.model.forcing is None
+    rng = np.random.default_rng(5)
+    fields = rng.standard_normal((mesh.n_vertices, space.count))
+    fields[mesh.boundary_index()] = 0.0
+    state = FomState(fields)
+    want = _per_sample_step(state, ws)
+
+    seen = []
+    b_expl = ws.b_expl
+
+    def spy(x, omega):
+        seen.append(np.array(omega))
+        return b_expl(x, omega)
+
+    ws.b_expl = spy
+    got = fom_step(state, ws).fields
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert len(seen) == space.count
+    assert np.array_equal(np.array(seen), space.samples)

@@ -226,6 +226,43 @@ def test_assemble_load_multiple_columns():
         assert np.max(np.abs(out[:, k] - single)) <= 1e-15
 
 
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("skew", [False, True])
+def test_assemble_load_matches_element_loop(k, skew):
+    mesh = build_structured_mesh(3)
+    delta = np.linspace(0.05, 0.2, mesh.n_triangles)
+    blocks = assemble_blocks(
+        mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]), None,
+        delta)
+    quad = blocks.quad
+    phi = quad.basis_values()
+    pw = mesh.quad_weights(quad)
+    rng = np.random.default_rng(k)
+    vals = rng.standard_normal((mesh.n_triangles, quad.n_points, k))
+    want = np.zeros((mesh.n_vertices, k))
+    for e, tri in enumerate(mesh.triangles):
+        test = phi + (delta[e] * blocks.bg_at_qp[e] if skew else 0.0)
+        for a in range(3):
+            want[tri[a]] += (pw[e, :, None] * test[:, a, None]
+                             * vals[e]).sum(axis=0)
+    got = assemble_load(blocks, vals, skew=skew)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if k == 1:
+        single = assemble_load(blocks, vals[:, :, 0], skew=skew)
+        assert np.max(np.abs(single - want[:, 0])) \
+            <= 1e-14 * np.max(np.abs(want))
+
+
+def test_scatter_is_element_to_node_incidence():
+    mesh = build_structured_mesh(3)
+    S = mesh.scatter
+    assert S.shape == (mesh.n_vertices, 3 * mesh.n_triangles)
+    counts = np.bincount(mesh.triangles.ravel(),
+                         minlength=mesh.n_vertices)
+    assert np.array_equal(np.asarray(S.sum(axis=1)).ravel(), counts)
+    assert mesh.scatter is S
+
+
 def test_dirichlet_solves_linear_exactly():
     # -div(grad u) = 0 with u = x on the boundary has solution u = x
     mesh = build_structured_mesh(6)
