@@ -65,7 +65,8 @@ def fom_step(state, ws):
     if fields.shape[1] != ws.space.count:
         raise ConfigError("field columns must match the sample count")
 
-    rhs = ws.blocks.skewed_mass @ fields / ws.cfg.dt
+    rhs = ws.blocks.skewed_mass @ fields
+    rhs /= ws.cfg.dt
 
     fqp = ws.forcing_qp(state.t)
     if fqp is not None:
@@ -77,8 +78,8 @@ def fom_step(state, ws):
     if ws.has_sample_loop:
         _subtract_advection(rhs, ws, fields)
 
-    constrained = ws.bc.constrain_rhs(rhs)
-    out = ws.lu.solve(constrained)
+    rhs = ws.bc.constrain_rhs(rhs)   # frees the unconstrained copy
+    out = ws.lu.solve(rhs)
     if not np.all(np.isfinite(out)):
         raise ConfigError("full-order solve returned non-finite values")
     return FomState(out, t=state.t + ws.cfg.dt)

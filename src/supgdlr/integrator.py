@@ -82,7 +82,9 @@ class StepWorkspace:
 
     The constrained implicit matrix is identical for all modes (only
     right-hand sides differ between the mean mode and the homogeneous
-    fluctuation modes), so one sparse factorization serves them all.
+    fluctuation modes) and for all steps, so `prepare_workspace`
+    factors it once per run, with a minimum-degree column order on the
+    pattern of A^T + A, and that LU serves every mode and step.
     Braw = skewed_mass / dt + eps_bar stiffness + transport is that
     matrix before the Dirichlet rows are replaced.
     """
@@ -168,7 +170,10 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
     Braw = (blocks.skewed_mass / cfg.dt + eps_bar * blocks.stiffness
             + blocks.transport).tocsr()
     bc = DirichletCondition(Braw, mesh, cfg.bc)
-    lu = spla.splu(bc.matrix.tocsc())
+    # bc.matrix = D Braw D + diag has a symmetric pattern: minimum degree
+    # on A^T + A fills less than the default COLAMD, and relax=1 keeps
+    # the solves with the small supernodes of that order fast
+    lu = spla.splu(bc.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
     return StepWorkspace(
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
         quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc=bc, lu=lu,

@@ -342,9 +342,9 @@ def assemble_load(blocks, values_at_qp, skew=False):
 class DirichletCondition:
     """Row-replacement Dirichlet constraint with symmetric elimination.
 
-    Stores the constrained dof indices, their values and the eliminated
-    columns of the original operator so repeated right-hand sides can be
-    constrained cheaply.
+    Stores the constrained dof indices, their values and the lift (the
+    eliminated columns of the original operator times the values), so
+    repeated right-hand sides can be constrained cheaply.
     """
 
     def __init__(self, matrix, mesh, boundary_values):
@@ -364,7 +364,7 @@ class DirichletCondition:
         order = np.argsort(self.dofs)
         self.dofs = self.dofs[order]
         self.values = self.values[order]
-        self._cols = matrix.tocsc()[:, self.dofs].tocsr()
+        self._lift = matrix.tocsc()[:, self.dofs].tocsr() @ self.values
 
         # D A D + diag(boundary indicator), D the interior indicator
         boundary = np.zeros(matrix.shape[0])
@@ -378,9 +378,9 @@ class DirichletCondition:
         """Return the rhs consistent with the constrained matrix."""
         out = np.array(rhs, dtype=float, copy=True)
         if out.ndim == 1:
-            out -= self._cols @ self.values
+            out -= self._lift
             out[self.dofs] = self.values
         else:
-            out -= (self._cols @ self.values)[:, None]
+            out -= self._lift[:, None]
             out[self.dofs, :] = self.values[:, None]
         return out

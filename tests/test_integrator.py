@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    BlowupError, ConfigError, FomState, SchemeConfig, delta_experiment,
-    build_structured_mesh, constant_adr, fom_run, fom_step,
-    init_from_modes, make_monte_carlo, make_tensor_grid,
-    prepare_workspace, rotating_body, run, step, step_report,
+    BlowupError, ConfigError, FomState, NearSingularError, SchemeConfig,
+    delta_experiment, build_structured_mesh, constant_adr, fom_run,
+    fom_step, init_from_modes, make_monte_carlo, make_tensor_grid,
+    prepare_workspace, rotating_body, run, step, step_deterministic_modes,
+    step_report, step_stochastic_modes,
 )
+from supgdlr.integrator import WCOND_THRESHOLD
 
 from conftest import check_invariants
 
@@ -252,3 +254,35 @@ def test_stochastic_advection_full_rank_oracle():
         state, _ = step(state, ws)
         fom = fom_step(fom, ws)
     assert np.max(np.abs(state.dense() - fom.fields)) <= 1e-9
+
+
+def test_shared_lu_is_ordered_for_the_symmetric_pattern():
+    # the constrained matrix has a symmetric pattern, and its LU is
+    # ordered for it: less fill than splu's default column order, with
+    # the same solutions
+    import scipy.sparse.linalg as spla
+    from supgdlr import build_problem, preset_rotating_body
+
+    ws = build_problem(preset_rotating_body("desk"))[5]
+    A = ws.bc.matrix
+    assert (A != 0).nnz == ((A != 0) + (A != 0).T).nnz
+    default = spla.splu(A.tocsc())
+    assert ws.lu.L.nnz + ws.lu.U.nnz < default.L.nnz + default.U.nnz
+    b = np.random.default_rng(3).standard_normal((A.shape[0], 3))
+    ref = spla.spsolve(A.tocsc(), b)
+    assert np.max(np.abs(ws.lu.solve(b) - ref)) \
+        <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_equal_fluctuation_modes_raise_near_singular():
+    # equal fluctuation columns of U_tilde make the projected
+    # mode-coupling matrix singular, which must stop the step
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 10, seed=7)
+    ws = make_ws(mesh, space, rotating_body(), dt=1e-3)
+    state = random_state(mesh, space, rank=2, seed=8)
+    U_tilde, caches = step_deterministic_modes(state, ws)
+    U_tilde[:, 2] = U_tilde[:, 1]
+    with pytest.raises(NearSingularError) as err:
+        step_stochastic_modes(state, U_tilde, ws, caches)
+    assert err.value.condition > WCOND_THRESHOLD
