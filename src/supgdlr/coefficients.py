@@ -54,9 +54,9 @@ class CoefficientModel:
 
     b_fluct(points, omega) evaluates the fluctuation of one sample from
     the modes.  c_fluct is always None: the reaction is deterministic,
-    so that the shifted reaction mu stays deterministic; the attribute
-    is kept for tools that wrap every coefficient callable
-    (bench/spans.py).
+    so that the shifted reaction mu stays deterministic.  The
+    benchmark's tracer (bench/spans.py) assigns the attribute, so it
+    goes only together with a change to the benchmark.
     """
 
     name: str

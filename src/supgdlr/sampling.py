@@ -3,10 +3,12 @@
 All stochastic inner products are realized by an empirical measure with
 positive weights summing to one.  Provides weighted means and inner
 products, projection onto the orthogonal complement of a stochastic
-basis, and a weighted orthonormalization used after every time step.
+basis, and a weighted Householder orthonormalization used after every
+time step.
 """
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, RankLossError
 
@@ -103,35 +105,42 @@ def project_complement(z, Y, space):
 
 
 def weighted_orthonormalize(Y_tilde, space):
-    """Weighted modified Gram-Schmidt with one reorthogonalization pass.
+    """Weighted thin QR by one Householder factorization of sqrt(w) Y_tilde.
 
     Returns (Y, T) with orthonormal columns Y, upper triangular T with
-    positive diagonal, and Y_tilde = Y @ T.  Raises RankLossError when a
-    pivot falls below RANK_TOL relative to the largest column norm.
+    positive diagonal, and Y_tilde = Y @ T.  Raises RankLossError at the
+    first pivot T_jj at or below RANK_TOL times the largest column norm
+    (the largest column norm of T, as Q is orthonormal).
+
+    `integrator.step` passes Y + dY with Y centered orthonormal and dY in
+    the complement of span{1, Y}, so Y_tilde^T W Y_tilde = I + dY^T W dY
+    and the pivot ratio is at least 1 / sigma_max(sqrt(w) dY).
     """
     Yt = np.atleast_2d(np.asarray(Y_tilde, dtype=float))
     Yt = _check_len(Yt, space)
     n, r = Yt.shape
-    Y = np.empty((n, r))
-    T = np.zeros((r, r))
-    w = space.weights
-    col_scale = max(np.sqrt(inner(Yt[:, j], Yt[:, j], space))
-                    for j in range(r)) if r else 1.0
-    for j in range(r):
-        v = Yt[:, j].copy()
-        for _ in range(2):                  # MGS + one reorthogonalization
-            for i in range(j):
-                h = float(np.dot(w * Y[:, i], v))
-                T[i, j] += h
-                v -= h * Y[:, i]
-        norm = np.sqrt(float(np.dot(w * v, v)))
-        if norm <= RANK_TOL * max(col_scale, 1e-300):
-            raise RankLossError(
-                f"rank deficiency at column {j} (pivot {norm:.3e})",
-                numerical_rank=j)
-        T[j, j] = norm
-        Y[:, j] = v / norm
-    return Y, T
+    if r == 0:
+        return np.empty((n, 0)), np.empty((0, 0))
+    sw = np.sqrt(space.weights)[:, None]
+    # column-major throughout: LAPACK takes the scaled modes without a
+    # copy, and scaling the (n, r) columns of Q streams along n
+    Q, T = scipy.linalg.qr(np.multiply(sw, Yt, order="F"),
+                           mode="economic", overwrite_a=True,
+                           check_finite=False)
+    sign = np.where(np.diag(T) < 0.0, -1.0, 1.0)
+    T *= sign[:, None]
+    pivots = np.zeros(r)                    # r > n leaves zero pivots
+    pivots[:len(sign)] = np.diag(T)
+    col_scale = max(float(np.max(np.linalg.norm(T, axis=0))), 1e-300)
+    low = np.flatnonzero(pivots <= RANK_TOL * col_scale)
+    if low.size:
+        j = int(low[0])
+        raise RankLossError(
+            f"rank deficiency at column {j} (pivot {pivots[j]:.3e})",
+            numerical_rank=j)
+    Q *= sign
+    Q /= sw
+    return Q, T
 
 
 def _uniform_weights(n):

@@ -1,18 +1,20 @@
 """Norms, structural checkers, bound ledgers and CSV output."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from supgdlr import (
     ConfigError, SchemeConfig, StabilizationParams, analyze_reaction,
-    assemble_blocks, boundary_layer, build_structured_mesh,
+    assemble_blocks, boundary_layer, build_problem, build_structured_mesh,
     check_coercivity, check_moderate_stochasticity, check_tangent_residual,
     constant_adr, delta_experiment, estimate_inverse_constant,
     evaluate_bound, forcing_norms,
     init_from_modes, l2_norm, make_monte_carlo, md_metric,
-    prepare_workspace, rotating_body, run, step, step_report,
+    prepare_workspace, preset_boundary_layer, preset_rotating_body,
+    rotating_body, run, step, step_report,
     write_ledgers_csv, write_reports_csv,
 )
 from supgdlr.diagnostics import StepReport
@@ -228,6 +230,18 @@ def test_tangent_residual_perturbation_sensitivity(case):
     bad[ws.mesh.interior_index(), :] += 1e-3
     res = check_tangent_residual(ws, state, bad, Y_tilde)
     assert res > 1e-5
+
+
+@pytest.mark.parametrize("preset", [preset_rotating_body,
+                                    preset_boundary_layer])
+def test_tangent_residual_on_desk_presets(preset):
+    # the check needs no basis of the complement, so it runs at the
+    # presets' 200 and 256 samples
+    cfg = replace(preset("desk"), tangent_residual=True)
+    ws, state = build_problem(cfg)[5:]
+    for _ in range(3):
+        state, report = step(state, ws)
+        assert report.tangent_residual <= 1e-9
 
 
 def decay_run(c=0.0, f=None, dt=0.01, T=0.5, eps=0.05, eps_fn=None):

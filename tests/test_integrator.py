@@ -5,10 +5,11 @@ import pytest
 
 from supgdlr import (
     BlowupError, ConfigError, FomState, NearSingularError, SchemeConfig,
-    delta_experiment, build_structured_mesh, constant_adr, fom_run,
-    fom_step, init_from_modes, make_monte_carlo, make_tensor_grid,
-    prepare_workspace, rotating_body, run, step, step_deterministic_modes,
-    step_report, step_stochastic_modes,
+    delta_experiment, build_problem, build_structured_mesh, constant_adr,
+    fom_run, fom_step, init_from_modes, make_monte_carlo, make_tensor_grid,
+    prepare_workspace, preset_boundary_layer, preset_rotating_body,
+    rotating_body, run, step, step_deterministic_modes, step_report,
+    step_stochastic_modes,
 )
 from supgdlr.integrator import WCOND_THRESHOLD
 
@@ -56,17 +57,6 @@ def test_supg_needs_delta():
     mesh = build_structured_mesh(3)
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=0)
     cfg = SchemeConfig(dt=0.1, delta=np.zeros(mesh.n_triangles - 1))
-    with pytest.raises(ConfigError):
-        prepare_workspace(rotating_body(), mesh, space, cfg)
-
-
-def test_tangent_check_limited_to_small_sample_spaces():
-    mesh = build_structured_mesh(3)
-    cfg = SchemeConfig(dt=0.1, delta=delta_experiment(mesh),
-                       compute_tangent_residual=True)
-    space = make_monte_carlo([(-1.0, 1.0)] * 3, 64, seed=0)
-    prepare_workspace(rotating_body(), mesh, space, cfg)
-    space = make_monte_carlo([(-1.0, 1.0)] * 3, 65, seed=0)
     with pytest.raises(ConfigError):
         prepare_workspace(rotating_body(), mesh, space, cfg)
 
@@ -261,7 +251,6 @@ def test_shared_lu_is_ordered_for_the_symmetric_pattern():
     # ordered for it: less fill than splu's default column order, with
     # the same solutions
     import scipy.sparse.linalg as spla
-    from supgdlr import build_problem, preset_rotating_body
 
     ws = build_problem(preset_rotating_body("desk"))[5]
     A = ws.bc.matrix
@@ -272,6 +261,22 @@ def test_shared_lu_is_ordered_for_the_symmetric_pattern():
     ref = spla.spsolve(A.tocsc(), b)
     assert np.max(np.abs(ws.lu.solve(b) - ref)) \
         <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("preset", [preset_rotating_body,
+                                    preset_boundary_layer])
+def test_mode_coupling_from_solved_rhs(preset):
+    # the boundary layer has non-zero Dirichlet data on its mean mode
+    ws, state = build_problem(preset("desk"))[5:]
+    for _ in range(3):
+        U_tilde, caches = step_deterministic_modes(state, ws)
+        Um = U_tilde[:, 1:]
+        assert np.all(Um[ws.bc.dofs] == 0.0)
+        sparse_form = Um.T @ (ws.Braw.T @ Um)
+        from_rhs = caches[-1][:, 1:].T @ Um
+        assert np.max(np.abs(from_rhs - sparse_form)) \
+            <= 1e-13 * np.max(np.abs(sparse_form))
+        state, _ = step(state, ws)
 
 
 def test_equal_fluctuation_modes_raise_near_singular():

@@ -201,17 +201,6 @@ def test_run_from_config_bad_stabilization(tmp_path):
     assert "gls" in manifest["error"]
 
 
-def test_run_from_config_rejects_tangent_check_on_many_samples(tmp_path):
-    sampler = {"kind": "monte_carlo", "count": 65, "seed": 3,
-               "intervals": [(-1.0, 1.0)] * 3}
-    cfg = tiny_config(str(tmp_path / "big"), sampler=sampler,
-                      tangent_residual=True)
-    status, manifest = run_from_config(cfg)
-    assert status == 1
-    assert manifest["status"] == "config_error"
-    assert "tangent residual" in manifest["error"]
-
-
 def test_field_dump_written_at_requested_time(tmp_path):
     out = tmp_path / "dumps"
     cfg = tiny_config(str(out), dump_times=(0.1,), dump_samples=(0,))

@@ -73,6 +73,63 @@ def test_orthonormalize_rank_loss():
     assert err.value.numerical_rank == 1
 
 
+def mgs_reference(Yt, space):
+    """Weighted modified Gram-Schmidt with one reorthogonalization pass."""
+    w = space.weights
+    n, r = Yt.shape
+    Y = np.empty((n, r))
+    T = np.zeros((r, r))
+    for j in range(r):
+        v = Yt[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                h = float(np.dot(w * Y[:, i], v))
+                T[i, j] += h
+                v -= h * Y[:, i]
+        T[j, j] = np.sqrt(float(np.dot(w * v, v)))
+        Y[:, j] = v / T[j, j]
+    return Y, T
+
+
+@pytest.mark.parametrize("n, r", [(256, 7), (7000, 2)])
+def test_orthonormalize_matches_gram_schmidt(n, r):
+    rng = np.random.default_rng(n + r)
+    w = rng.uniform(0.5, 1.5, n)
+    space = SampleSpace(rng.standard_normal((n, 1)), w / w.sum())
+    Yt = rng.standard_normal((n, r))
+    Yt -= expectation(Yt, space)
+    Y, T = weighted_orthonormalize(Yt, space)
+    Y_ref, T_ref = mgs_reference(Yt, space)
+    assert np.max(np.abs(Y - Y_ref)) <= 1e-13 * np.max(np.abs(Y_ref))
+    assert np.max(np.abs(T - T_ref)) <= 1e-14 * np.max(np.abs(T_ref))
+
+
+def test_orthonormalize_dependent_column_rank():
+    space = make_monte_carlo([(-1.0, 1.0)], 20, seed=2)
+    rng = np.random.default_rng(4)
+    Yt = rng.standard_normal((20, 4))
+    Yt[:, 2] = 0.5 * Yt[:, 0] - 3.0 * Yt[:, 1]
+    with pytest.raises(RankLossError) as err:
+        weighted_orthonormalize(Yt, space)
+    assert err.value.numerical_rank == 2
+
+
+def test_orthonormalize_zero_column():
+    space = make_monte_carlo([(-1.0, 1.0)], 8, seed=3)
+    Yt = np.random.default_rng(5).standard_normal((8, 3))
+    Yt[:, 1] = 0.0
+    with pytest.raises(RankLossError) as err:
+        weighted_orthonormalize(Yt, space)
+    assert err.value.numerical_rank == 1
+
+
+def test_orthonormalize_rank_zero():
+    space = make_monte_carlo([(-1.0, 1.0)], 5, seed=1)
+    Y, T = weighted_orthonormalize(np.zeros((5, 0)), space)
+    assert Y.shape == (5, 0)
+    assert T.shape == (0, 0)
+
+
 def test_project_complement_properties():
     rng = np.random.default_rng(3)
     space = make_monte_carlo([(-1.0, 1.0)] * 2, 12, seed=5)
