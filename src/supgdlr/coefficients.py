@@ -53,10 +53,14 @@ class CoefficientModel:
     forcing  : None or callable (t, points) -> (n,) deterministic source
 
     b_fluct(points, omega) evaluates the fluctuation of one sample from
-    the modes.  c_fluct is always None: the reaction is deterministic,
-    so that the shifted reaction mu stays deterministic.  The
-    benchmark's tracer (bench/spans.py) assigns the attribute, so it
-    goes only together with a change to the benchmark.
+    the modes.  It keeps the beta_k(points) of the last points array it
+    was given, matched by identity, so the full-order step's one call
+    per sample and step evaluates each beta_k once per step; points
+    arrays passed to it are therefore treated as immutable.  c_fluct is
+    always None: the reaction is deterministic, so that the shifted
+    reaction mu stays deterministic.  The benchmark's tracer
+    (bench/spans.py) assigns that attribute, so it goes only together
+    with a change to the benchmark.
     """
 
     name: str
@@ -67,6 +71,9 @@ class CoefficientModel:
     div_b: callable = None
     forcing: callable = None
     c_fluct: callable = field(init=False, default=None, repr=False)
+    # (points, beta_k(points) of every mode) of the last b_fluct call
+    _beta_at: tuple = field(init=False, default=(None, ()), compare=False,
+                            repr=False)
 
     def __post_init__(self):
         self.b_modes = tuple(self.b_modes)
@@ -110,9 +117,13 @@ class CoefficientModel:
         """Advection fluctuation sum_k theta_k(omega) beta_k(x); needs
         at least one mode."""
         omega = np.atleast_2d(omega)
-        return reduce(add, (float(theta(omega)[0])
-                            * np.asarray(beta(x), dtype=float)
-                            for theta, beta in self.b_modes))
+        seen, betas = self._beta_at
+        if seen is not x:
+            betas = tuple(np.asarray(beta(x), dtype=float)
+                          for _, beta in self.b_modes)
+            self._beta_at = (x, betas)
+        return reduce(add, (float(theta(omega)[0]) * b
+                            for (theta, _), b in zip(self.b_modes, betas)))
 
     def b_at(self, x, omega=None):
         b = np.asarray(self.b_mean(x), dtype=float)

@@ -7,9 +7,17 @@ path.  The explicit advection fluctuation, however, is evaluated
 independently: by quadrature of each sample's own field (`b_fluct`,
 called once per sample and step), not through the assembled affine-mode
 blocks the low-rank step uses.  That makes the full-order step the
-oracle that checks those blocks.  The samples are taken in chunks of a
-fixed size, so the per-step temporaries are O(CHUNK n_e n_q) whatever
-the sample count.
+oracle that checks those blocks.
+
+One step is one pass over chunks of CHUNK samples.  Each chunk's whole
+right-hand side (skewed mass over dt, the forcing load assembled once
+per step, explicit diffusion and the per-sample advection load) is
+built, constrained and solved into its columns of the preallocated
+output while it is in cache.  Beyond the input and output fields the
+loop's temporaries are O(N_h CHUNK + CHUNK n_e n_q) whatever the
+sample count.  The step then takes its own weighted L2 norm,
+FomState.l2, which `fom_run` returns; `l2_norm` forms one mass product
+the size of the fields for it.
 """
 
 import numpy as np
@@ -23,40 +31,42 @@ __all__ = ["FomState", "fom_step", "fom_run"]
 
 
 class FomState:
-    """All sample fields as columns of one (N_h, N_C) matrix."""
+    """All sample fields as columns of one (N_h, N_C) matrix.
 
-    def __init__(self, fields, t=0.0):
+    l2 is the weighted L2 norm of the fields when the step that made
+    them measured it, else None.
+    """
+
+    def __init__(self, fields, t=0.0, l2=None):
         self.fields = np.asarray(fields, dtype=float)
         if self.fields.ndim != 2:
             raise ConfigError("fields must be a nodes-by-samples matrix")
         self.t = float(t)
+        self.l2 = l2
 
     @property
     def n_samples(self):
         return self.fields.shape[1]
 
 
-CHUNK = 32      # samples per chunk of the explicit advection residual
+CHUNK = 32      # samples per chunk of the step's right-hand side and solve
 
 
-def _subtract_advection(rhs, ws, fields):
+def _subtract_advection(rhs, ws, fields, samples):
     """rhs[:, i] -= the skewed load of b_expl(omega_i) . grad u_i, with
-    each sample's advection at its own parameters, CHUNK at a time."""
+    each sample's advection at its own parameters."""
     mesh = ws.mesh
     ne, nq = ws.pw.shape
-    for start in range(0, fields.shape[1], CHUNK):
-        cols = slice(start, start + CHUNK)
-        Gq = np.matmul(mesh.grads.transpose(0, 2, 1),
-                       fields[mesh.triangles, cols])   # (ne, 2, c)
-        Gq = Gq.transpose(2, 1, 0).copy()               # (c, 2, ne)
-        val = np.empty((len(Gq), ne, nq))
-        for g, v, omega in zip(Gq, val, ws.space.samples[cols]):
-            bf = np.asarray(ws.b_expl(ws.xq_flat, omega),
-                            dtype=float).reshape(ne, nq, 2)
-            np.multiply(bf[..., 0], g[0, :, None], out=v)
-            v += bf[..., 1] * g[1, :, None]
-        rhs[:, cols] -= assemble_load(ws.blocks, val.transpose(1, 2, 0),
-                                      skew=True)
+    Gq = np.matmul(mesh.grads.transpose(0, 2, 1),
+                   fields[mesh.triangles])          # (ne, 2, c)
+    Gq = Gq.transpose(2, 1, 0).copy()               # (c, 2, ne)
+    val = np.empty((len(Gq), ne, nq))
+    for g, v, omega in zip(Gq, val, samples):
+        bf = np.asarray(ws.b_expl(ws.xq_flat, omega),
+                        dtype=float).reshape(ne, nq, 2)
+        np.multiply(bf[..., 0], g[0, :, None], out=v)
+        v += bf[..., 1] * g[1, :, None]
+    rhs -= assemble_load(ws.blocks, val.transpose(1, 2, 0), skew=True)
 
 
 def fom_step(state, ws):
@@ -65,24 +75,28 @@ def fom_step(state, ws):
     if fields.shape[1] != ws.space.count:
         raise ConfigError("field columns must match the sample count")
 
-    rhs = ws.blocks.skewed_mass @ fields
-    rhs /= ws.cfg.dt
-
     fqp = ws.forcing_qp(state.t)
-    if fqp is not None:
-        rhs += assemble_load(ws.blocks, fqp, skew=True)[:, None]
+    load = None if fqp is None \
+        else assemble_load(ws.blocks, fqp, skew=True)[:, None]
 
-    if ws.has_explicit_eps:
-        rhs -= ws.blocks.stiffness @ (fields * ws.eps_expl[None, :])
+    out = np.empty_like(fields)
+    for start in range(0, fields.shape[1], CHUNK):
+        cols = slice(start, start + CHUNK)
+        u = fields[:, cols]
+        rhs = ws.blocks.skewed_mass @ u
+        rhs /= ws.cfg.dt
+        if load is not None:
+            rhs += load
+        if ws.has_explicit_eps:
+            rhs -= ws.blocks.stiffness @ (u * ws.eps_expl[None, cols])
+        if ws.has_sample_loop:
+            _subtract_advection(rhs, ws, u, ws.space.samples[cols])
+        out[:, cols] = ws.lu.solve(ws.bc.constrain_rhs(rhs))
 
-    if ws.has_sample_loop:
-        _subtract_advection(rhs, ws, fields)
-
-    rhs = ws.bc.constrain_rhs(rhs)   # frees the unconstrained copy
-    out = ws.lu.solve(rhs)
     if not np.all(np.isfinite(out)):
         raise ConfigError("full-order solve returned non-finite values")
-    return FomState(out, t=state.t + ws.cfg.dt)
+    return FomState(out, t=state.t + ws.cfg.dt,
+                    l2=l2_norm(out, ws.blocks.mass, ws.space))
 
 
 def fom_run(initial, ws, T, callbacks=()):
@@ -90,11 +104,10 @@ def fom_run(initial, ws, T, callbacks=()):
 
     Each callback is called as cb(state, norm).
     """
-    def measure(state):
-        return l2_norm(state, ws.blocks.mass, ws.space)
-
     def advance(state):
         state = fom_step(state, ws)   # looked up per call: wrappers apply
-        return state, measure(state)
+        return state, state.l2
 
-    return _time_loop(initial, ws, T, advance, measure, float, callbacks)
+    return _time_loop(initial, ws, T, advance,
+                      lambda state: l2_norm(state, ws.blocks.mass, ws.space),
+                      float, callbacks)

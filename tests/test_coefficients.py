@@ -1,5 +1,7 @@
 """Coefficient models, reaction analysis and stabilization policies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,51 @@ def test_validate_rejects_biased_advection_mode():
     model(centered).validate(space, mesh)
     with pytest.raises(ConfigError):
         model(centered - 0.1).validate(space, mesh)
+
+
+def test_b_fluct_memo_matches_the_unmemoized_sum():
+    space = make_monte_carlo([(-1.0, 1.0)] * 2, 6, seed=7)
+    base = constant_adr()
+    calls = []
+
+    def beta_rot(x):
+        calls.append(x)
+        return np.column_stack([x[:, 1], -x[:, 0]])
+
+    def beta_sq(x):
+        calls.append(x)
+        return np.column_stack([x[:, 1] ** 2, x[:, 0] ** 2])
+
+    modes = ((lambda s: np.atleast_2d(s)[:, 0], beta_rot),
+             (lambda s: 0.3 * np.atleast_2d(s)[:, 1] ** 3, beta_sq))
+    model = CoefficientModel(name="modes", eps=base.eps,
+                             b_mean=base.b_mean, b_modes=modes)
+    twin = replace(model)
+
+    def unmemoized(x, omega):
+        omega = np.atleast_2d(omega)
+        acc = None
+        for theta, beta in modes:
+            term = float(theta(omega)[0]) * np.asarray(beta(x), dtype=float)
+            acc = term if acc is None else acc + term
+        return acc
+
+    rng = np.random.default_rng(1)
+    xa, xb = rng.uniform(0, 1, (9, 2)), rng.uniform(0, 1, (5, 2))
+    last = None
+    for x in (xa, xa, xb, xa, xb, xb, xa.copy()):
+        for omega in space.samples[:3]:
+            want = unmemoized(x, omega)
+            calls.clear()
+            got = model.b_fluct(x, omega)
+            assert got.shape == x.shape
+            assert np.array_equal(got, want)
+            # every beta_k is evaluated once per new points array
+            assert len(calls) == (0 if x is last else 2)
+            assert all(c is x for c in calls)
+            last = x
+
+    assert model == twin and "_beta_at" not in repr(model)
 
 
 def test_negative_delta_rejected():

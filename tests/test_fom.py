@@ -6,7 +6,7 @@ import pytest
 from supgdlr import (
     ConfigError, FomState, SchemeConfig, boundary_layer,
     build_structured_mesh, constant_adr, delta_experiment, fom_run,
-    fom_step, make_monte_carlo, prepare_workspace, rotating_body,
+    fom_step, l2_norm, make_monte_carlo, prepare_workspace, rotating_body,
 )
 from supgdlr.fom import CHUNK
 
@@ -108,3 +108,64 @@ def test_chunked_step_matches_per_sample_reference():
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert len(seen) == space.count
     assert np.array_equal(np.array(seen), space.samples)
+
+
+def _one_shot_forcing_step(state, ws):
+    """One full-order step of all samples at once, with the forcing load
+    summed element by element: the reference of the chunked step when
+    there is no random advection."""
+    mesh, fields = ws.mesh, state.fields
+    test = ws.quad.basis_values()[None] \
+        + ws.delta[:, None, None] * ws.blocks.bg_at_qp
+    fq = ws.model.forcing(state.t + ws.cfg.dt, ws.xq_flat)
+    contrib = np.einsum("eq,eq,eqa->ea", ws.pw,
+                        np.reshape(fq, ws.pw.shape), test)
+    load = np.zeros(mesh.n_vertices)
+    np.add.at(load, mesh.triangles, contrib)
+    rhs = ws.blocks.skewed_mass @ fields / ws.cfg.dt + load[:, None]
+    rhs -= ws.blocks.stiffness @ (fields * ws.eps_expl[None, :])
+    return ws.lu.solve(ws.bc.constrain_rhs(rhs))
+
+
+def test_forcing_step_matches_one_shot_reference():
+    mesh = build_structured_mesh(5)
+    space = make_monte_carlo([(-1.0, 1.0)] * 2, 2 * CHUNK + 5, seed=6)
+
+    def eps_fn(samples):
+        return 0.05 * (1.0 + 0.5 * np.atleast_2d(samples)[:, 0])
+
+    def f(t, x):
+        return (1.0 + t) * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+
+    ws = make_ws(mesh, space, constant_adr(b=(1.0, 0.5), f=f,
+                                           eps_fn=eps_fn), dt=0.01)
+    assert ws.has_explicit_eps and not ws.has_sample_loop
+    rng = np.random.default_rng(7)
+    fields = rng.standard_normal((mesh.n_vertices, space.count))
+    fields[mesh.boundary_index()] = 0.0
+    state = FomState(fields, t=0.02)
+    want = _one_shot_forcing_step(state, ws)
+    got = fom_step(state, ws).fields
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_step_carries_its_l2_norm():
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
+                             CHUNK + 3, seed=8)
+    ws = make_ws(mesh, space, boundary_layer(space))
+    rng = np.random.default_rng(9)
+    fields = rng.standard_normal((mesh.n_vertices, space.count))
+    fields[mesh.boundary_index()] = 0.0
+    initial = FomState(fields)
+    assert initial.l2 is None
+
+    new = fom_step(initial, ws)
+    assert new.l2 == l2_norm(new.fields, ws.blocks.mass, ws.space)
+
+    seen = []
+    _, norms = fom_run(initial, ws, 5e-3,
+                       callbacks=(lambda st, nrm: seen.append((st, nrm)),))
+    assert len(norms) == len(seen) == 6
+    for norm, (st, cb_norm) in zip(norms, seen):
+        assert norm == cb_norm == l2_norm(st, ws.blocks.mass, ws.space)
