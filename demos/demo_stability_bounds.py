@@ -4,10 +4,13 @@ For the stabilized low-rank scheme, unconditional (implicit) and
 conditional (semi-implicit) energy estimates bound the weighted L2 norm
 of the solution at the final time by the initial data and the forcing,
 provided the per-element stabilization parameter stays below an
-explicit threshold.  evaluate_bound turns each estimate into a ledger
+explicit threshold.  evaluate_bounds turns each estimate into a ledger
 row: is the estimate applicable here (preconditions on delta_K, the
 reaction coefficient, the time step, the stochastic fluctuations), and
 if so, does the computed trajectory satisfy it and with what margin.
+It reads every fact it needs from the run's workspace and reports:
+delta_K and its inverse constant, dt, the final time, the forcing
+norms and the moderate-stochasticity report.
 
 The demo runs a small advection-diffusion-reaction problem with random
 initial data once per case and prints the ledger of both theorems for
@@ -27,9 +30,8 @@ instead of silently passing.
 import numpy as np
 
 from supgdlr import (
-    SchemeConfig, analyze_reaction, build_structured_mesh,
-    check_moderate_stochasticity, constant_adr, evaluate_bound,
-    forcing_norms, init_from_modes, make_monte_carlo, prepare_workspace,
+    SchemeConfig, analyze_reaction, build_structured_mesh, constant_adr,
+    evaluate_bounds, init_from_modes, make_monte_carlo, prepare_workspace,
     run,
 )
 from supgdlr.runner import resolve_delta
@@ -60,8 +62,7 @@ def trajectory(c=0.0, f=None, eps_fn=None):
                            analysis=analysis)
     state = random_state(mesh, space, rank=1, seed=11)
     _, reports = run(state, ws, T)
-    stoch = check_moderate_stochasticity(model, analysis, space)
-    return ws, analysis, delta, reports, stoch
+    return ws, reports
 
 
 def show(led):
@@ -84,12 +85,10 @@ def main():
     }
     ledgers = {}
     for case, kw in setups.items():
-        ws, analysis, delta, reports, stoch = trajectory(**kw)
-        fn = forcing_norms(ws, 0.0, len(reports) - 1)
-        for theorem in ("im_stab", "si_stab"):
-            ledgers[theorem, case] = evaluate_bound(
-                reports, theorem, case, analysis, delta, DT, T,
-                f_norms=fn, stoch_report=stoch)
+        ws, reports = trajectory(**kw)
+        for led in evaluate_bounds(reports, ws, [("im_stab", case),
+                                                 ("si_stab", case)]):
+            ledgers[led.theorem, case] = led
     # each theorem under the name of the paper's scheme it is stated for
     for label, theorem in (("implicit_euler_deterministic", "im_stab"),
                            ("semi_implicit", "si_stab")):
@@ -99,10 +98,9 @@ def main():
         print()
 
     print("strongly random diffusion, eps = 0.05 (1 + 0.5 y):")
-    ws, analysis, delta, reports, stoch = trajectory(
+    ws, reports = trajectory(
         eps_fn=lambda samples: 0.05 * (1.0 + 0.5 * samples[:, 0]))
-    led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
-                         DT, T, stoch_report=stoch)
+    [led] = evaluate_bounds(reports, ws, [("si_stab", "ii")])
     show(led)
     print("  (the fluctuation gate refuses to certify rather than "
           "passing silently)")

@@ -45,7 +45,7 @@ from .fom import FomState, fom_step, fom_run
 from .diagnostics import (
     StepReport, BoundLedger, NormEvaluator, l2_norm, md_metric,
     range_excess, check_coercivity, check_tangent_residual,
-    evaluate_bound, forcing_norms, step_report, write_reports_csv,
+    evaluate_bounds, forcing_norms, step_report, write_reports_csv,
     write_ledgers_csv,
 )
 from .runner import (

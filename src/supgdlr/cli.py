@@ -21,10 +21,9 @@ from . import runner
 from .mesh import assemble_blocks, build_structured_mesh
 from .sampling import make_monte_carlo
 from .coefficients import (
-    analyze_reaction, check_moderate_stochasticity, constant_adr,
-    delta_experiment, rotating_body,
+    analyze_reaction, constant_adr, delta_experiment, rotating_body,
 )
-from .diagnostics import check_coercivity, evaluate_bound
+from .diagnostics import check_coercivity, evaluate_bounds
 from .integrator import SchemeConfig, prepare_workspace, run, step
 from .lowrank import init_from_modes
 from .fom import FomState, fom_step
@@ -93,20 +92,17 @@ def _decay_setup():
     U = np.zeros((mesh.n_vertices, 2))
     U[interior] = 0.1 * rng.standard_normal((len(interior), 2))
     Y = rng.standard_normal((space.count, 2))
-    state = init_from_modes(U0, U, Y, space)
-    return mesh, space, model, analysis, delta, ws, state
+    return ws, init_from_modes(U0, U, Y, space)
 
 
 def _suite_bounds():
     status = 0
-    mesh, space, model, analysis, delta, ws, state = _decay_setup()
+    ws, state = _decay_setup()
     _, reports = run(state, ws, 1.0)
-    stoch = check_moderate_stochasticity(model, analysis, space)
-    for theorem in ("im_stab", "si_stab"):
-        led = evaluate_bound(reports, theorem, "ii", analysis, delta,
-                             ws.cfg.dt, 1.0, stoch_report=stoch)
+    for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
+                                             ("si_stab", "ii")]):
         verdict = "PASS" if led.applicable and led.passed else "FAIL"
-        print(f"bounds[{theorem} case ii]: {verdict} "
+        print(f"bounds[{led.theorem} case ii]: {verdict} "
               f"margin {led.margin:.3e} ({led.reason or 'applicable'})")
         if verdict == "FAIL":
             status = 3

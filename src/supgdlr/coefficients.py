@@ -181,28 +181,26 @@ class ReactionAnalysis:
     eps_hat: float
     C_E: float
     random_advection: bool
-    mesh: object
 
 
 class StabilizationParams:
     """Per-element stabilization parameter, with the inverse constant C_I
-    and the space dimension d that the bound policies read.
+    of the bound policy that produced it (None for h_K/4).
 
     Every policy here gives finite entries; `capped` clips them at a
     per-element cap (the runner caps the coercivity policy at h_K/4).
     """
 
-    def __init__(self, delta_K, C_I=None, d=2):
+    def __init__(self, delta_K, C_I=None):
         self.delta_K = np.asarray(delta_K, dtype=float)
         self.C_I = C_I
-        self.d = d
         if np.any(self.delta_K < 0):
             raise ConfigError("delta_K must be nonnegative")
 
     def capped(self, cap_delta_K):
         """Clip delta_K at the given per-element cap."""
         return StabilizationParams(np.minimum(self.delta_K, cap_delta_K),
-                                   self.C_I, self.d)
+                                   self.C_I)
 
 
 def analyze_reaction(model, mesh, space, quad=None):
@@ -238,7 +236,7 @@ def analyze_reaction(model, mesh, space, quad=None):
         mu_tilde=mu_tilde, nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
         eps_star_sup=float(np.max(np.abs(eps_star))),
         eps_hat=eps_hat, C_E=C_E,
-        random_advection=model.has_random_advection, mesh=mesh)
+        random_advection=model.has_random_advection)
 
 
 def estimate_inverse_constant(mesh, blocks):
@@ -264,38 +262,31 @@ def estimate_inverse_constant(mesh, blocks):
     return mesh.h * np.sqrt(float(lam[0]) * (1.0 + 1e-6))
 
 
-def delta_coercivity(mesh, analysis, params):
+def delta_coercivity(mesh, analysis, C_I):
     """Largest delta_K admitted by the weak-coercivity lemma.
 
     Per element the minimum of 1/(2 |||c|||_K) and
-    h_K^2/(2 d C_I^2 C_E^2 eps_hat).  The reaction constraint is
-    inactive (+inf) without reaction, the diffusion constraint is
-    always finite, so every entry is finite.
+    h_K^2/(2 d C_I^2 C_E^2 eps_hat) in d = 2 space dimensions.  The
+    reaction constraint is inactive (+inf) without reaction, the
+    diffusion constraint is always finite, so every entry is finite.
     """
-    if params.C_I is None:
-        raise ConfigError("diffusion constraint needs C_I")
     with np.errstate(divide="ignore"):
         b1 = np.where(analysis.c_sup_K > 0,
                       1.0 / (2.0 * analysis.c_sup_K), np.inf)
-    b2 = mesh.h_K ** 2 / (2.0 * params.d * params.C_I ** 2
-                          * analysis.C_E ** 2 * analysis.eps_hat)
-    return StabilizationParams(np.minimum(b1, b2), params.C_I, params.d)
+    b2 = mesh.h_K ** 2 / (4.0 * C_I ** 2 * analysis.C_E ** 2
+                          * analysis.eps_hat)
+    return StabilizationParams(np.minimum(b1, b2), C_I)
 
 
-def delta_semi_implicit(mesh, analysis, params, dt):
-    """delta_K bound guaranteeing semi-implicit norm stability."""
+def delta_semi_implicit(mesh, analysis, C_I, dt):
+    """delta_K bound guaranteeing semi-implicit norm stability: one
+    eighth of the smaller of the coercivity bound and 2 dt.  Its
+    reaction and diffusion constraints are the coercivity ones, since
+    C_E >= 1 makes max(C_E^2, 1) = C_E^2."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    if params.C_I is None:
-        raise ConfigError("semi-implicit bound needs C_I")
-    with np.errstate(divide="ignore"):
-        b1 = np.where(analysis.c_sup_K > 0,
-                      1.0 / (2.0 * analysis.c_sup_K), np.inf)
-    b2 = mesh.h_K ** 2 / (2.0 * analysis.eps_hat * params.C_I ** 2
-                          * max(analysis.C_E ** 2, 1.0) * params.d)
-    b3 = np.full_like(b1, 2.0 * dt)
-    dk = 0.125 * np.minimum(np.minimum(b1, b2), b3)
-    return StabilizationParams(dk, params.C_I, params.d)
+    dk = delta_coercivity(mesh, analysis, C_I).delta_K
+    return StabilizationParams(0.125 * np.minimum(dk, 2.0 * dt), C_I)
 
 
 def delta_experiment(mesh):

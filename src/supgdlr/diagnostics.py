@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .coefficients import StabilizationParams, delta_coercivity, \
-    delta_semi_implicit
+from .coefficients import check_moderate_stochasticity, \
+    delta_coercivity, delta_semi_implicit, estimate_inverse_constant
 from .mesh import _form, assemble_streamline
 from .sampling import expectation, project_complement
 
@@ -26,7 +26,7 @@ __all__ = [
     "range_excess",
     "check_coercivity",
     "check_tangent_residual",
-    "evaluate_bound",
+    "evaluate_bounds",
     "forcing_norms",
     "step_report",
     "write_reports_csv",
@@ -145,13 +145,9 @@ class NormEvaluator:
         }
 
 
-def l2_norm(state, mass, space):
-    """Weighted space-probability L2 norm of a full-order state.
-
-    state is a FomState or an (N_h, N_C) field matrix; low-rank states
-    are measured by NormEvaluator.
-    """
-    fields = state.fields if hasattr(state, "fields") else state
+def l2_norm(fields, mass, space):
+    """Weighted space-probability L2 norm of an (N_h, N_C) field matrix;
+    low-rank states are measured by NormEvaluator."""
     sq = float(space.weights @ _colwise(mass, fields))
     return float(np.sqrt(max(sq, 0.0)))
 
@@ -326,26 +322,20 @@ def forcing_norms(ws, t0, n_steps):
     return out
 
 
-def _check_delta_preconditions(theorem, delta, analysis, dt):
+def _delta_reason(theorem, dk, analysis, mesh, C_I, dt):
     """Why delta_K breaks the bound the theorem puts on it, or None.
 
     The bound is min(dt/4, delta_coercivity) for im_stab and
     delta_semi_implicit for si_stab, as in the coercivity and
-    semi_implicit policies.  Its diffusion constraint needs the C_I of
-    a StabilizationParams.
+    semi_implicit policies.
     """
-    if not isinstance(delta, StabilizationParams) or delta.C_I is None:
-        return ("delta_K carries no inverse constant C_I, so the "
-                "diffusion constraint cannot be checked")
-    dk = delta.delta_K
     if theorem == "im_stab":
         if np.any(dk > (1.0 + 1e-12) * dt / 4.0):
             return "delta_K exceeds dt/4"
-        bound = delta_coercivity(analysis.mesh, analysis, delta).delta_K
+        bound = delta_coercivity(mesh, analysis, C_I).delta_K
         name = "weak-coercivity bound (reaction and diffusion constraints)"
     else:
-        bound = delta_semi_implicit(analysis.mesh, analysis, delta,
-                                    dt).delta_K
+        bound = delta_semi_implicit(mesh, analysis, C_I, dt).delta_K
         name = ("semi-implicit bound (reaction, diffusion and time-step "
                 "constraints)")
     excess = float(np.max(dk / bound))
@@ -354,115 +344,123 @@ def _check_delta_preconditions(theorem, delta, analysis, dt):
     return None
 
 
-def evaluate_bound(reports, theorem, case, analysis, delta, dt, T,
-                   f_norms=None, stoch_report=None):
-    """Evaluate one norm-stability inequality over a trajectory.
+def evaluate_bounds(reports, ws, bounds):
+    """Evaluate norm-stability inequalities over a trajectory of ws.
 
-    reports must include the initial state (index 0).  f_norms is one
-    forcing norm per step, at the time level the scheme used.  Both
-    theorems assume a deterministic advection field; the implicit one
-    (im_stab) also deterministic diffusion, and the semi-implicit one
-    (si_stab) a moderate-stochasticity report.  delta is the
-    StabilizationParams of the run, carrying the inverse constant C_I
-    that its diffusion constraint needs.  Preconditions that fail or
-    cannot be checked yield a not-applicable ledger, not a silent pass.
+    reports is the run of ws, the initial state included (index 0), and
+    bounds is a sequence of (theorem, case) pairs; returns one
+    BoundLedger per pair.  The facts the inequalities read come from
+    the run: the reaction analysis, delta_K and dt of ws, T = N dt after
+    N steps, the forcing norm of each step at the time level the scheme
+    used, and the moderate-stochasticity report.  The diffusion
+    constraint on delta_K needs the inverse constant C_I of the delta
+    policy; a policy without one (h_K/4, or standard Galerkin) has it
+    estimated from ws.blocks.  Both theorems assume a deterministic
+    advection field, the implicit one (im_stab) also deterministic
+    diffusion, and the semi-implicit one (si_stab) moderate
+    stochasticity.  Preconditions that fail yield a not-applicable
+    ledger, not a silent pass.  Reports that do not step by ws.cfg.dt
+    raise ConfigError.
     """
-    if theorem not in ("im_stab", "si_stab"):
-        raise ConfigError(f"unknown theorem {theorem!r}")
-    if case not in ("i", "ii", "iii"):
-        raise ConfigError(f"unknown case {case!r}")
+    for theorem, case in bounds:
+        if theorem not in ("im_stab", "si_stab"):
+            raise ConfigError(f"unknown theorem {theorem!r}")
+        if case not in ("i", "ii", "iii"):
+            raise ConfigError(f"unknown case {case!r}")
     N = len(reports) - 1
+    dt = ws.cfg.dt
+    t = np.array([r.t for r in reports])
+    if np.any(np.abs(np.diff(t) - dt) > 1e-9 * max(t[-1] - t[0], dt)):
+        raise ConfigError(f"the reports do not step by the workspace's "
+                          f"dt = {dt:.6g}")
     if N < 1:
-        return _not_applicable(theorem, case, "empty trajectory")
-    if analysis.random_advection:
-        return _not_applicable(theorem, case, "the advection is random; "
-                               "the theorems assume it deterministic")
-    if (theorem == "im_stab"
-            and analysis.eps_star_sup > 1e-14 * analysis.eps_hat):
-        return _not_applicable(theorem, case, "the diffusion is random; "
-                               "the implicit theorem assumes it "
-                               "deterministic")
+        return [_not_applicable(theorem, case, "empty trajectory")
+                for theorem, case in bounds]
 
-    delta_reason = _check_delta_preconditions(theorem, delta, analysis, dt)
-    if delta_reason:
-        return _not_applicable(theorem, case, delta_reason)
-    dmax = float(np.max(delta.delta_K))
-
-    if theorem == "si_stab":
-        if stoch_report is None:
-            return _not_applicable(theorem, case,
-                                   "moderate-stochasticity report missing")
-        if not stoch_report.ok:
-            return _not_applicable(
-                theorem, case,
-                "moderate-stochasticity conditions violated "
-                f"(eps margin {stoch_report.eps_margin:.3e})")
-
-    if f_norms is None:
-        f_norms = np.zeros(N)
-    f_norms = np.asarray(f_norms, dtype=float)
-    if len(f_norms) != N:
-        return _not_applicable(theorem, case,
-                               "forcing norms do not match step count")
-    fsq = float(np.sum(f_norms ** 2))
+    analysis = ws.analysis
+    C_I = getattr(ws.cfg.delta, "C_I", None)
+    if C_I is None:
+        C_I = estimate_inverse_constant(ws.mesh, ws.blocks)
+    fsq = float(np.sum(forcing_norms(ws, reports[0].t, N) ** 2))
     has_f = fsq > 0.0
-
-    if case == "i" and not analysis.mu0 > 0:
-        return _not_applicable(theorem, case, "mu0 is not positive")
-    if case == "ii" and has_f:
-        return _not_applicable(theorem, case, "forcing is not zero")
-    if case in ("ii", "iii") and analysis.mu0 > 0:
-        # cases (ii)/(iii) are stated for mu0 = 0 only
-        return _not_applicable(theorem, case, "mu0 is positive")
-    if case == "iii":
-        if not has_f:
-            return _not_applicable(theorem, case, "case iii expects "
-                                   "nonzero forcing")
-        if not dt < 1.0 / (1.0 + 2.0 * analysis.nu):
-            return _not_applicable(theorem, case,
-                                   "dt too large for the Gronwall case")
-
+    stoch = check_moderate_stochasticity(ws.model, analysis, ws.space)
+    dmax = float(np.max(ws.delta))
     u0sq = reports[0].l2 ** 2
     uNsq = reports[-1].l2 ** 2
     supg_sum = float(sum(r.supg ** 2 for r in reports[1:]))
 
-    if theorem == "im_stab":
-        base = u0sq
-        C1 = {"i": 0.5, "ii": 0.75, "iii": 0.5}[case]
-    else:
-        base = (u0sq + 0.125 * analysis.eps_hat * reports[0].grad ** 2
-                + 0.125 * reports[0].mu_half ** 2)
-        C1 = {"i": 0.25, "ii": 0.5, "iii": 0.25}[case]
+    def ledger(theorem, case):
+        if analysis.random_advection:
+            return _not_applicable(theorem, case, "the advection is "
+                                   "random; the theorems assume it "
+                                   "deterministic")
+        if (theorem == "im_stab"
+                and analysis.eps_star_sup > 1e-14 * analysis.eps_hat):
+            return _not_applicable(theorem, case, "the diffusion is "
+                                   "random; the implicit theorem "
+                                   "assumes it deterministic")
+        delta_reason = _delta_reason(theorem, ws.delta, analysis, ws.mesh,
+                                     C_I, dt)
+        if delta_reason:
+            return _not_applicable(theorem, case, delta_reason)
+        if theorem == "si_stab" and not stoch.ok:
+            return _not_applicable(
+                theorem, case,
+                "moderate-stochasticity conditions violated "
+                f"(eps margin {stoch.eps_margin:.3e})")
 
-    constants = {"C1": C1, "delta_max": dmax}
-    if case == "i":
-        C2 = 2.0 / analysis.mu0 + 4.0 * dmax
-        left = uNsq + dt * C1 * supg_sum
-        right = base + dt * C2 * fsq
-        constants["C2"] = C2
-    elif case == "ii":
-        left = uNsq + dt * C1 * supg_sum
-        right = base
-        constants["C2"] = 0.0
-        if theorem == "si_stab":
-            # the proof balances terms to a 3/8 coercive fraction; the
-            # statement claims 1/2 -- both margins are recorded, the
-            # verdict follows the statement
-            left_proof = uNsq + dt * 0.375 * supg_sum
-            constants["C1_proof"] = 0.375
-            constants["margin_proof"] = right - left_proof
-    else:
-        C3 = float(np.exp((1.0 + 2.0 * analysis.nu) * T))
-        left = uNsq + dt * C1 * supg_sum
-        right = C3 * (base + dt * fsq)
-        constants["C3"] = C3
+        if case == "i" and not analysis.mu0 > 0:
+            return _not_applicable(theorem, case, "mu0 is not positive")
+        if case == "ii" and has_f:
+            return _not_applicable(theorem, case, "forcing is not zero")
+        if case in ("ii", "iii") and analysis.mu0 > 0:
+            # cases (ii)/(iii) are stated for mu0 = 0 only
+            return _not_applicable(theorem, case, "mu0 is positive")
+        if case == "iii":
+            if not has_f:
+                return _not_applicable(theorem, case, "case iii expects "
+                                       "nonzero forcing")
+            if not dt < 1.0 / (1.0 + 2.0 * analysis.nu):
+                return _not_applicable(theorem, case, "dt too large for "
+                                       "the Gronwall case")
 
-    margin = right - left
-    passed = left <= right * (1.0 + 1e-10) + 1e-14
-    return BoundLedger(theorem=theorem, case=case, applicable=True,
-                       reason="", left=float(left), right=float(right),
-                       margin=float(margin), passed=bool(passed),
-                       constants=constants)
+        if theorem == "im_stab":
+            base = u0sq
+            C1 = {"i": 0.5, "ii": 0.75, "iii": 0.5}[case]
+        else:
+            base = (u0sq + 0.125 * analysis.eps_hat * reports[0].grad ** 2
+                    + 0.125 * reports[0].mu_half ** 2)
+            C1 = {"i": 0.25, "ii": 0.5, "iii": 0.25}[case]
+
+        constants = {"C1": C1, "delta_max": dmax}
+        left = uNsq + dt * C1 * supg_sum
+        if case == "i":
+            C2 = 2.0 / analysis.mu0 + 4.0 * dmax
+            right = base + dt * C2 * fsq
+            constants["C2"] = C2
+        elif case == "ii":
+            right = base
+            constants["C2"] = 0.0
+            if theorem == "si_stab":
+                # the proof balances terms to a 3/8 coercive fraction;
+                # the statement claims 1/2 -- both margins are recorded,
+                # the verdict follows the statement
+                left_proof = uNsq + dt * 0.375 * supg_sum
+                constants["C1_proof"] = 0.375
+                constants["margin_proof"] = right - left_proof
+        else:
+            C3 = float(np.exp((1.0 + 2.0 * analysis.nu) * (N * dt)))
+            right = C3 * (base + dt * fsq)
+            constants["C3"] = C3
+
+        margin = right - left
+        passed = left <= right * (1.0 + 1e-10) + 1e-14
+        return BoundLedger(theorem=theorem, case=case, applicable=True,
+                           reason="", left=float(left), right=float(right),
+                           margin=float(margin), passed=bool(passed),
+                           constants=constants)
+
+    return [ledger(theorem, case) for theorem, case in bounds]
 
 
 def write_reports_csv(reports, path):

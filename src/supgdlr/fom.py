@@ -109,5 +109,6 @@ def fom_run(initial, ws, T, callbacks=()):
         return state, state.l2
 
     return _time_loop(initial, ws, T, advance,
-                      lambda state: l2_norm(state, ws.blocks.mass, ws.space),
+                      lambda state: l2_norm(state.fields, ws.blocks.mass,
+                                            ws.space),
                       float, callbacks)

@@ -263,15 +263,10 @@ def step(state, ws):
     defect_cross = float(np.max(np.abs((dY * w[:, None]).T @ state.Y))) \
         if state.rank else 0.0
 
-    means = expectation(Y_tilde, ws.space) if state.rank \
-        else np.zeros(0)
+    means = expectation(Y_tilde, ws.space)
     U0_new = U_tilde[:, 0] + U_tilde[:, 1:] @ means
-    if state.rank:
-        Y_new, T = weighted_orthonormalize(Y_tilde - means, ws.space)
-        U_new = U_tilde[:, 1:] @ T.T
-    else:
-        Y_new = state.Y.copy()
-        U_new = U_tilde[:, 1:]
+    Y_new, T = weighted_orthonormalize(Y_tilde - means, ws.space)
+    U_new = U_tilde[:, 1:] @ T.T
     new_state = DlrState(U0_new, U_new, Y_new, t=state.t + ws.cfg.dt)
 
     tangent = None

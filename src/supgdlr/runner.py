@@ -21,17 +21,16 @@ from .mesh import build_structured_mesh, tag_boundary_layer, \
     assemble_blocks, default_quadrature
 from .sampling import make_monte_carlo, make_tensor_grid
 from .coefficients import (
-    StabilizationParams, analyze_reaction, boundary_layer,
-    check_moderate_stochasticity, constant_adr, delta_coercivity,
-    delta_experiment, delta_semi_implicit, estimate_inverse_constant,
-    local_peclet, rotating_body,
+    StabilizationParams, analyze_reaction, boundary_layer, constant_adr,
+    delta_coercivity, delta_experiment, delta_semi_implicit,
+    estimate_inverse_constant, local_peclet, rotating_body,
 )
 from .lowrank import evaluate_realization, init_from_modes, \
     init_from_snapshot, DlrState
 from .integrator import SchemeConfig, prepare_workspace, run
 from .diagnostics import (
-    evaluate_bound, forcing_norms, md_metric, range_excess,
-    write_ledgers_csv, write_reports_csv,
+    evaluate_bounds, md_metric, range_excess, write_ledgers_csv,
+    write_reports_csv,
 )
 
 __all__ = [
@@ -239,17 +238,16 @@ def resolve_delta(policy, mesh, model, analysis, dt, quad=None):
     plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
                             np.zeros(mesh.n_triangles), quad)
     C_I = estimate_inverse_constant(mesh, plain)
-    params = StabilizationParams(np.zeros(mesh.n_triangles), C_I=C_I, d=2)
     if policy == "coercivity":
-        dk = delta_coercivity(mesh, analysis, params)
-        return dk.capped(mesh.h_K / 4.0)
+        return delta_coercivity(mesh, analysis, C_I).capped(mesh.h_K / 4.0)
     if policy == "semi_implicit":
-        return delta_semi_implicit(mesh, analysis, params, dt)
+        return delta_semi_implicit(mesh, analysis, C_I, dt)
     raise ConfigError(f"unknown delta policy {policy!r}")
 
 
 def build_problem(cfg):
-    """Materialize (mesh, space, model, analysis, workspace, state)."""
+    """Materialize (mesh, space, model, analysis, delta, workspace,
+    state)."""
     mesh = build_structured_mesh(cfg.n_per_side)
     if set(cfg.bc) - set(mesh.boundary_tags):
         if set(cfg.bc) == {"d1", "d2"}:
@@ -304,7 +302,7 @@ def run_from_config(cfg):
                 "status": "ok", "failing_step": None}
     status = 0
     try:
-        mesh, space, model, analysis, delta, ws, state = build_problem(cfg)
+        mesh, space, model, _, _, ws, state = build_problem(cfg)
 
         md_rows = []
         initial_range = {}
@@ -336,19 +334,7 @@ def run_from_config(cfg):
                     fh.write(f"{t:.17g},{idx},{v:.17g},{x:.17g}\n")
 
         if cfg.bounds:
-            if delta.C_I is None:
-                # the ledgers check the diffusion constraint on delta_K
-                delta = StabilizationParams(
-                    delta.delta_K, C_I=estimate_inverse_constant(
-                        mesh, ws.blocks), d=delta.d)
-            n_steps = len(reports) - 1
-            fn = forcing_norms(ws, state.t, n_steps)
-            stoch = check_moderate_stochasticity(model, analysis, space)
-            ledgers = [
-                evaluate_bound(reports, theorem, case, analysis, delta,
-                               cfg.dt, n_steps * cfg.dt, f_norms=fn,
-                               stoch_report=stoch)
-                for theorem, case in cfg.bounds]
+            ledgers = evaluate_bounds(reports, ws, cfg.bounds)
             write_ledgers_csv(ledgers,
                               os.path.join(cfg.out_dir, "ledger.csv"))
             if any(l.applicable and not l.passed for l in ledgers):

@@ -13,7 +13,7 @@ from supgdlr import (
     DlrState, FomState, RunConfig, SchemeConfig, analyze_reaction,
     assemble_blocks, build_problem, build_structured_mesh, check_coercivity,
     check_moderate_stochasticity, constant_adr, delta_experiment,
-    evaluate_bound, evaluate_realization, fom_step, forcing_norms,
+    evaluate_bounds, evaluate_realization, fom_step,
     init_from_modes, local_peclet, make_monte_carlo, md_metric,
     prepare_workspace, preset_boundary_layer, preset_rotating_body,
     rotating_body, run, step,
@@ -137,15 +137,12 @@ def test_criterion_5_decay_case_ii():
     _, reports = run(state, ws, 200 * ws.cfg.dt)
     l2s = np.array([r.l2 for r in reports])
     monotone = bool(np.all(np.diff(l2s) <= 1e-12 * l2s[0]))
-    stoch = check_moderate_stochasticity(model, analysis, space)
     details = [f"monotone={monotone}"]
     ok = monotone
-    for theorem in ("im_stab", "si_stab"):
-        led = evaluate_bound(reports, theorem, "ii", analysis, delta,
-                             ws.cfg.dt, 200 * ws.cfg.dt,
-                             stoch_report=stoch)
+    for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
+                                             ("si_stab", "ii")]):
         ok = ok and led.applicable and led.passed
-        details.append(f"{theorem} ledger margin {led.margin:.2e}")
+        details.append(f"{led.theorem} ledger margin {led.margin:.2e}")
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0
     verdict(5, ok, "; ".join(details) + f", {elapsed:.1f}s")
@@ -157,9 +154,7 @@ def test_criterion_6_forced_cases_i_and_iii():
     mesh, space, model, analysis, delta, ws, state = decay_problem(
         c=2.0, f=1.0)
     _, reports = run(state, ws, 100 * ws.cfg.dt)
-    fn = forcing_norms(ws, 0.0, 100)
-    led_i = evaluate_bound(reports, "im_stab", "i", analysis, delta,
-                           ws.cfg.dt, 100 * ws.cfg.dt, f_norms=fn)
+    [led_i] = evaluate_bounds(reports, ws, [("im_stab", "i")])
     want_C2 = 2.0 / analysis.mu0 + 4.0 * float(np.max(delta.delta_K))
     const_ok = abs(led_i.constants.get("C2", np.nan) - want_C2) <= 1e-13
 
@@ -168,9 +163,7 @@ def test_criterion_6_forced_cases_i_and_iii():
         c=0.0, f=1.0)
     assert ws.cfg.dt < 1.0 / (1.0 + 2.0 * analysis.nu)
     _, reports = run(state, ws, 100 * ws.cfg.dt)
-    fn = forcing_norms(ws, 0.0, 100)
-    led_iii = evaluate_bound(reports, "im_stab", "iii", analysis, delta,
-                             ws.cfg.dt, 100 * ws.cfg.dt, f_norms=fn)
+    [led_iii] = evaluate_bounds(reports, ws, [("im_stab", "iii")])
     want_C3 = float(np.exp((1.0 + 2.0 * analysis.nu) * 100 * ws.cfg.dt))
     const3_ok = abs(led_iii.constants.get("C3", np.nan)
                     - want_C3) <= 1e-12 * want_C3
@@ -202,8 +195,7 @@ def test_criterion_7_moderate_stochasticity_gate():
         state = random_state(mesh, space, rank=1, seed=27)
         _, reports = run(state, ws, 0.05)
         stoch = check_moderate_stochasticity(model, analysis, space)
-        led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
-                             0.01, 0.05, stoch_report=stoch)
+        [led] = evaluate_bounds(reports, ws, [("si_stab", "ii")])
         outcomes.append(led.applicable == expect_ok
                         and stoch.ok == expect_ok
                         and (led.passed if expect_ok

@@ -114,8 +114,7 @@ def test_delta_coercivity_formula():
     space = make_monte_carlo([(-1.0, 1.0)], 5, seed=0)
     model = constant_adr(eps_value=0.01, b=(1.0, 1.0), c=2.0)
     a = analyze_reaction(model, mesh, space)
-    seed = StabilizationParams(np.zeros(mesh.n_triangles), C_I=3.0, d=2)
-    d = delta_coercivity(mesh, a, seed)
+    d = delta_coercivity(mesh, a, 3.0)
     b1 = 1.0 / (2.0 * 2.0)
     b2 = mesh.h_K ** 2 / (2.0 * 2 * 9.0 * a.C_E ** 2 * a.eps_hat)
     assert np.allclose(d.delta_K, np.minimum(b1, b2))
@@ -129,9 +128,7 @@ def test_delta_coercivity_inf_needs_cap():
     space = make_monte_carlo([(-1.0, 1.0)], 5, seed=0)
     model = constant_adr(eps_value=1e-3, b=(1.0, 0.0), c=0.0)
     a = analyze_reaction(model, mesh, space)
-    d = delta_coercivity(mesh, a,
-                         StabilizationParams(np.zeros(mesh.n_triangles),
-                                             C_I=2.0))
+    d = delta_coercivity(mesh, a, 2.0)
     assert np.all(np.isfinite(d.delta_K))
     assert np.all(d.delta_K > mesh.h_K / 4.0)
     capped = d.capped(mesh.h_K / 4.0)
@@ -145,8 +142,7 @@ def test_delta_semi_implicit_formula():
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=1.0)
     a = analyze_reaction(model, mesh, space)
     dt = 0.02
-    seed = StabilizationParams(np.zeros(mesh.n_triangles), C_I=2.5, d=2)
-    d = delta_semi_implicit(mesh, a, seed, dt)
+    d = delta_semi_implicit(mesh, a, 2.5, dt)
     b1 = 1.0 / (2.0 * 1.0)
     b2 = mesh.h_K ** 2 / (2.0 * a.eps_hat * 2.5 ** 2
                           * max(a.C_E ** 2, 1.0) * 2)

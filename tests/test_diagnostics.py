@@ -9,9 +9,9 @@ import pytest
 from supgdlr import (
     ConfigError, SchemeConfig, StabilizationParams, analyze_reaction,
     assemble_blocks, boundary_layer, build_problem, build_structured_mesh,
-    check_coercivity, check_moderate_stochasticity, check_tangent_residual,
+    check_coercivity, check_tangent_residual,
     constant_adr, delta_experiment, estimate_inverse_constant,
-    evaluate_bound, forcing_norms,
+    evaluate_bounds, forcing_norms,
     init_from_modes, l2_norm, make_monte_carlo, md_metric,
     prepare_workspace, preset_boundary_layer, preset_rotating_body,
     rotating_body, run, step, step_report,
@@ -256,105 +256,136 @@ def decay_run(c=0.0, f=None, dt=0.01, T=0.5, eps=0.05, eps_fn=None):
                            analysis=analysis)
     state = random_state(mesh, space, rank=1, seed=11)
     _, reports = run(state, ws, T)
-    stoch = check_moderate_stochasticity(model, analysis, space)
-    return ws, analysis, delta, reports, stoch
+    return ws, reports
+
+
+def one_bound(reports, ws, theorem, case):
+    [led] = evaluate_bounds(reports, ws, [(theorem, case)])
+    return led
 
 
 def test_bound_case_ii_passes():
     # one run, both theorems: with deterministic coefficients the step
     # is the implicit Euler step of im_stab as well
-    ws, analysis, delta, reports, stoch = decay_run()
-    led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
-                         ws.cfg.dt, 0.5, stoch_report=stoch)
-    assert led.applicable and led.passed
-    assert led.constants["C1"] == 0.5
-    assert led.constants["C2"] == 0.0
-    assert "margin_proof" in led.constants
-    assert led.constants["margin_proof"] >= 0.0
-    led = evaluate_bound(reports, "im_stab", "ii", analysis, delta,
-                         ws.cfg.dt, 0.5)
-    assert led.applicable and led.passed
-    assert led.constants["C1"] == 0.75
+    ws, reports = decay_run()
+    si, im = evaluate_bounds(reports, ws, [("si_stab", "ii"),
+                                           ("im_stab", "ii")])
+    assert si.applicable and si.passed
+    assert si.constants["C1"] == 0.5
+    assert si.constants["C2"] == 0.0
+    assert "margin_proof" in si.constants
+    assert si.constants["margin_proof"] >= 0.0
+    assert im.applicable and im.passed
+    assert im.constants["C1"] == 0.75
 
 
 def test_bound_case_i_constants_and_pass():
-    ws, analysis, delta, reports, stoch = decay_run(c=2.0, f=1.0)
-    n_steps = len(reports) - 1
-    fn = forcing_norms(ws, 0.0, n_steps)
-    led = evaluate_bound(reports, "im_stab", "i", analysis, delta,
-                         ws.cfg.dt, 0.5, f_norms=fn)
+    ws, reports = decay_run(c=2.0, f=1.0)
+    led = one_bound(reports, ws, "im_stab", "i")
     assert led.applicable and led.passed
-    dmax = float(np.max(delta.delta_K))
+    dmax = float(np.max(ws.delta))
     assert abs(led.constants["C2"]
-               - (2.0 / analysis.mu0 + 4.0 * dmax)) <= 1e-13
+               - (2.0 / ws.analysis.mu0 + 4.0 * dmax)) <= 1e-13
 
 
 def test_bound_case_iii_constants_and_pass():
-    ws, analysis, delta, reports, stoch = decay_run(c=0.0, f=1.0)
-    n_steps = len(reports) - 1
-    fn = forcing_norms(ws, 0.0, n_steps)
-    led = evaluate_bound(reports, "im_stab", "iii", analysis, delta,
-                         ws.cfg.dt, 0.5, f_norms=fn)
+    # C3 = exp((1 + 2 nu) T) with T the N dt the run stepped
+    ws, reports = decay_run(c=0.0, f=1.0)
+    led = one_bound(reports, ws, "im_stab", "iii")
     assert led.applicable and led.passed
-    want_C3 = float(np.exp((1.0 + 2.0 * analysis.nu) * 0.5))
-    assert abs(led.constants["C3"] - want_C3) <= 1e-13
+    n_steps = len(reports) - 1
+    assert n_steps == 50
+    assert led.constants["C3"] == float(
+        np.exp((1.0 + 2.0 * ws.analysis.nu) * (n_steps * ws.cfg.dt)))
+
+
+def test_bound_case_ii_refuses_a_forced_run():
+    # the forcing norms come from the run, so a forced run can never be
+    # certified by the unforced case
+    ws, reports = decay_run(c=0.0, f=1.0)
+    for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
+                                             ("si_stab", "ii")]):
+        assert not led.applicable
+        assert led.reason == "forcing is not zero"
+
+
+def test_bounds_reject_reports_of_another_time_step():
+    ws, _ = decay_run(dt=0.02)
+    _, reports = decay_run(dt=0.01)
+    with pytest.raises(ConfigError, match="dt"):
+        evaluate_bounds(reports, ws, [("im_stab", "ii")])
+
+
+def test_bounds_reject_unknown_theorem_or_case():
+    ws, reports = decay_run(T=0.05)
+    for bound in (("xx_stab", "ii"), ("im_stab", "iv")):
+        with pytest.raises(ConfigError):
+            evaluate_bounds(reports, ws, [bound])
 
 
 def test_bound_case_gating():
-    ws, analysis, delta, reports, stoch = decay_run()
+    ws, reports = decay_run()
     # case i needs positive mu0
-    led = evaluate_bound(reports, "si_stab", "i", analysis, delta,
-                         ws.cfg.dt, 0.5, stoch_report=stoch)
+    led = one_bound(reports, ws, "si_stab", "i")
     assert not led.applicable and "mu0" in led.reason
-    # case ii with forcing present is refused
-    led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
-                         ws.cfg.dt, 0.5,
-                         f_norms=np.ones(len(reports) - 1),
-                         stoch_report=stoch)
-    assert not led.applicable
-    # si without a stochasticity report is refused
-    led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
-                         ws.cfg.dt, 0.5)
-    assert not led.applicable and "stochasticity" in led.reason
-    # oversized delta is refused
-    big = np.full_like(delta.delta_K, 10.0)
-    led = evaluate_bound(reports, "im_stab", "ii", analysis, big,
-                         ws.cfg.dt, 0.5)
-    assert not led.applicable
+
+
+def test_bound_refuses_a_run_with_oversized_delta():
+    mesh = build_structured_mesh(8)
+    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
+    model = constant_adr(eps_value=0.05, b=(1.0, 1.0))
+    big = np.full(mesh.n_triangles, 10.0)
+    ws = prepare_workspace(model, mesh, space,
+                           SchemeConfig(dt=0.01, delta=big))
+    _, reports = run(random_state(mesh, space, rank=1, seed=11), ws, 0.05)
+    for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
+                                             ("si_stab", "ii")]):
+        assert not led.applicable and "delta_K exceeds" in led.reason
+
+
+def experiment_policy_run(eps):
+    # the h_K/4 policy at a dt with h_K/4 below dt/4
+    mesh = build_structured_mesh(8)
+    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
+    model = constant_adr(eps_value=eps, b=(1.0, 1.0))
+    ws = prepare_workspace(model, mesh, space,
+                           SchemeConfig(dt=0.2, delta=delta_experiment(mesh)))
+    _, reports = run(random_state(mesh, space, rank=1, seed=11), ws, 0.4)
+    return ws, reports
 
 
 def test_bound_checks_the_diffusion_constraint_on_delta():
     # h_K/4 is below dt/4 but far above the semi-implicit diffusion
     # constraint h_K^2 / (16 d C_I^2 C_E^2 eps_hat) at eps = 1
-    mesh = build_structured_mesh(8)
-    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
-    model = constant_adr(eps_value=1.0, b=(1.0, 1.0))
-    analysis = analyze_reaction(model, mesh, space)
-    delta = delta_experiment(mesh)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=0.2, delta=delta),
-                           analysis=analysis)
-    _, reports = run(random_state(mesh, space, rank=1, seed=11), ws, 0.4)
-    stoch = check_moderate_stochasticity(model, analysis, space)
-    led = evaluate_bound(reports, "si_stab", "ii", analysis, delta, 0.2,
-                         0.4, stoch_report=stoch)
-    assert not led.applicable and "diffusion constraint" in led.reason
-    with_C_I = StabilizationParams(
-        delta.delta_K, C_I=estimate_inverse_constant(mesh, ws.blocks))
-    for theorem in ("im_stab", "si_stab"):
-        led = evaluate_bound(reports, theorem, "ii", analysis, with_C_I,
-                             0.2, 0.4, stoch_report=stoch)
+    ws, reports = experiment_policy_run(eps=1.0)
+    for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
+                                             ("si_stab", "ii")]):
         assert not led.applicable and "diffusion" in led.reason
+
+
+def test_bound_estimates_a_missing_inverse_constant():
+    # the h_K/4 policy carries no C_I; the ledger estimates it from the
+    # run's blocks and agrees with the same delta_K given that C_I
+    ws, reports = experiment_policy_run(eps=1e-6)
+    C_I = estimate_inverse_constant(ws.mesh, ws.blocks)
+    ws_C_I = prepare_workspace(ws.model, ws.mesh, ws.space, SchemeConfig(
+        dt=0.2, delta=StabilizationParams(ws.delta, C_I=C_I)))
+    bounds = [("im_stab", "ii"), ("si_stab", "ii")]
+    estimated = evaluate_bounds(reports, ws, bounds)
+    supplied = evaluate_bounds(reports, ws_C_I, bounds)
+    assert all(led.applicable and led.passed for led in estimated)
+    for a, b in zip(estimated, supplied):
+        assert a.csv_row() == b.csv_row()
+        assert a.constants == b.constants
 
 
 def test_bound_refuses_random_coefficients():
     # im_stab assumes deterministic diffusion: random diffusion under the
     # semi-implicit delta policy must not be certified by it
-    ws, analysis, delta, reports, stoch = decay_run(
+    ws, reports = decay_run(
         eps_fn=lambda s: 10.0 ** (np.atleast_2d(s)[:, 0] / 2.0 - 1.5))
-    assert analysis.eps_star_sup > analysis.eps_hat
-    led = evaluate_bound(reports, "im_stab", "ii", analysis, delta,
-                         ws.cfg.dt, 0.5, stoch_report=stoch)
+    assert ws.analysis.eps_star_sup > ws.analysis.eps_hat
+    led = one_bound(reports, ws, "im_stab", "ii")
     assert not led.applicable and "diffusion is random" in led.reason
 
     # both theorems assume deterministic advection
@@ -368,21 +399,18 @@ def test_bound_refuses_random_coefficients():
                            SchemeConfig(dt=0.01, delta=delta),
                            analysis=analysis)
     _, reports = run(random_state(mesh, space, rank=1, seed=3), ws, 0.05)
-    stoch = check_moderate_stochasticity(model, analysis, space)
-    for theorem in ("im_stab", "si_stab"):
-        led = evaluate_bound(reports, theorem, "ii", analysis, delta,
-                             0.01, 0.05, stoch_report=stoch)
+    for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
+                                             ("si_stab", "ii")]):
         assert not led.applicable and "advection is random" in led.reason
 
 
 def test_bound_zero_trajectory_trivially_passes():
-    ws, analysis, delta, _, stoch = decay_run(T=0.02)
+    ws, _ = decay_run(T=0.02)
     zero = StepReport(t=0.0, l2=0.0, grad=0.0, supg=0.0, mu_half=0.0,
                       bconv=0.0, mode_norms=[], wtilde_cond=1.0,
                       defect_gram=0.0, defect_mean=0.0, defect_cross=0.0)
-    reports = [zero, zero]
-    led = evaluate_bound(reports, "im_stab", "ii", analysis, delta,
-                         ws.cfg.dt, ws.cfg.dt)
+    reports = [zero, replace(zero, t=ws.cfg.dt)]
+    led = one_bound(reports, ws, "im_stab", "ii")
     assert led.applicable and led.passed
     assert led.left == 0.0 and led.right == 0.0
 
@@ -398,7 +426,7 @@ def test_forcing_norms_constant_oracle():
 
 
 def test_csv_round_trip(tmp_path):
-    ws, analysis, delta, reports, stoch = decay_run(T=0.05)
+    ws, reports = decay_run(T=0.05)
     rpath = tmp_path / "norms.csv"
     write_reports_csv(reports, rpath)
     with open(rpath) as fh:
@@ -407,8 +435,7 @@ def test_csv_round_trip(tmp_path):
     assert len(rows) == len(reports) + 1
     assert float(rows[1][1]) == reports[0].l2
 
-    led = evaluate_bound(reports, "si_stab", "ii", analysis, delta,
-                         ws.cfg.dt, 0.05, stoch_report=stoch)
+    led = one_bound(reports, ws, "si_stab", "ii")
     lpath = tmp_path / "ledger.csv"
     write_ledgers_csv([led], lpath)
     with open(lpath) as fh:

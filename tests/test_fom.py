@@ -168,4 +168,5 @@ def test_step_carries_its_l2_norm():
                        callbacks=(lambda st, nrm: seen.append((st, nrm)),))
     assert len(norms) == len(seen) == 6
     for norm, (st, cb_norm) in zip(norms, seen):
-        assert norm == cb_norm == l2_norm(st, ws.blocks.mass, ws.space)
+        assert norm == cb_norm == l2_norm(st.fields, ws.blocks.mass,
+                                          ws.space)

@@ -137,9 +137,8 @@ def test_run_from_config_outputs(tmp_path):
 
 
 def test_run_from_config_ledger_estimates_C_I(tmp_path):
-    # the h_K/4 policy carries no C_I; the runner estimates it, so the
-    # ledger reports the violated semi-implicit bound, not the missing
-    # constant
+    # the h_K/4 policy carries no C_I; the ledger estimates it, so it
+    # reports the violated semi-implicit bound, not the missing constant
     out = tmp_path / "ledger"
     cfg = tiny_config(str(out), model="constant_adr",
                       model_params={"eps_value": 1.0, "b": 1.0},
