@@ -56,7 +56,7 @@ def trajectory(c=0.0, f=None, eps_fn=None):
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=c, f=f,
                          eps_fn=eps_fn)
     analysis = analyze_reaction(model, mesh, space)
-    delta = resolve_delta("semi_implicit", mesh, model, analysis, DT)
+    delta = resolve_delta("semi_implicit", mesh, analysis, DT)
     ws = prepare_workspace(model, mesh, space,
                            SchemeConfig(dt=DT, delta=delta),
                            analysis=analysis)

@@ -63,8 +63,7 @@ def _suite_coercivity():
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 50, seed=0)
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
-    delta = runner.resolve_delta("coercivity", mesh, model, analysis,
-                                 dt=None)
+    delta = runner.resolve_delta("coercivity", mesh, analysis, dt=None)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
     report = check_coercivity(model, analysis, blocks, space,
@@ -80,7 +79,7 @@ def _decay_setup():
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=0.0)
     analysis = analyze_reaction(model, mesh, space)
     dt = 0.01
-    delta = runner.resolve_delta("semi_implicit", mesh, model, analysis, dt)
+    delta = runner.resolve_delta("semi_implicit", mesh, analysis, dt)
     ws = prepare_workspace(model, mesh, space,
                            SchemeConfig(dt=dt, delta=delta),
                            analysis=analysis)

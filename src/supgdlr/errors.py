@@ -41,4 +41,5 @@ class BlowupError(SupgDlrError):
 
 
 class SolverError(SupgDlrError):
-    """An iterative solver failed to converge."""
+    """A solver failed numerically: an iterative solver did not
+    converge, or a linear solve returned non-finite values."""

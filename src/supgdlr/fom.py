@@ -15,17 +15,19 @@ per step, explicit diffusion and the per-sample advection load) is
 built, constrained and solved into its columns of the preallocated
 output while it is in cache.  Beyond the input and output fields the
 loop's temporaries are O(N_h CHUNK + CHUNK n_e n_q) whatever the
-sample count.  The step then takes its own weighted L2 norm,
-FomState.l2, which `fom_run` returns; `l2_norm` forms one mass product
-the size of the fields for it.
+sample count.  The step also takes its own weighted L2 norm,
+FomState.l2, which `fom_run` returns: the mass quadratic form of each
+solved chunk's columns, weighted over the samples once all are solved,
+which is `l2_norm` of the fields without its mass product the size of
+the fields.
 """
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .mesh import assemble_load
 from .integrator import _time_loop
-from .diagnostics import l2_norm
+from .diagnostics import _colwise, l2_norm
 
 __all__ = ["FomState", "fom_step", "fom_run"]
 
@@ -80,6 +82,7 @@ def fom_step(state, ws):
         else assemble_load(ws.blocks, fqp, skew=True)[:, None]
 
     out = np.empty_like(fields)
+    colM = np.empty(fields.shape[1])
     for start in range(0, fields.shape[1], CHUNK):
         cols = slice(start, start + CHUNK)
         u = fields[:, cols]
@@ -92,11 +95,14 @@ def fom_step(state, ws):
         if ws.has_sample_loop:
             _subtract_advection(rhs, ws, u, ws.space.samples[cols])
         out[:, cols] = ws.lu.solve(ws.bc.constrain_rhs(rhs))
+        colM[cols] = _colwise(ws.blocks.mass, out[:, cols])
 
     if not np.all(np.isfinite(out)):
-        raise ConfigError("full-order solve returned non-finite values")
+        raise SolverError("full-order solve returned non-finite values")
+    # the sum l2_norm takes, from the same column values
+    sq = float(ws.space.weights @ colM)
     return FomState(out, t=state.t + ws.cfg.dt,
-                    l2=l2_norm(out, ws.blocks.mass, ws.space))
+                    l2=float(np.sqrt(max(sq, 0.0))))
 
 
 def fom_run(initial, ws, T, callbacks=()):

@@ -29,7 +29,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import diagnostics
-from .errors import BlowupError, ConfigError, NearSingularError
+from .errors import BlowupError, ConfigError, NearSingularError, \
+    SolverError, SupgDlrError
 from .mesh import DirichletCondition, assemble_blocks, assemble_load, \
     assemble_skewed, default_quadrature, directional_gradients
 from .sampling import expectation, project_complement, \
@@ -212,7 +213,7 @@ def step_deterministic_modes(state, ws):
     rhs[ws.bc.dofs, 1:] = 0.0
     U_tilde = ws.lu.solve(rhs)
     if not np.all(np.isfinite(U_tilde)):
-        raise ConfigError("deterministic mode solve returned non-finite "
+        raise SolverError("deterministic mode solve returned non-finite "
                           "values")
     return U_tilde, (Y_full, BU, rhs)
 
@@ -287,8 +288,10 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
     measure(initial), then calls advance(state) -> (state, record) once
     per step.  A record whose l2_of is not finite or exceeds
     BLOWUP_FACTOR times the initial one (at least 1) raises BlowupError
-    carrying the step index.  Every record, the initial one included,
-    is passed on as cb(state, record).  Returns (state, list of records).
+    carrying the step index; any other SupgDlrError from advance gets
+    the step index as its step_index attribute unless it has one.
+    Every record, the initial one included, is passed on as
+    cb(state, record).  Returns (state, list of records).
     """
     t0 = initial.t
     dt = ws.cfg.dt
@@ -305,7 +308,12 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
     for cb in callbacks:
         cb(state, records[0])
     for n in range(n_steps):
-        state, record = advance(state)
+        try:
+            state, record = advance(state)
+        except SupgDlrError as err:
+            if getattr(err, "step_index", None) is None:
+                err.step_index = n + 1
+            raise
         l2 = l2_of(record)
         if not np.isfinite(l2) or l2 > BLOWUP_FACTOR * ref:
             raise BlowupError(

@@ -20,6 +20,7 @@ __all__ = [
     "build_structured_mesh",
     "default_quadrature",
     "assemble_blocks",
+    "assemble_galerkin",
     "assemble_load",
     "assemble_skewed",
     "assemble_streamline",
@@ -100,6 +101,8 @@ class Mesh:
             grads[:, a, 0] = -d[:, 1] / twoA
             grads[:, a, 1] = d[:, 0] / twoA
         self.grads = grads
+        # quadrature rule -> (points, weights); rules compare by identity
+        self._quad_arrays = {}
 
     @cached_property
     def scatter(self):
@@ -118,14 +121,38 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
+    def _quad_entry(self, quad):
+        entry = self._quad_arrays.get(quad)
+        if entry is None:
+            tri = self.vertices[self.triangles]
+            points = np.einsum("qa,eai->eqi", quad.points, tri)
+            weights = 2.0 * self.signed_areas[:, None] * quad.weights[None, :]
+            points.flags.writeable = False
+            weights.flags.writeable = False
+            entry = self._quad_arrays[quad] = (points, weights)
+        return entry
+
     def quad_points(self, quad):
-        """Physical quadrature point coordinates, shape (ne, nq, 2)."""
-        tri = self.vertices[self.triangles]
-        return np.einsum("qa,eai->eqi", quad.points, tri)
+        """Physical quadrature point coordinates, shape (ne, nq, 2).
+
+        Computed once per rule object (matched by identity) and returned
+        read-only, like quad_weights.
+        """
+        return self._quad_entry(quad)[0]
 
     def quad_weights(self, quad):
         """Physical quadrature weights per element, shape (ne, nq)."""
-        return 2.0 * self.signed_areas[:, None] * quad.weights[None, :]
+        return self._quad_entry(quad)[1]
+
+    @cached_property
+    def form_index(self):
+        """(rows, cols) of the element matrices of _form, flattened in
+        (element, test vertex, trial vertex) order."""
+        rows = np.repeat(self.triangles, 3, axis=1).ravel()
+        cols = np.tile(self.triangles, (1, 3)).ravel()
+        rows.flags.writeable = False
+        cols.flags.writeable = False
+        return rows, cols
 
     def boundary_index(self, tags=None):
         """All boundary vertex indices (optionally only the given tags)."""
@@ -148,19 +175,14 @@ def build_structured_mesh(n_per_side):
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    tris = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
+    # lower-left vertex of each cell, cells row by row from y = 0; each
+    # cell gives the triangles (v00, v10, v11) and (v00, v11, v01)
+    cell = np.arange(n, dtype=np.int64)
+    v00 = (cell[:, None] * (n + 1) + cell).ravel()
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    triangles = np.stack([v00, v10, v11, v00, v11, v01],
+                         axis=1).reshape(-1, 3)
 
     on_bdry = (
         (vertices[:, 0] == 0.0) | (vertices[:, 0] == 1.0)
@@ -201,6 +223,9 @@ class FemBlocks:
 
     Each is one _form; the test index is always i (rows).  bg_at_qp
     holds b . grad phi_a at the quadrature points, shape (ne, nq, 3).
+    assemble_galerkin leaves delta and bg_at_qp None and sets only mass
+    and stiffness.  load_tests keeps the weighted test functions of
+    assemble_load, one array per skew value.
     """
 
     def __init__(self, mesh, quad, delta, bg_at_qp):
@@ -208,6 +233,7 @@ class FemBlocks:
         self.quad = quad
         self.delta = delta
         self.bg_at_qp = bg_at_qp        # (ne, nq, 3), stabilizing field
+        self.load_tests = {}
 
 
 def _form(blocks, test, trial, weight=None):
@@ -225,8 +251,7 @@ def _form(blocks, test, trial, weight=None):
     test, trial = (f if f.ndim == 4 else f[..., None]
                    for f in (test, trial))
     elem = np.einsum("eq,eqac,eqbc->eab", pw, test, trial)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    rows, cols = mesh.form_index
     n = mesh.n_vertices
     mat = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
@@ -239,7 +264,12 @@ def _gradients_along(mesh, xq, v):
     vq = np.asarray(v(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
     if not np.all(np.isfinite(vq)):
         raise ConfigError("advection field evaluated to non-finite values")
-    return np.einsum("eqi,eai->eqa", vq, mesh.grads)
+    # einsum("eqi,eai->eqa", vq, grads) term by term from +0.0, the same
+    # sum in the same order (signed zeros included) at half its cost
+    out = np.zeros(xq.shape[:2] + (3,))
+    for i in range(2):
+        out += vq[..., i, None] * mesh.grads[:, None, :, i]
+    return out
 
 
 def assemble_blocks(mesh, b, c_bar, delta, quad=None):
@@ -262,9 +292,7 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
 
     xq = mesh.quad_points(quad)                        # (ne, nq, 2)
     phi = quad.basis_values()[None]                    # (1, nq, 3)
-    grads = mesh.grads[:, None]                        # (ne, 1, 3, 2)
-    blocks = FemBlocks(mesh, quad, delta, _gradients_along(mesh, xq, b))
-    bg = blocks.bg_at_qp
+    bg = _gradients_along(mesh, xq, b)
     transported = bg                   # b . grad phi_j + cbar phi_j
     if c_bar is not None:
         cq = c_bar(xq.reshape(-1, 2)).reshape(xq.shape[:2])
@@ -272,12 +300,24 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
             raise ConfigError("reaction field evaluated to non-finite values")
         transported = bg + cq[..., None] * phi
 
+    blocks = assemble_galerkin(mesh, quad)
+    blocks.delta, blocks.bg_at_qp = delta, bg
     test = _skewed_test(blocks)
-    blocks.mass = _form(blocks, phi, phi)
-    blocks.stiffness = _form(blocks, grads, grads)
     blocks.supg_conv = assemble_streamline(blocks, bg, bg)
     blocks.skewed_mass = _form(blocks, test, phi)
     blocks.transport = _form(blocks, test, transported)
+    return blocks
+
+
+def assemble_galerkin(mesh, quad=None):
+    """FemBlocks with only mass and stiffness, the forms that depend on
+    neither the advection nor delta."""
+    quad = quad or default_quadrature()
+    blocks = FemBlocks(mesh, quad, None, None)
+    phi = quad.basis_values()[None]                    # (1, nq, 3)
+    grads = mesh.grads[:, None]                        # (ne, 1, 3, 2)
+    blocks.mass = _form(blocks, phi, phi)
+    blocks.stiffness = _form(blocks, grads, grads)
     return blocks
 
 
@@ -322,7 +362,9 @@ def assemble_load(blocks, values_at_qp, skew=False):
     values_at_qp : (ne, nq) or (ne, nq, k) scalar source g; the result
     holds (g, phi_i) plus, when skew is True, the stabilized companion
     sum_K delta_K (g, b.grad phi_i)_K.  The element vectors are one
-    batched matmul, summed into the nodes by the sparse mesh.scatter.
+    batched matmul, summed into the nodes by the sparse mesh.scatter;
+    the weighted test functions are computed once per skew value and
+    kept, read-only, in blocks.load_tests.
 
     Returns (N_h,) or (N_h, k).
     """
@@ -332,8 +374,12 @@ def assemble_load(blocks, values_at_qp, skew=False):
     if squeeze:
         vals = vals[..., None]
 
-    test = _skewed_test(blocks) if skew else quad.basis_values()[None]
-    weighted = mesh.quad_weights(quad)[..., None] * test     # (ne, nq, 3)
+    weighted = blocks.load_tests.get(skew)
+    if weighted is None:
+        test = _skewed_test(blocks) if skew else quad.basis_values()[None]
+        weighted = mesh.quad_weights(quad)[..., None] * test  # (ne, nq, 3)
+        weighted.flags.writeable = False
+        blocks.load_tests[skew] = weighted
     contrib = np.matmul(weighted.transpose(0, 2, 1), vals)   # (ne, 3, k)
     out = mesh.scatter @ contrib.reshape(-1, vals.shape[-1])
     return out[:, 0] if squeeze else out

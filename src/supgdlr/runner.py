@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__ as _version
 from .errors import ConfigError
 from .mesh import build_structured_mesh, tag_boundary_layer, \
-    assemble_blocks, default_quadrature
+    assemble_galerkin, default_quadrature
 from .sampling import make_monte_carlo, make_tensor_grid
 from .coefficients import (
     StabilizationParams, analyze_reaction, boundary_layer, constant_adr,
@@ -226,18 +226,17 @@ def build_model(cfg, space):
     return constant_adr(**cfg.model_params)
 
 
-def resolve_delta(policy, mesh, model, analysis, dt, quad=None):
+def resolve_delta(policy, mesh, analysis, dt, quad=None):
     """Per-element stabilization parameter of one delta policy.
 
     Policies other than the plain h_K/4 rule ("experiment") need the
-    inverse constant; the coercivity policy is capped at h_K/4, and only
-    the semi_implicit policy reads dt.
+    inverse constant, estimated from the mass and stiffness alone; the
+    coercivity policy is capped at h_K/4, and only the semi_implicit
+    policy reads dt.
     """
     if policy == "experiment":
         return delta_experiment(mesh)
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles), quad)
-    C_I = estimate_inverse_constant(mesh, plain)
+    C_I = estimate_inverse_constant(mesh, assemble_galerkin(mesh, quad))
     if policy == "coercivity":
         return delta_coercivity(mesh, analysis, C_I).capped(mesh.h_K / 4.0)
     if policy == "semi_implicit":
@@ -261,8 +260,8 @@ def build_problem(cfg):
     if cfg.stabilization == "none":
         delta = StabilizationParams(np.zeros(mesh.n_triangles))
     elif cfg.stabilization == "supg":
-        delta = resolve_delta(cfg.delta_policy, mesh, model, analysis,
-                              cfg.dt, quad)
+        delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt,
+                              quad)
     else:
         raise ConfigError(f"unknown stabilization {cfg.stabilization!r}")
     scheme_cfg = SchemeConfig(

@@ -106,7 +106,7 @@ def test_criterion_4_coercivity():
                              cfg.sampler["count"], cfg.sampler["seed"])
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
-    delta = resolve_delta("coercivity", mesh, model, analysis, cfg.dt)
+    delta = resolve_delta("coercivity", mesh, analysis, cfg.dt)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
     report = check_coercivity(model, analysis, blocks, space, trials=500,
@@ -123,7 +123,7 @@ def decay_problem(c=0.0, f=None, dt=0.005, seed=25):
     space = make_monte_carlo([(-1.0, 1.0)], 8, seed=seed)
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=c, f=f)
     analysis = analyze_reaction(model, mesh, space)
-    delta = resolve_delta("semi_implicit", mesh, model, analysis, dt)
+    delta = resolve_delta("semi_implicit", mesh, analysis, dt)
     ws = prepare_workspace(model, mesh, space,
                            SchemeConfig(dt=dt, delta=delta),
                            analysis=analysis)
@@ -188,7 +188,7 @@ def test_criterion_7_moderate_stochasticity_gate():
 
         model = constant_adr(eps_fn=eps, b=(1.0, 0.0))
         analysis = analyze_reaction(model, mesh, space)
-        delta = resolve_delta("semi_implicit", mesh, model, analysis, 0.01)
+        delta = resolve_delta("semi_implicit", mesh, analysis, 0.01)
         cfg = SchemeConfig(dt=0.01, delta=delta)
         ws = prepare_workspace(model, mesh, space, cfg,
                                analysis=analysis)

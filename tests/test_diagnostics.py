@@ -129,7 +129,7 @@ def test_coercivity_check_passes_with_compliant_delta():
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 20, seed=6)
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
-    delta = resolve_delta("coercivity", mesh, model, analysis, None)
+    delta = resolve_delta("coercivity", mesh, analysis, None)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
     report = check_coercivity(model, analysis, blocks, space, trials=50,
@@ -144,7 +144,7 @@ def test_coercivity_check_mu_path_matches_elementwise_oracle():
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=2.0)
     analysis = analyze_reaction(model, mesh, space)
     assert analysis.mu0 > 0          # the mu-weighted mass takes part
-    delta = resolve_delta("coercivity", mesh, model, analysis, None)
+    delta = resolve_delta("coercivity", mesh, analysis, None)
     dk = delta.delta_K
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, dk)
     trials, seed = 3, 16
@@ -250,7 +250,7 @@ def decay_run(c=0.0, f=None, dt=0.01, T=0.5, eps=0.05, eps_fn=None):
     model = constant_adr(eps_value=eps, b=(1.0, 1.0), c=c, f=f,
                          eps_fn=eps_fn)
     analysis = analyze_reaction(model, mesh, space)
-    delta = resolve_delta("semi_implicit", mesh, model, analysis, dt)
+    delta = resolve_delta("semi_implicit", mesh, analysis, dt)
     ws = prepare_workspace(model, mesh, space,
                            SchemeConfig(dt=dt, delta=delta),
                            analysis=analysis)
@@ -394,7 +394,7 @@ def test_bound_refuses_random_coefficients():
                              6, seed=2)
     model = boundary_layer(space)
     analysis = analyze_reaction(model, mesh, space)
-    delta = resolve_delta("semi_implicit", mesh, model, analysis, 0.01)
+    delta = resolve_delta("semi_implicit", mesh, analysis, 0.01)
     ws = prepare_workspace(model, mesh, space,
                            SchemeConfig(dt=0.01, delta=delta),
                            analysis=analysis)

@@ -6,7 +6,7 @@ import pytest
 from supgdlr import (
     ConfigError, DirichletCondition, assemble_blocks, assemble_load,
     assemble_skewed, assemble_streamline, build_structured_mesh,
-    default_quadrature, tag_boundary_layer,
+    default_quadrature, directional_gradients, tag_boundary_layer,
 )
 
 
@@ -47,6 +47,85 @@ def test_structured_mesh_counts(n, nv, ne):
     assert mesh.n_triangles == ne
     assert abs(mesh.signed_areas.sum() - 1.0) <= 1e-14
     assert np.all(mesh.signed_areas > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_structured_mesh_triangles_match_cell_loop(n):
+    # the cell-by-cell construction the vectorized builder replaces
+    def vid(ix, iy):
+        return iy * (n + 1) + ix
+
+    tris = []
+    for iy in range(n):
+        for ix in range(n):
+            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
+            v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    triangles = build_structured_mesh(n).triangles
+    assert triangles.dtype == np.int64
+    assert np.array_equal(triangles, np.array(tris, dtype=np.int64))
+
+
+def test_quadrature_arrays_are_cached_per_rule_and_read_only():
+    mesh = build_structured_mesh(3)
+    quad = default_quadrature()
+    points, weights = mesh.quad_points(quad), mesh.quad_weights(quad)
+    assert mesh.quad_points(quad) is points
+    assert mesh.quad_weights(quad) is weights
+    tri = mesh.vertices[mesh.triangles]
+    assert np.array_equal(points,
+                          np.einsum("qa,eai->eqi", quad.points, tri))
+    assert np.array_equal(
+        weights, 2.0 * mesh.signed_areas[:, None] * quad.weights[None, :])
+    for arr in (points, weights, *mesh.form_index):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    # another rule object, even an equal one, gets its own arrays
+    other = default_quadrature()
+    assert mesh.quad_points(other) is not points
+    assert mesh.quad_weights(other) is not weights
+    assert np.array_equal(mesh.quad_points(other), points)
+    assert mesh.quad_points(quad) is points
+
+
+def test_directional_gradients_are_the_einsum_bit_for_bit():
+    mesh = build_structured_mesh(5)
+    blocks = assemble_blocks(mesh, lambda x: np.ones((len(x), 2)), None,
+                             np.zeros(mesh.n_triangles))
+    rng = np.random.default_rng(0)
+    fields = [
+        lambda x: np.column_stack([0.5 - x[:, 1], x[:, 0] - 0.5]),
+        lambda x: rng.standard_normal((len(x), 2)),
+        # negative zeros, whose products a sum from +0.0 turns positive
+        lambda x: np.column_stack([-np.zeros(len(x)), x[:, 0] - 0.5]),
+    ]
+    xq = mesh.quad_points(blocks.quad)
+    for v in fields:
+        vq = v(xq.reshape(-1, 2)).reshape(xq.shape)
+        got = directional_gradients(blocks, lambda x, vq=vq: vq.reshape(-1, 2))
+        want = np.einsum("eqi,eai->eqa", vq, mesh.grads)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_assemble_load_reuses_its_test_functions():
+    mesh = build_structured_mesh(3)
+    blocks = assemble_blocks(
+        mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]), None,
+        np.linspace(0.05, 0.2, mesh.n_triangles))
+    vals = np.random.default_rng(0).standard_normal(
+        (mesh.n_triangles, blocks.quad.n_points))
+    first = {skew: assemble_load(blocks, vals, skew=skew)
+             for skew in (True, False)}
+    kept = dict(blocks.load_tests)
+    assert set(kept) == {True, False}
+    for skew in (False, True):
+        assert np.array_equal(assemble_load(blocks, vals, skew=skew),
+                              first[skew])
+        assert blocks.load_tests[skew] is kept[skew]
+        assert not kept[skew].flags.writeable
 
 
 def test_mesh_h_is_diagonal_length():

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, RunConfig, build_problem, evaluate_realization,
-    load_config, preset_boundary_layer, preset_rotating_body,
-    range_excess, run, run_from_config, write_config, write_field_dump,
+    ConfigError, FomState, NearSingularError, RunConfig, SolverError,
+    analyze_reaction, assemble_blocks, assemble_load, build_problem,
+    build_structured_mesh, constant_adr, delta_coercivity,
+    delta_semi_implicit, estimate_inverse_constant, evaluate_realization,
+    fom_step, load_config, make_monte_carlo, preset_boundary_layer,
+    preset_rotating_body, range_excess, run, run_from_config,
+    write_config, write_field_dump,
 )
+from supgdlr import integrator, mesh as mesh_module
+from supgdlr.runner import resolve_delta
 
 from conftest import check_invariants
 
@@ -211,3 +217,114 @@ def test_field_dump_written_at_requested_time(tmp_path):
     t = float(path.read_text().split()[0])
     assert abs(t - 0.1) <= 0.5 * cfg.dt
     assert len(np.loadtxt(path, skiprows=1)) == cfg.n_dof
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: tiny_config("."),
+    lambda: preset_boundary_layer("desk"),
+], ids=["rotating_body", "boundary_layer"])
+def test_build_problem_computes_quadrature_points_once(make_cfg,
+                                                       monkeypatch):
+    einsum, calls = np.einsum, []
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "qa,eai->eqi":
+            calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    build_problem(make_cfg())
+    assert len(calls) == 1
+
+
+def test_build_problems_share_no_cached_array():
+    cfg = tiny_config(".")
+    arrays = []
+    for _ in range(2):
+        mesh, _, _, _, _, ws, _ = build_problem(cfg)
+        assemble_load(ws.blocks, np.ones(ws.pw.shape), skew=True)
+        arrays.append([mesh.quad_points(ws.quad), mesh.quad_weights(ws.quad),
+                       *mesh.form_index, ws.pw, ws.xq_flat,
+                       ws.blocks.load_tests[True]])
+    for a, b in zip(*arrays):
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("policy", ["coercivity", "semi_implicit"])
+def test_resolve_delta_assembles_only_mass_and_stiffness(policy,
+                                                         monkeypatch):
+    mesh = build_structured_mesh(8)
+    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=0)
+    model = constant_adr(eps_value=0.01, b=(1.0, 1.0), c=0.5)
+    analysis = analyze_reaction(model, mesh, space)
+    dt = 0.01
+
+    # the estimate from a whole zero-delta FemBlocks, as before
+    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
+                            np.zeros(mesh.n_triangles))
+    C_I = estimate_inverse_constant(mesh, plain)
+    want = delta_coercivity(mesh, analysis, C_I).capped(mesh.h_K / 4.0) \
+        if policy == "coercivity" \
+        else delta_semi_implicit(mesh, analysis, C_I, dt)
+
+    form, calls = mesh_module._form, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return form(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "_form", counting)
+    got = resolve_delta(policy, mesh, analysis, dt)
+    assert len(calls) == 2
+    assert got.C_I == want.C_I
+    assert np.array_equal(got.delta_K, want.delta_K)
+
+
+def test_non_finite_solve_is_a_numerical_failure(tmp_path, monkeypatch):
+    splu = integrator.spla.splu
+
+    class NanLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            out = self.lu.solve(rhs)
+            out[...] = np.nan
+            return out
+
+    monkeypatch.setattr(integrator.spla, "splu",
+                        lambda *args, **kw: NanLU(splu(*args, **kw)))
+    out = tmp_path / "nan"
+    status, _ = run_from_config(tiny_config(str(out)))
+    assert status == 2
+    with open(out / "run.json") as fh:
+        echoed = json.load(fh)
+    assert echoed["status"] == "numerical_failure"
+    assert echoed["failing_step"] == 1
+    assert "non-finite" in echoed["error"]
+
+    _, _, _, _, _, ws, state = build_problem(tiny_config(str(out)))
+    with pytest.raises(SolverError, match="non-finite"):
+        fom_step(FomState(state.dense(), t=state.t), ws)
+
+
+def test_failing_step_is_reported_for_any_numerical_error(tmp_path,
+                                                          monkeypatch):
+    step, calls = integrator.step, []
+
+    def failing(state, ws):
+        calls.append(state.t)
+        if len(calls) == 3:
+            raise NearSingularError("forced at the third step",
+                                    condition=1e16)
+        return step(state, ws)
+
+    monkeypatch.setattr(integrator, "step", failing)
+    out = tmp_path / "near_singular"
+    status, _ = run_from_config(tiny_config(str(out)))
+    assert status == 2
+    with open(out / "run.json") as fh:
+        echoed = json.load(fh)
+    assert echoed["status"] == "numerical_failure"
+    assert echoed["failing_step"] == 3
