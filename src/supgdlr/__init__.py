@@ -19,8 +19,8 @@ from .errors import (
     BlowupError, SolverError,
 )
 from .mesh import (
-    Mesh, QuadratureRule, FemBlocks, build_structured_mesh,
-    default_quadrature, assemble_blocks, assemble_galerkin, assemble_load,
+    Mesh, QUAD_POINTS, QUAD_WEIGHTS, FemBlocks, build_structured_mesh,
+    assemble_blocks, assemble_galerkin, assemble_load,
     assemble_skewed, assemble_streamline, directional_gradients,
     DirichletCondition, tag_boundary_layer,
 )

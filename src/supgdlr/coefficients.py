@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
-from .mesh import default_quadrature
 
 __all__ = [
     "CoefficientModel",
@@ -141,7 +140,7 @@ class CoefficientModel:
     def has_random_advection(self):
         return bool(self.b_modes)
 
-    def validate(self, space, mesh, quad=None):
+    def validate(self, space, mesh):
         """Check positivity of eps and zero-mean advection modes.
 
         The weighted mean of the fluctuation, sum_k E[theta_k] beta_k,
@@ -149,8 +148,7 @@ class CoefficientModel:
         """
         self.eps_bounds(space)
         if self.b_modes:
-            quad = quad or default_quadrature()
-            xq = mesh.quad_points(quad).reshape(-1, 2)
+            xq = mesh.quad_points.reshape(-1, 2)
             acc = sum(float(np.dot(space.weights, theta))
                       * np.asarray(beta(xq), dtype=float)
                       for theta, beta in self.advection_modes(space))
@@ -187,13 +185,16 @@ class StabilizationParams:
     """Per-element stabilization parameter, with the inverse constant C_I
     of the bound policy that produced it (None for h_K/4).
 
-    Every policy here gives finite entries; `capped` clips them at a
-    per-element cap (the runner caps the coercivity policy at h_K/4).
+    Every policy here gives finite entries, and any other entry is
+    refused; `capped` clips them at a per-element cap (the runner caps
+    the coercivity policy at h_K/4).
     """
 
     def __init__(self, delta_K, C_I=None):
         self.delta_K = np.asarray(delta_K, dtype=float)
         self.C_I = C_I
+        if not np.all(np.isfinite(self.delta_K)):
+            raise ConfigError("delta_K must be finite")
         if np.any(self.delta_K < 0):
             raise ConfigError("delta_K must be nonnegative")
 
@@ -203,9 +204,8 @@ class StabilizationParams:
                                    self.C_I)
 
 
-def analyze_reaction(model, mesh, space, quad=None):
-    quad = quad or default_quadrature()
-    xq = mesh.quad_points(quad)
+def analyze_reaction(model, mesh, space):
+    xq = mesh.quad_points
     flat = xq.reshape(-1, 2)
     ne, nq = xq.shape[0], xq.shape[1]
 
@@ -296,31 +296,31 @@ def delta_experiment(mesh):
 
 @dataclass
 class PecletReport:
-    peclet: np.ndarray            # (n_elements, N_C) per-sample maxima
     advection_dominated: bool
     max_peclet: float
 
 
-def local_peclet(model, mesh, space, quad=None):
-    """Per-element, per-sample local Peclet maxima |b| h_K / (2 eps)."""
-    quad = quad or default_quadrature()
-    xq = mesh.quad_points(quad)
+def local_peclet(model, mesh, space):
+    """Largest local Peclet number |b| h_K / (2 eps) over the elements,
+    their quadrature points and the samples."""
+    xq = mesh.quad_points
     flat = xq.reshape(-1, 2)
     ne, nq = xq.shape[0], xq.shape[1]
     eps = model.eps_values(space)
 
     if not model.has_random_advection:
         bn = np.linalg.norm(model.b_at(flat), axis=1).reshape(ne, nq)
-        bmax = bn.max(axis=1)
-        pe = np.outer(bmax * mesh.h_K, 0.5 / eps)
+        # all factors are >= 0, so the max of the products is the
+        # product of the maxima
+        mx = (bn.max(axis=1) * mesh.h_K).max() * (0.5 / eps).max()
     else:
-        pe = np.empty((ne, space.count))
+        mx = -np.inf
         for i, omega in enumerate(space.samples):
             bn = np.linalg.norm(model.b_at(flat, omega), axis=1)
             bmax = bn.reshape(ne, nq).max(axis=1)
-            pe[:, i] = bmax * mesh.h_K / (2.0 * eps[i])
-    mx = float(pe.max())
-    return PecletReport(pe, mx > 1.0, mx)
+            mx = np.maximum(mx, (bmax * mesh.h_K / (2.0 * eps[i])).max())
+    mx = float(mx)
+    return PecletReport(mx > 1.0, mx)
 
 
 @dataclass

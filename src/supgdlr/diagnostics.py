@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError
 from .coefficients import check_moderate_stochasticity, \
     delta_coercivity, delta_semi_implicit, estimate_inverse_constant
-from .mesh import _form, assemble_streamline
+from .mesh import QUAD_POINTS, _form, assemble_streamline
 from .sampling import expectation, project_complement
 
 __all__ = [
@@ -73,11 +73,11 @@ def _colwise(F, u):
 def _mu_mass(blocks, mu):
     """(mu phi_j, phi_i) for the shifted reaction mu, or None when mu
     vanishes at every quadrature point."""
-    xq = blocks.mesh.quad_points(blocks.quad)
+    xq = blocks.mesh.quad_points
     mq = np.asarray(mu(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
     if not np.any(mq):
         return None
-    phi = blocks.quad.basis_values()[None]
+    phi = QUAD_POINTS[None]
     return _form(blocks, phi, phi, weight=mq)
 
 

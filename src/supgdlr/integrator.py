@@ -32,7 +32,7 @@ from . import diagnostics
 from .errors import BlowupError, ConfigError, NearSingularError, \
     SolverError, SupgDlrError
 from .mesh import DirichletCondition, assemble_blocks, assemble_load, \
-    assemble_skewed, default_quadrature, directional_gradients
+    assemble_skewed, directional_gradients
 from .sampling import expectation, project_complement, \
     weighted_orthonormalize
 from .lowrank import DlrState
@@ -95,7 +95,6 @@ class StepWorkspace:
     space: object
     cfg: SchemeConfig
     analysis: object
-    quad: object
     delta: np.ndarray
     blocks: object
     Braw: object
@@ -113,8 +112,8 @@ class StepWorkspace:
     norms: object = field(init=False)  # diagnostics.NormEvaluator
 
     def __post_init__(self):
-        self.pw = self.mesh.quad_weights(self.quad)
-        self.xq_flat = self.mesh.quad_points(self.quad).reshape(-1, 2)
+        self.pw = self.mesh.quad_weights
+        self.xq_flat = self.mesh.quad_points.reshape(-1, 2)
         self.norms = diagnostics.NormEvaluator(self)
 
     @property
@@ -138,26 +137,17 @@ class StepWorkspace:
         return np.asarray(f, dtype=float).reshape(self.pw.shape)
 
 
-def _resolve_delta(delta, mesh):
-    dk = delta.delta_K if isinstance(delta, StabilizationParams) \
-        else np.asarray(delta, dtype=float)
-    if dk.shape != (mesh.n_triangles,):
-        raise ConfigError("delta must have one entry per element")
-    if not np.all(np.isfinite(dk)):
-        raise ConfigError("delta contains non-finite entries")
-    return dk
-
-
-def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
+def prepare_workspace(model, mesh, space, cfg, analysis=None):
     """Assemble and factorize everything one run of `step` needs."""
-    quad = quad or default_quadrature()
-    model.validate(space, mesh, quad)
-    delta = _resolve_delta(cfg.delta, mesh)
+    model.validate(space, mesh)
     eps_bar, eps_star = model.eps_split(space)
 
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta, quad)
+    # assemble_blocks checks the per-element array
+    delta = cfg.delta.delta_K if isinstance(cfg.delta, StabilizationParams) \
+        else cfg.delta
+    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
     if analysis is None:
-        analysis = analyze_reaction(model, mesh, space, quad)
+        analysis = analyze_reaction(model, mesh, space)
 
     terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
@@ -174,7 +164,7 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None, quad=None):
     lu = spla.splu(bc.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
     return StepWorkspace(
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
-        quad=quad, delta=delta, blocks=blocks, Braw=Braw, bc=bc, lu=lu,
+        delta=blocks.delta, blocks=blocks, Braw=Braw, bc=bc, lu=lu,
         eps_expl=eps_star, b_expl=model.b_fluct if model.b_modes else None,
         modes=modes, terms=terms)
 

@@ -15,10 +15,10 @@ from .errors import ConfigError
 
 __all__ = [
     "Mesh",
-    "QuadratureRule",
+    "QUAD_POINTS",
+    "QUAD_WEIGHTS",
     "FemBlocks",
     "build_structured_mesh",
-    "default_quadrature",
     "assemble_blocks",
     "assemble_galerkin",
     "assemble_load",
@@ -30,33 +30,10 @@ __all__ = [
 ]
 
 
-class QuadratureRule:
-    """Symmetric quadrature on the reference triangle.
-
-    points are barycentric coordinates, weights sum to the reference
-    triangle area 1/2.
-    """
-
-    def __init__(self, points, weights):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        if np.any(self.weights <= 0):
-            raise ConfigError("quadrature weights must be positive")
-
-    @property
-    def n_points(self):
-        return len(self.weights)
-
-    def basis_values(self):
-        """P1 basis values at the quadrature points, shape (nq, 3).
-
-        For P1 the nodal basis functions are the barycentric coordinates.
-        """
-        return self.points.copy()
-
-
-def default_quadrature():
-    """Degree-4 six-point symmetric rule (exact for quartics)."""
+def _degree4_rule():
+    """Degree-4 six-point symmetric rule (exact for quartics): barycentric
+    points, which are also the P1 basis values there, and weights that
+    sum to the reference triangle area 1/2."""
     a, wa = 0.445948490915965, 0.223381589678011
     b, wb = 0.091576213509771, 0.109951743655322
     pts = [
@@ -64,7 +41,14 @@ def default_quadrature():
         (1 - 2 * b, b, b), (b, 1 - 2 * b, b), (b, b, 1 - 2 * b),
     ]
     wts = [wa, wa, wa, wb, wb, wb]
-    return QuadratureRule(pts, 0.5 * np.array(wts))
+    points, weights = np.array(pts), 0.5 * np.array(wts)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
+
+
+# the one quadrature rule of every form, load and coefficient scan
+QUAD_POINTS, QUAD_WEIGHTS = _degree4_rule()
 
 
 class Mesh:
@@ -101,8 +85,6 @@ class Mesh:
             grads[:, a, 0] = -d[:, 1] / twoA
             grads[:, a, 1] = d[:, 0] / twoA
         self.grads = grads
-        # quadrature rule -> (points, weights); rules compare by identity
-        self._quad_arrays = {}
 
     @cached_property
     def scatter(self):
@@ -121,28 +103,23 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
-    def _quad_entry(self, quad):
-        entry = self._quad_arrays.get(quad)
-        if entry is None:
-            tri = self.vertices[self.triangles]
-            points = np.einsum("qa,eai->eqi", quad.points, tri)
-            weights = 2.0 * self.signed_areas[:, None] * quad.weights[None, :]
-            points.flags.writeable = False
-            weights.flags.writeable = False
-            entry = self._quad_arrays[quad] = (points, weights)
-        return entry
-
-    def quad_points(self, quad):
+    @cached_property
+    def quad_points(self):
         """Physical quadrature point coordinates, shape (ne, nq, 2).
 
-        Computed once per rule object (matched by identity) and returned
-        read-only, like quad_weights.
+        Computed once per mesh and read-only, like quad_weights.
         """
-        return self._quad_entry(quad)[0]
+        tri = self.vertices[self.triangles]
+        points = np.einsum("qa,eai->eqi", QUAD_POINTS, tri)
+        points.flags.writeable = False
+        return points
 
-    def quad_weights(self, quad):
+    @cached_property
+    def quad_weights(self):
         """Physical quadrature weights per element, shape (ne, nq)."""
-        return self._quad_entry(quad)[1]
+        weights = 2.0 * self.signed_areas[:, None] * QUAD_WEIGHTS[None, :]
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def form_index(self):
@@ -228,9 +205,8 @@ class FemBlocks:
     assemble_load, one array per skew value.
     """
 
-    def __init__(self, mesh, quad, delta, bg_at_qp):
+    def __init__(self, mesh, delta, bg_at_qp):
         self.mesh = mesh
-        self.quad = quad
         self.delta = delta
         self.bg_at_qp = bg_at_qp        # (ne, nq, 3), stabilizing field
         self.load_tests = {}
@@ -245,7 +221,7 @@ def _form(blocks, test, trial, weight=None):
     broadcastable to (ne, nq).
     """
     mesh = blocks.mesh
-    pw = mesh.quad_weights(blocks.quad)
+    pw = mesh.quad_weights
     if weight is not None:
         pw = pw * weight
     test, trial = (f if f.ndim == 4 else f[..., None]
@@ -272,26 +248,27 @@ def _gradients_along(mesh, xq, v):
     return out
 
 
-def assemble_blocks(mesh, b, c_bar, delta, quad=None):
+def assemble_blocks(mesh, b, c_bar, delta):
     """Assemble all deterministic blocks for stabilizing field b.
 
     b : callable (n,2)->(n,2); c_bar : callable (n,2)->(n,) or None;
-    delta : per-element array (>= 0), one entry per triangle.
+    delta : per-element array, one finite entry >= 0 per triangle.
 
     For P1 elements the -eps*Laplacian part of the element residual
     vanishes identically, so no Laplacian block exists.
     """
-    quad = quad or default_quadrature()
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (mesh.n_triangles,):
         raise ConfigError(
             "delta must have one entry per triangle "
             f"(got {delta.shape}, expected ({mesh.n_triangles},))")
+    if not np.all(np.isfinite(delta)):
+        raise ConfigError("delta contains non-finite entries")
     if np.any(delta < 0):
         raise ConfigError("delta entries must be >= 0")
 
-    xq = mesh.quad_points(quad)                        # (ne, nq, 2)
-    phi = quad.basis_values()[None]                    # (1, nq, 3)
+    xq = mesh.quad_points                              # (ne, nq, 2)
+    phi = QUAD_POINTS[None]                            # (1, nq, 3)
     bg = _gradients_along(mesh, xq, b)
     transported = bg                   # b . grad phi_j + cbar phi_j
     if c_bar is not None:
@@ -300,7 +277,7 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
             raise ConfigError("reaction field evaluated to non-finite values")
         transported = bg + cq[..., None] * phi
 
-    blocks = assemble_galerkin(mesh, quad)
+    blocks = assemble_galerkin(mesh)
     blocks.delta, blocks.bg_at_qp = delta, bg
     test = _skewed_test(blocks)
     blocks.supg_conv = assemble_streamline(blocks, bg, bg)
@@ -309,12 +286,11 @@ def assemble_blocks(mesh, b, c_bar, delta, quad=None):
     return blocks
 
 
-def assemble_galerkin(mesh, quad=None):
+def assemble_galerkin(mesh):
     """FemBlocks with only mass and stiffness, the forms that depend on
     neither the advection nor delta."""
-    quad = quad or default_quadrature()
-    blocks = FemBlocks(mesh, quad, None, None)
-    phi = quad.basis_values()[None]                    # (1, nq, 3)
+    blocks = FemBlocks(mesh, None, None)
+    phi = QUAD_POINTS[None]                            # (1, nq, 3)
     grads = mesh.grads[:, None]                        # (ne, 1, 3, 2)
     blocks.mass = _form(blocks, phi, phi)
     blocks.stiffness = _form(blocks, grads, grads)
@@ -327,14 +303,13 @@ def directional_gradients(blocks, v):
     v is a callable (n,2) -> (n,2), such as an advection mode.
     """
     mesh = blocks.mesh
-    return _gradients_along(mesh, mesh.quad_points(blocks.quad), v)
+    return _gradients_along(mesh, mesh.quad_points, v)
 
 
 def _skewed_test(blocks):
     """Streamline test functions phi_a + delta_K b . grad phi_a at the
     quadrature points, shape (ne, nq, 3)."""
-    return blocks.quad.basis_values()[None] \
-        + blocks.delta[:, None, None] * blocks.bg_at_qp
+    return QUAD_POINTS[None] + blocks.delta[:, None, None] * blocks.bg_at_qp
 
 
 def assemble_skewed(blocks, vg):
@@ -368,7 +343,7 @@ def assemble_load(blocks, values_at_qp, skew=False):
 
     Returns (N_h,) or (N_h, k).
     """
-    mesh, quad = blocks.mesh, blocks.quad
+    mesh = blocks.mesh
     vals = np.asarray(values_at_qp, dtype=float)
     squeeze = vals.ndim == 2
     if squeeze:
@@ -376,8 +351,8 @@ def assemble_load(blocks, values_at_qp, skew=False):
 
     weighted = blocks.load_tests.get(skew)
     if weighted is None:
-        test = _skewed_test(blocks) if skew else quad.basis_values()[None]
-        weighted = mesh.quad_weights(quad)[..., None] * test  # (ne, nq, 3)
+        test = _skewed_test(blocks) if skew else QUAD_POINTS[None]
+        weighted = mesh.quad_weights[..., None] * test  # (ne, nq, 3)
         weighted.flags.writeable = False
         blocks.load_tests[skew] = weighted
     contrib = np.matmul(weighted.transpose(0, 2, 1), vals)   # (ne, 3, k)

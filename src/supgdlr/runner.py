@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__ as _version
 from .errors import ConfigError
 from .mesh import build_structured_mesh, tag_boundary_layer, \
-    assemble_galerkin, default_quadrature
+    assemble_galerkin
 from .sampling import make_monte_carlo, make_tensor_grid
 from .coefficients import (
     StabilizationParams, analyze_reaction, boundary_layer, constant_adr,
@@ -226,7 +226,7 @@ def build_model(cfg, space):
     return constant_adr(**cfg.model_params)
 
 
-def resolve_delta(policy, mesh, analysis, dt, quad=None):
+def resolve_delta(policy, mesh, analysis, dt):
     """Per-element stabilization parameter of one delta policy.
 
     Policies other than the plain h_K/4 rule ("experiment") need the
@@ -236,7 +236,7 @@ def resolve_delta(policy, mesh, analysis, dt, quad=None):
     """
     if policy == "experiment":
         return delta_experiment(mesh)
-    C_I = estimate_inverse_constant(mesh, assemble_galerkin(mesh, quad))
+    C_I = estimate_inverse_constant(mesh, assemble_galerkin(mesh))
     if policy == "coercivity":
         return delta_coercivity(mesh, analysis, C_I).capped(mesh.h_K / 4.0)
     if policy == "semi_implicit":
@@ -255,20 +255,18 @@ def build_problem(cfg):
             raise ConfigError("boundary tags do not match the mesh")
     space = build_space(cfg)
     model = build_model(cfg, space)
-    quad = default_quadrature()
-    analysis = analyze_reaction(model, mesh, space, quad)
+    analysis = analyze_reaction(model, mesh, space)
     if cfg.stabilization == "none":
         delta = StabilizationParams(np.zeros(mesh.n_triangles))
     elif cfg.stabilization == "supg":
-        delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt,
-                              quad)
+        delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
     else:
         raise ConfigError(f"unknown stabilization {cfg.stabilization!r}")
     scheme_cfg = SchemeConfig(
         dt=cfg.dt, delta=delta, bc=dict(cfg.bc),
         compute_tangent_residual=cfg.tangent_residual)
     ws = prepare_workspace(model, mesh, space, scheme_cfg,
-                           analysis=analysis, quad=quad)
+                           analysis=analysis)
     state = build_initial(cfg, mesh, space, ws.blocks.mass)
     return mesh, space, model, analysis, delta, ws, state
 

@@ -81,6 +81,26 @@ def test_check_bounds_suite(capsys):
     assert "bounds[si_stab case ii]: PASS" in out
 
 
+def test_check_coercivity_suite(capsys):
+    code = main(["check", "--suite", "coercivity"])
+    assert code == 0
+    assert "0/100 violations" in capsys.readouterr().out
+
+
+def test_check_numerical_failure_is_exit_status_2(capsys, monkeypatch):
+    from supgdlr import cli
+    from supgdlr.errors import SolverError
+
+    def failing(state, ws):
+        raise SolverError("forced step failure")
+
+    monkeypatch.setattr(cli, "step", failing)
+    code = main(["check", "--suite", "oracle"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "forced step failure" in err
+
+
 def test_unknown_preset_choice_rejected():
     with pytest.raises(SystemExit):
         main(["preset", "mystery", "--out", "x"])

@@ -163,6 +163,38 @@ def test_local_peclet_regimes():
     assert not cold.advection_dominated
 
 
+def _peclet_by_sample(model, mesh, space):
+    """(n_e, N_C) per-element, per-sample local Peclet maxima, one
+    sample at a time."""
+    ne, nq = mesh.quad_weights.shape
+    flat = mesh.quad_points.reshape(-1, 2)
+    eps = model.eps_values(space)
+    pe = np.empty((ne, space.count))
+    for i, omega in enumerate(space.samples):
+        bn = np.linalg.norm(model.b_at(flat, omega), axis=1)
+        pe[:, i] = bn.reshape(ne, nq).max(axis=1) * mesh.h_K / (2.0 * eps[i])
+    return pe
+
+
+@pytest.mark.parametrize("case", ["boundary_layer", "rotating_body"])
+def test_local_peclet_is_the_largest_per_sample_value(case):
+    mesh = build_structured_mesh(4)
+    if case == "boundary_layer":
+        space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
+                                 12, seed=0)
+        model = boundary_layer(space)
+        assert model.has_random_advection
+    else:
+        space = mc3(10)
+        model = rotating_body()
+    pe = _peclet_by_sample(model, mesh, space)
+    # neither the first nor the last sample holds the maximum
+    assert 0 < pe.max(axis=0).argmax() < space.count - 1
+    report = local_peclet(model, mesh, space)
+    assert report.max_peclet == pytest.approx(pe.max(), rel=1e-15)
+    assert report.advection_dominated == (pe.max() > 1.0)
+
+
 def test_moderate_stochasticity_gate():
     mesh = build_structured_mesh(4)
     space = make_monte_carlo([(-1.0, 1.0)], 30, seed=2)
@@ -268,3 +300,9 @@ def test_b_fluct_memo_matches_the_unmemoized_sum():
 def test_negative_delta_rejected():
     with pytest.raises(ConfigError):
         StabilizationParams(np.array([-0.1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_delta_rejected(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        StabilizationParams(np.array([0.1, bad]))

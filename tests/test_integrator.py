@@ -61,6 +61,17 @@ def test_supg_needs_delta():
         prepare_workspace(rotating_body(), mesh, space, cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prepare_workspace_rejects_non_finite_delta(bad):
+    mesh = build_structured_mesh(3)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=0)
+    delta = np.full(mesh.n_triangles, 0.1)
+    delta[0] = bad
+    cfg = SchemeConfig(dt=0.1, delta=delta)
+    with pytest.raises(ConfigError, match="non-finite"):
+        prepare_workspace(rotating_body(), mesh, space, cfg)
+
+
 @pytest.mark.parametrize("stabilization", ["supg", "none"])
 def test_full_rank_matches_full_order(stabilization):
     mesh = build_structured_mesh(3)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, DirichletCondition, assemble_blocks, assemble_load,
-    assemble_skewed, assemble_streamline, build_structured_mesh,
-    default_quadrature, directional_gradients, tag_boundary_layer,
+    QUAD_POINTS, QUAD_WEIGHTS, ConfigError, DirichletCondition,
+    assemble_blocks, assemble_load, assemble_skewed, assemble_streamline,
+    build_structured_mesh, directional_gradients, tag_boundary_layer,
 )
 
 
@@ -17,27 +17,28 @@ def exact_ref_integral(i, j):
 
 
 def test_quadrature_weights_sum_to_half():
-    quad = default_quadrature()
-    assert quad.n_points == 6
-    assert abs(quad.weights.sum() - 0.5) <= 1e-15
+    assert QUAD_WEIGHTS.shape == (6,)
+    assert np.all(QUAD_WEIGHTS > 0)
+    assert abs(QUAD_WEIGHTS.sum() - 0.5) <= 1e-15
 
 
 def test_quadrature_monomial_exactness():
-    quad = default_quadrature()
     # physical coordinates on the reference triangle (0,0),(1,0),(0,1)
-    x = quad.points[:, 1]
-    y = quad.points[:, 2]
+    x = QUAD_POINTS[:, 1]
+    y = QUAD_POINTS[:, 2]
     for i in range(5):
         for j in range(5 - i):
-            val = float(np.sum(quad.weights * x ** i * y ** j))
+            val = float(np.sum(QUAD_WEIGHTS * x ** i * y ** j))
             assert abs(val - exact_ref_integral(i, j)) <= 1e-13, (i, j)
 
 
 def test_basis_values_are_barycentric():
-    quad = default_quadrature()
-    phi = quad.basis_values()
-    assert phi.shape == (6, 3)
-    assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-15)
+    # the P1 basis values at the points are their barycentric coordinates
+    assert QUAD_POINTS.shape == (6, 3)
+    assert np.all(QUAD_POINTS > 0)
+    assert np.allclose(QUAD_POINTS.sum(axis=1), 1.0, atol=1e-15)
+    for arr in (QUAD_POINTS, QUAD_WEIGHTS):
+        assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("n,nv,ne", [(1, 4, 2), (2, 9, 8), (128, 16641, 32768)])
@@ -67,28 +68,20 @@ def test_structured_mesh_triangles_match_cell_loop(n):
     assert np.array_equal(triangles, np.array(tris, dtype=np.int64))
 
 
-def test_quadrature_arrays_are_cached_per_rule_and_read_only():
+def test_quadrature_arrays_are_cached_and_read_only():
     mesh = build_structured_mesh(3)
-    quad = default_quadrature()
-    points, weights = mesh.quad_points(quad), mesh.quad_weights(quad)
-    assert mesh.quad_points(quad) is points
-    assert mesh.quad_weights(quad) is weights
+    points, weights = mesh.quad_points, mesh.quad_weights
+    assert mesh.quad_points is points
+    assert mesh.quad_weights is weights
     tri = mesh.vertices[mesh.triangles]
     assert np.array_equal(points,
-                          np.einsum("qa,eai->eqi", quad.points, tri))
+                          np.einsum("qa,eai->eqi", QUAD_POINTS, tri))
     assert np.array_equal(
-        weights, 2.0 * mesh.signed_areas[:, None] * quad.weights[None, :])
+        weights, 2.0 * mesh.signed_areas[:, None] * QUAD_WEIGHTS[None, :])
     for arr in (points, weights, *mesh.form_index):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-    # another rule object, even an equal one, gets its own arrays
-    other = default_quadrature()
-    assert mesh.quad_points(other) is not points
-    assert mesh.quad_weights(other) is not weights
-    assert np.array_equal(mesh.quad_points(other), points)
-    assert mesh.quad_points(quad) is points
 
 
 def test_directional_gradients_are_the_einsum_bit_for_bit():
@@ -102,7 +95,7 @@ def test_directional_gradients_are_the_einsum_bit_for_bit():
         # negative zeros, whose products a sum from +0.0 turns positive
         lambda x: np.column_stack([-np.zeros(len(x)), x[:, 0] - 0.5]),
     ]
-    xq = mesh.quad_points(blocks.quad)
+    xq = mesh.quad_points
     for v in fields:
         vq = v(xq.reshape(-1, 2)).reshape(xq.shape)
         got = directional_gradients(blocks, lambda x, vq=vq: vq.reshape(-1, 2))
@@ -116,7 +109,7 @@ def test_assemble_load_reuses_its_test_functions():
         mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]), None,
         np.linspace(0.05, 0.2, mesh.n_triangles))
     vals = np.random.default_rng(0).standard_normal(
-        (mesh.n_triangles, blocks.quad.n_points))
+        (mesh.n_triangles, len(QUAD_WEIGHTS)))
     first = {skew: assemble_load(blocks, vals, skew=skew)
              for skew in (True, False)}
     kept = dict(blocks.load_tests)
@@ -268,8 +261,7 @@ def test_assemble_load_constant_matches_mass():
     mesh = build_structured_mesh(3)
     blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
                              np.zeros(mesh.n_triangles))
-    quad = blocks.quad
-    vals = np.ones((mesh.n_triangles, quad.n_points))
+    vals = np.ones((mesh.n_triangles, len(QUAD_WEIGHTS)))
     load = assemble_load(blocks, vals)
     want = blocks.mass @ np.ones(mesh.n_vertices)
     assert np.max(np.abs(load - want)) <= 1e-14
@@ -283,7 +275,7 @@ def test_assemble_load_skew_adds_streamline_term():
         return np.column_stack([np.ones(len(x)), -np.ones(len(x))])
 
     blocks = assemble_blocks(mesh, b_fn, None, delta)
-    vals = np.ones((mesh.n_triangles, blocks.quad.n_points))
+    vals = np.ones((mesh.n_triangles, len(QUAD_WEIGHTS)))
     plain = assemble_load(blocks, vals)
     skew = assemble_load(blocks, vals, skew=True)
     # (1, phi_i + delta_K b.grad phi_i) is skewed_mass applied to ones
@@ -297,7 +289,7 @@ def test_assemble_load_multiple_columns():
     blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
                              np.zeros(mesh.n_triangles))
     rng = np.random.default_rng(0)
-    vals = rng.standard_normal((mesh.n_triangles, blocks.quad.n_points, 3))
+    vals = rng.standard_normal((mesh.n_triangles, len(QUAD_WEIGHTS), 3))
     out = assemble_load(blocks, vals)
     assert out.shape == (mesh.n_vertices, 3)
     for k in range(3):
@@ -313,11 +305,10 @@ def test_assemble_load_matches_element_loop(k, skew):
     blocks = assemble_blocks(
         mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]), None,
         delta)
-    quad = blocks.quad
-    phi = quad.basis_values()
-    pw = mesh.quad_weights(quad)
+    phi = QUAD_POINTS
+    pw = mesh.quad_weights
     rng = np.random.default_rng(k)
-    vals = rng.standard_normal((mesh.n_triangles, quad.n_points, k))
+    vals = rng.standard_normal((mesh.n_triangles, len(QUAD_WEIGHTS), k))
     want = np.zeros((mesh.n_vertices, k))
     for e, tri in enumerate(mesh.triangles):
         test = phi + (delta[e] * blocks.bg_at_qp[e] if skew else 0.0)
@@ -413,3 +404,12 @@ def test_delta_shape_validation():
     with pytest.raises(ConfigError):
         assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
                         -np.ones(mesh.n_triangles))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assemble_blocks_rejects_non_finite_delta(bad):
+    mesh = build_structured_mesh(3)
+    delta = np.full(mesh.n_triangles, 0.1)
+    delta[4] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        assemble_blocks(mesh, lambda x: np.ones((len(x), 2)), None, delta)

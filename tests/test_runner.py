@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from supgdlr import (
     preset_rotating_body, range_excess, run, run_from_config,
     write_config, write_field_dump,
 )
-from supgdlr import integrator, mesh as mesh_module
+from supgdlr import integrator, mesh as mesh_module, runner
 from supgdlr.runner import resolve_delta
 
 from conftest import check_invariants
@@ -54,24 +55,38 @@ def test_preset_rejects_unknown_scale():
         preset_boundary_layer("huge")
 
 
-def test_config_round_trip(tmp_path):
-    cfg = tiny_config(str(tmp_path), track_md_samples=(0, 3),
-                      dump_times=(0.05,), dump_samples=(1,),
-                      bounds=(("si_stab", "ii"),), tangent_residual=True)
+def every_field_config(out_dir):
+    # every RunConfig field away from its default
+    return RunConfig(
+        name="every_field", n_per_side=6, dt=0.025, T=0.3,
+        stabilization="none", delta_policy="semi_implicit", rank=3,
+        snapshot_tol=1e-5, model="constant_adr",
+        model_params={"eps_value": 0.1, "b": (1.0, 0.0), "c": 0.5,
+                      "f": 2.0},
+        sampler={"kind": "tensor_grid",
+                 "intervals": [(0.5, 1.5, 3), (-1.0, 1.0, 2)]},
+        initial="boundary_layer_snapshot", bc={"d1": 1.0, "d2": 0.0},
+        out_dir=out_dir, track_md_samples=(0, 3), dump_times=(0.05,),
+        dump_samples=(1,), bounds=(("si_stab", "ii"), ("im_stab", "iii")),
+        tangent_residual=True, scale="paper")
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda d: tiny_config(d, track_md_samples=(0, 3), dump_times=(0.05,),
+                          dump_samples=(1,), bounds=(("si_stab", "ii"),),
+                          tangent_residual=True),
+    lambda d: preset_rotating_body("desk"),
+    lambda d: preset_rotating_body("paper"),
+    lambda d: preset_boundary_layer("desk"),
+    lambda d: preset_boundary_layer("paper"),
+    every_field_config,
+], ids=["tiny", "rotating_body-desk", "rotating_body-paper",
+        "boundary_layer-desk", "boundary_layer-paper", "every_field"])
+def test_config_round_trip(tmp_path, make_cfg):
+    cfg = make_cfg(str(tmp_path / "out"))
     path = tmp_path / "config.ini"
     write_config(cfg, path)
-    back = load_config(path)
-    assert back.name == cfg.name
-    assert back.n_per_side == cfg.n_per_side
-    assert back.dt == cfg.dt and back.T == cfg.T
-    assert back.rank == cfg.rank
-    assert back.sampler == cfg.sampler
-    assert back.bc == cfg.bc
-    assert back.track_md_samples == cfg.track_md_samples
-    assert back.dump_times == cfg.dump_times
-    assert back.dump_samples == cfg.dump_samples
-    assert back.bounds == cfg.bounds
-    assert back.tangent_residual is True
+    assert asdict(load_config(path)) == asdict(cfg)
 
 
 def test_boundary_layer_config_round_trip(tmp_path):
@@ -159,6 +174,26 @@ def test_run_from_config_ledger_estimates_C_I(tmp_path):
     assert "diffusion" in row["reason"]
 
 
+def test_failed_bound_is_exit_status_3(tmp_path, monkeypatch):
+    evaluate = runner.evaluate_bounds
+
+    def failing(reports, ws, bounds):
+        return [replace(led, applicable=True, passed=False)
+                for led in evaluate(reports, ws, bounds)]
+
+    monkeypatch.setattr(runner, "evaluate_bounds", failing)
+    out = tmp_path / "failed_bound"
+    status, manifest = run_from_config(
+        tiny_config(str(out), bounds=(("si_stab", "ii"),)))
+    assert status == 3
+    assert manifest["status"] == "bound_failed"
+    with open(out / "run.json") as fh:
+        assert json.load(fh)["status"] == "bound_failed"
+    with open(out / "ledger.csv") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert row["applicable"] == "True" and row["passed"] == "False"
+
+
 def test_md_csv_reports_range_excess(tmp_path):
     out = tmp_path / "md"
     cfg = tiny_config(str(out), track_md_samples=(0, 1))
@@ -243,7 +278,7 @@ def test_build_problems_share_no_cached_array():
     for _ in range(2):
         mesh, _, _, _, _, ws, _ = build_problem(cfg)
         assemble_load(ws.blocks, np.ones(ws.pw.shape), skew=True)
-        arrays.append([mesh.quad_points(ws.quad), mesh.quad_weights(ws.quad),
+        arrays.append([mesh.quad_points, mesh.quad_weights,
                        *mesh.form_index, ws.pw, ws.xq_flat,
                        ws.blocks.load_tests[True]])
     for a, b in zip(*arrays):
