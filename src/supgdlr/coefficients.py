@@ -124,12 +124,6 @@ class CoefficientModel:
         return reduce(add, (float(theta(omega)[0]) * b
                             for (theta, _), b in zip(self.b_modes, betas)))
 
-    def b_at(self, x, omega=None):
-        b = np.asarray(self.b_mean(x), dtype=float)
-        if omega is not None and self.b_modes:
-            b = b + np.asarray(self.b_fluct(x, omega), dtype=float)
-        return b
-
     def c_at(self, x):
         c = np.zeros(len(x))
         if self.c_mean is not None:
@@ -302,24 +296,35 @@ class PecletReport:
 
 def local_peclet(model, mesh, space):
     """Largest local Peclet number |b| h_K / (2 eps) over the elements,
-    their quadrature points and the samples."""
-    xq = mesh.quad_points
-    flat = xq.reshape(-1, 2)
-    ne, nq = xq.shape[0], xq.shape[1]
-    eps = model.eps_values(space)
+    their quadrature points and the samples.
 
-    if not model.has_random_advection:
-        bn = np.linalg.norm(model.b_at(flat), axis=1).reshape(ne, nq)
-        # all factors are >= 0, so the max of the products is the
-        # product of the maxima
-        mx = (bn.max(axis=1) * mesh.h_K).max() * (0.5 / eps).max()
-    else:
-        mx = -np.inf
-        for i, omega in enumerate(space.samples):
-            bn = np.linalg.norm(model.b_at(flat, omega), axis=1)
-            bmax = bn.reshape(ne, nq).max(axis=1)
-            mx = np.maximum(mx, (bmax * mesh.h_K / (2.0 * eps[i])).max())
-    mx = float(mx)
+    A sample's advection b_mean + sum_k theta_k beta_k depends on it
+    only through its row of mode weights, so the element maxima of
+    |b| h_K are taken once per distinct row (one, empty, without modes)
+    and divided by 2 eps per sample, which rounds monotonically: the
+    per-sample maximum, bit for bit.  Non-finite advection raises
+    ConfigError.
+    """
+    flat = mesh.quad_points.reshape(-1, 2)
+    eps = model.eps_values(space)
+    modes = model.advection_modes(space)
+    b_mean = np.asarray(model.b_mean(flat), dtype=float)
+    betas = [np.asarray(beta(flat), dtype=float) for _, beta in modes]
+    thetas = np.reshape([theta for theta, _ in modes],
+                        (len(modes), space.count)).T          # (N_C, K)
+    rows, which = np.unique(thetas, axis=0, return_inverse=True)
+    top = np.empty(len(rows))
+    for j, row in enumerate(rows):
+        # b_mean plus the sum b_fluct forms (0.0 without modes), squared
+        # in place and summed as np.linalg.norm does; sqrt is monotone
+        b = b_mean + reduce(add, (t * beta for t, beta in zip(row, betas)),
+                            0.0)
+        b *= b
+        bsq = b.sum(axis=1).reshape(mesh.quad_weights.shape)   # (ne, nq)
+        top[j] = (np.sqrt(bsq.max(axis=1)) * mesh.h_K).max()
+    if not np.all(np.isfinite(top)):
+        raise ConfigError("advection field evaluated to non-finite values")
+    mx = float((top[which] / (2.0 * eps)).max())
     return PecletReport(mx > 1.0, mx)
 
 
@@ -332,18 +337,18 @@ class StochasticityReport:
         return self.eps_margin >= 0
 
 
-def check_moderate_stochasticity(model, analysis, space):
+def check_moderate_stochasticity(analysis):
     """Verify |eps_star| <= eps_hat/32 over the samples.
 
-    The margin is the worst-case slack over samples; deterministic
-    diffusion gives infinite margin.  The reaction is deterministic, so
-    its half of the condition holds trivially.
+    The margin eps_hat/32 - analysis.eps_star_sup is the smallest
+    per-sample slack bit for bit (subtraction rounds monotonically);
+    deterministic diffusion gives infinite margin.  The reaction is
+    deterministic, so its half of the condition holds trivially.
     """
-    _, eps_star = model.eps_split(space)
-    if np.max(np.abs(eps_star)) <= 1e-14 * analysis.eps_hat:
+    if analysis.eps_star_sup <= 1e-14 * analysis.eps_hat:
         return StochasticityReport(np.inf)
-    return StochasticityReport(float(np.min(analysis.eps_hat / 32.0
-                                            - np.abs(eps_star))))
+    return StochasticityReport(analysis.eps_hat / 32.0
+                               - analysis.eps_star_sup)
 
 
 # -- built-in models -----------------------------------------------------

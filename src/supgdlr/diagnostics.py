@@ -383,7 +383,7 @@ def evaluate_bounds(reports, ws, bounds):
         C_I = estimate_inverse_constant(ws.mesh, ws.blocks)
     fsq = float(np.sum(forcing_norms(ws, reports[0].t, N) ** 2))
     has_f = fsq > 0.0
-    stoch = check_moderate_stochasticity(ws.model, analysis, ws.space)
+    stoch = check_moderate_stochasticity(analysis)
     dmax = float(np.max(ws.delta))
     u0sq = reports[0].l2 ** 2
     uNsq = reports[-1].l2 ** 2

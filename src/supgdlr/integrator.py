@@ -151,7 +151,7 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
 
     terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
-    modes = [(theta, directional_gradients(blocks, beta))
+    modes = [(theta, directional_gradients(mesh, beta))
              for theta, beta in model.advection_modes(space)]
     terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
 

@@ -235,19 +235,6 @@ def _form(blocks, test, trial, weight=None):
     return mat
 
 
-def _gradients_along(mesh, xq, v):
-    """v . grad phi_a at the points xq (ne, nq, 2), shape (ne, nq, 3)."""
-    vq = np.asarray(v(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
-    if not np.all(np.isfinite(vq)):
-        raise ConfigError("advection field evaluated to non-finite values")
-    # einsum("eqi,eai->eqa", vq, grads) term by term from +0.0, the same
-    # sum in the same order (signed zeros included) at half its cost
-    out = np.zeros(xq.shape[:2] + (3,))
-    for i in range(2):
-        out += vq[..., i, None] * mesh.grads[:, None, :, i]
-    return out
-
-
 def assemble_blocks(mesh, b, c_bar, delta):
     """Assemble all deterministic blocks for stabilizing field b.
 
@@ -269,7 +256,7 @@ def assemble_blocks(mesh, b, c_bar, delta):
 
     xq = mesh.quad_points                              # (ne, nq, 2)
     phi = QUAD_POINTS[None]                            # (1, nq, 3)
-    bg = _gradients_along(mesh, xq, b)
+    bg = directional_gradients(mesh, b)
     transported = bg                   # b . grad phi_j + cbar phi_j
     if c_bar is not None:
         cq = c_bar(xq.reshape(-1, 2)).reshape(xq.shape[:2])
@@ -297,13 +284,21 @@ def assemble_galerkin(mesh):
     return blocks
 
 
-def directional_gradients(blocks, v):
-    """v . grad phi_a at the quadrature points of blocks, (ne, nq, 3).
+def directional_gradients(mesh, v):
+    """v . grad phi_a at the quadrature points of mesh, (ne, nq, 3).
 
     v is a callable (n,2) -> (n,2), such as an advection mode.
     """
-    mesh = blocks.mesh
-    return _gradients_along(mesh, mesh.quad_points, v)
+    xq = mesh.quad_points
+    vq = np.asarray(v(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
+    if not np.all(np.isfinite(vq)):
+        raise ConfigError("advection field evaluated to non-finite values")
+    # einsum("eqi,eai->eqa", vq, grads) term by term from +0.0, the same
+    # sum in the same order (signed zeros included) at half its cost
+    out = np.zeros(xq.shape[:2] + (3,))
+    for i in range(2):
+        out += vq[..., i, None] * mesh.grads[:, None, :, i]
+    return out
 
 
 def _skewed_test(blocks):
@@ -315,7 +310,7 @@ def _skewed_test(blocks):
 def assemble_skewed(blocks, vg):
     """(v . grad phi_j, phi_i + delta_K b . grad phi_i) for a field v.
 
-    vg is directional_gradients(blocks, v) and b the stabilizing field
+    vg is directional_gradients(blocks.mesh, v) and b the stabilizing field
     of blocks; with vg = blocks.bg_at_qp and no reaction this is
     blocks.transport.
     """

@@ -340,9 +340,8 @@ def run_from_config(cfg):
 
         manifest["n_steps"] = len(reports) - 1
         manifest["final_l2"] = reports[-1].l2
-        manifest["peclet_flag"] = bool(
-            local_peclet(model, mesh, space).advection_dominated) \
-            if space.count <= 1000 else None
+        manifest["peclet_flag"] = \
+            local_peclet(model, mesh, space).advection_dominated
     except ConfigError as err:
         status, manifest["status"] = 1, "config_error"
         manifest["error"] = str(err)

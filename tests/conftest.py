@@ -21,3 +21,10 @@ def check_invariants(state, space, mass, gram_tol=1e-10, cond_tol=1e-12):
         "stochastic modes are not zero-mean"
     sv = np.linalg.svd(state.U.T @ (mass @ state.U), compute_uv=False)
     assert sv[-1] >= cond_tol * sv[0], "deterministic modes nearly dependent"
+
+
+def sample_advection(model, x, omega):
+    """Advection of one sample at the points x, b_mean + b_fluct: the
+    per-sample reference of the mode-weight-row computations."""
+    b = np.asarray(model.b_mean(x), dtype=float)
+    return b + model.b_fluct(x, omega) if model.b_modes else b

@@ -194,7 +194,7 @@ def test_criterion_7_moderate_stochasticity_gate():
                                analysis=analysis)
         state = random_state(mesh, space, rank=1, seed=27)
         _, reports = run(state, ws, 0.05)
-        stoch = check_moderate_stochasticity(model, analysis, space)
+        stoch = check_moderate_stochasticity(analysis)
         [led] = evaluate_bounds(reports, ws, [("si_stab", "ii")])
         outcomes.append(led.applicable == expect_ok
                         and stoch.ok == expect_ok

@@ -10,8 +10,10 @@ from supgdlr import (
     assemble_blocks, boundary_layer, build_structured_mesh,
     check_moderate_stochasticity, constant_adr, delta_coercivity,
     delta_experiment, delta_semi_implicit, estimate_inverse_constant,
-    local_peclet, make_monte_carlo, rotating_body,
+    local_peclet, make_monte_carlo, make_tensor_grid, rotating_body,
 )
+
+from conftest import sample_advection
 
 
 def mc3(n=20, seed=0):
@@ -171,28 +173,56 @@ def _peclet_by_sample(model, mesh, space):
     eps = model.eps_values(space)
     pe = np.empty((ne, space.count))
     for i, omega in enumerate(space.samples):
-        bn = np.linalg.norm(model.b_at(flat, omega), axis=1)
+        bn = np.linalg.norm(sample_advection(model, flat, omega), axis=1)
         pe[:, i] = bn.reshape(ne, nq).max(axis=1) * mesh.h_K / (2.0 * eps[i])
     return pe
 
 
-@pytest.mark.parametrize("case", ["boundary_layer", "rotating_body"])
-def test_local_peclet_is_the_largest_per_sample_value(case):
-    mesh = build_structured_mesh(4)
+def _peclet_case(case):
+    """(model, space) of a local_peclet case."""
     if case == "boundary_layer":
         space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
                                  12, seed=0)
-        model = boundary_layer(space)
-        assert model.has_random_advection
-    else:
-        space = mc3(10)
-        model = rotating_body()
+        return boundary_layer(space), space
+    if case == "rotating_body":
+        return rotating_body(), mc3(10)
+    if case == "random_eps_no_modes":
+        space = make_monte_carlo([(-1.0, 1.0)], 15, seed=4)
+        return constant_adr(eps_fn=lambda s: 0.1 + 0.05 * np.sin(
+            7.0 * np.atleast_2d(s)[:, 0]), b=(1.0, -0.5)), space
+    # tensor grids repeat each mode-weight row across the other axes
+    n = {"tensor_boundary_layer": 4, "paper_boundary_layer": 10}[case]
+    space = make_tensor_grid([(5000.0, 6000.0, n)] + [(-1.0, 1.0, n)] * 3)
+    return boundary_layer(space), space
+
+
+@pytest.mark.parametrize("case", [
+    "boundary_layer", "rotating_body", "random_eps_no_modes",
+    "tensor_boundary_layer", "paper_boundary_layer"])
+def test_local_peclet_is_the_largest_per_sample_value(case):
+    mesh = build_structured_mesh(4)
+    model, space = _peclet_case(case)
     pe = _peclet_by_sample(model, mesh, space)
     # neither the first nor the last sample holds the maximum
     assert 0 < pe.max(axis=0).argmax() < space.count - 1
     report = local_peclet(model, mesh, space)
-    assert report.max_peclet == pytest.approx(pe.max(), rel=1e-15)
+    assert report.max_peclet == pe.max()
     assert report.advection_dominated == (pe.max() > 1.0)
+
+
+@pytest.mark.parametrize("b_mean, beta", [
+    ((np.nan, 0.0), None), ((1.0, 0.0), np.inf)])
+def test_local_peclet_refuses_non_finite_advection(b_mean, beta):
+    mesh = build_structured_mesh(3)
+    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=0)
+    model = constant_adr(b=b_mean)
+    if beta is not None:
+        centered = float(space.weights @ space.samples[:, 0])
+        model = replace(model, b_modes=((
+            lambda s: np.atleast_2d(s)[:, 0] - centered,
+            lambda x: np.full((len(x), 2), beta)),))
+    with pytest.raises(ConfigError, match="non-finite"):
+        local_peclet(model, mesh, space)
 
 
 def test_moderate_stochasticity_gate():
@@ -207,17 +237,43 @@ def test_moderate_stochasticity_gate():
 
     wide = constant_adr(eps_fn=eps_wide, b=(1.0, 0.0))
     narrow = constant_adr(eps_fn=eps_narrow, b=(1.0, 0.0))
-    rep_w = check_moderate_stochasticity(
-        wide, analyze_reaction(wide, mesh, space), space)
+    rep_w = check_moderate_stochasticity(analyze_reaction(wide, mesh, space))
     rep_n = check_moderate_stochasticity(
-        narrow, analyze_reaction(narrow, mesh, space), space)
+        analyze_reaction(narrow, mesh, space))
     assert not rep_w.ok and rep_w.eps_margin < 0
     assert rep_n.ok and rep_n.eps_margin >= 0
     # fully deterministic diffusion: infinite margin
     det = constant_adr(eps_value=1.0)
-    rep_d = check_moderate_stochasticity(
-        det, analyze_reaction(det, mesh, space), space)
+    rep_d = check_moderate_stochasticity(analyze_reaction(det, mesh, space))
     assert rep_d.ok and np.isinf(rep_d.eps_margin)
+
+
+def _random_eps_model(case):
+    """(model, space) with random diffusion."""
+    if case == "rotating_body":
+        return rotating_body(), mc3(30, seed=6)
+    if case == "boundary_layer":
+        space = make_tensor_grid([(5000.0, 6000.0, 5)]
+                                 + [(-1.0, 1.0, 2)] * 3)
+        return boundary_layer(space), space
+    amp = float(case)
+    space = make_monte_carlo([(-1.0, 1.0)] * 2, 25, seed=2)
+    return constant_adr(eps_fn=lambda s: 1.0 + amp * np.sin(
+        3.0 * np.atleast_2d(s)[:, 0] + np.atleast_2d(s)[:, 1])), space
+
+
+@pytest.mark.parametrize("case", [
+    "rotating_body", "boundary_layer", "0.5", "0.03", "0.01", "0.001"])
+def test_moderate_stochasticity_is_the_smallest_per_sample_slack(case):
+    mesh = build_structured_mesh(3)
+    model, space = _random_eps_model(case)
+    eps = model.eps_values(space)
+    eps_hat, eps_bar = float(eps.min()), float(space.weights @ eps)
+    slack = min(eps_hat / 32.0 - abs(e - eps_bar) for e in eps)
+    report = check_moderate_stochasticity(
+        analyze_reaction(model, mesh, space))
+    assert report.eps_margin == slack
+    assert report.ok == (slack >= 0)
 
 
 def test_boundary_layer_mean_advection():
@@ -227,7 +283,7 @@ def test_boundary_layer_mean_advection():
     x = np.random.default_rng(0).uniform(0, 1, (7, 2))
     acc = np.zeros((7, 2))
     for w, omega in zip(space.weights, space.samples):
-        acc += w * model.b_at(x, omega)
+        acc += w * sample_advection(model, x, omega)
     assert np.max(np.abs(acc - 1.0)) <= 1e-12
     mesh = build_structured_mesh(4)
     model.validate(space, mesh)

@@ -22,6 +22,8 @@ from supgdlr.integrator import step_deterministic_modes, \
     step_stochastic_modes
 from supgdlr.runner import resolve_delta
 
+from conftest import sample_advection
+
 
 def random_state(mesh, space, rank, seed=0):
     rng = np.random.default_rng(seed)
@@ -83,7 +85,7 @@ def test_supg_norm_dense_oracle(case):
         tri = u[mesh.triangles]
         g = np.einsum("ead,ea->ed", mesh.grads, tri)
         gradsq = float(np.sum(mesh.signed_areas * np.sum(g * g, axis=1)))
-        bq = model.b_at(ws.xq_flat, space.samples[i]).reshape(
+        bq = sample_advection(model, ws.xq_flat, space.samples[i]).reshape(
             *ws.pw.shape, 2)
         bg = np.einsum("eqd,ed->eq", bq, g)
         bsq = float(np.einsum("e,eq,eq->", ws.delta, ws.pw, bg ** 2))

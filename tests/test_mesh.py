@@ -86,8 +86,6 @@ def test_quadrature_arrays_are_cached_and_read_only():
 
 def test_directional_gradients_are_the_einsum_bit_for_bit():
     mesh = build_structured_mesh(5)
-    blocks = assemble_blocks(mesh, lambda x: np.ones((len(x), 2)), None,
-                             np.zeros(mesh.n_triangles))
     rng = np.random.default_rng(0)
     fields = [
         lambda x: np.column_stack([0.5 - x[:, 1], x[:, 0] - 0.5]),
@@ -98,7 +96,7 @@ def test_directional_gradients_are_the_einsum_bit_for_bit():
     xq = mesh.quad_points
     for v in fields:
         vq = v(xq.reshape(-1, 2)).reshape(xq.shape)
-        got = directional_gradients(blocks, lambda x, vq=vq: vq.reshape(-1, 2))
+        got = directional_gradients(mesh, lambda x, vq=vq: vq.reshape(-1, 2))
         want = np.einsum("eqi,eai->eqa", vq, mesh.grads)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

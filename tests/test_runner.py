@@ -13,9 +13,9 @@ from supgdlr import (
     analyze_reaction, assemble_blocks, assemble_load, build_problem,
     build_structured_mesh, constant_adr, delta_coercivity,
     delta_semi_implicit, estimate_inverse_constant, evaluate_realization,
-    fom_step, load_config, make_monte_carlo, preset_boundary_layer,
-    preset_rotating_body, range_excess, run, run_from_config,
-    write_config, write_field_dump,
+    fom_step, load_config, local_peclet, make_monte_carlo,
+    preset_boundary_layer, preset_rotating_body, range_excess, run,
+    run_from_config, write_config, write_field_dump,
 )
 from supgdlr import integrator, mesh as mesh_module, runner
 from supgdlr.runner import resolve_delta
@@ -225,6 +225,28 @@ def test_run_from_config_is_deterministic(tmp_path):
         with open(out / "norms.csv", "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: preset_rotating_body("desk"),
+    lambda: preset_boundary_layer("desk"),
+    # more than 1000 samples, on a small mesh
+    lambda: replace(preset_boundary_layer("desk"), n_per_side=4,
+                    sampler={"kind": "tensor_grid",
+                             "intervals": [(5000.0, 6000.0, 6)]
+                             + [(-1.0, 1.0, 6)] * 3}),
+], ids=["rotating_body", "boundary_layer", "boundary_layer_1296"])
+def test_run_json_records_the_peclet_flag(tmp_path, make_cfg):
+    # one step: the flag depends only on the mesh, model and samples
+    cfg = make_cfg()
+    cfg = replace(cfg, T=cfg.dt, out_dir=str(tmp_path))
+    status, _ = run_from_config(cfg)
+    assert status == 0
+    with open(tmp_path / "run.json") as fh:
+        flag = json.load(fh)["peclet_flag"]
+    mesh, space, model = build_problem(cfg)[:3]
+    assert flag is True
+    assert flag == local_peclet(model, mesh, space).advection_dominated
 
 
 def test_run_from_config_bad_model(tmp_path):
