@@ -81,9 +81,15 @@ def init_from_modes(U0, U, Y, space):
 def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
     """Low-rank factorization of a snapshot under the natural norms.
 
-    Generalized SVD by symmetric scaling: Cholesky-factor the mass
-    matrix, scale sample columns by sqrt(m_i), then run a dense SVD.
-    Truncation is at fixed rank R or at the smallest rank whose relative
+    Truncated SVD of the centered snapshot, columns scaled by sqrt(w),
+    in the mass inner product.  Equal columns share one right singular
+    vector, so the SVD is taken, exactly, over the d distinct columns,
+    each scaled by the square root of its samples' summed weight.  Their
+    Householder QR A = Q0 R0 is made mass-orthonormal by the upper
+    Cholesky factor C of Q0^T M Q0 (condition at most cond(M)), and the
+    small core C R0 takes the SVD.  The mass matrix is only multiplied,
+    never densified; when d >= N_h the QR would only add work, and
+    Q0 = I.  Truncation is at fixed rank R or at the smallest rank whose relative
     singular-value tail is below tol.
     """
     X = np.asarray(u_samples, dtype=float)
@@ -95,12 +101,19 @@ def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
         raise ConfigError("give a rank or a truncation tolerance")
 
     mean = X @ space.weights
-    Xc = X - mean[:, None]
-    Mdense = mass.toarray() if hasattr(mass, "toarray") else np.asarray(mass)
-    L = sla.cholesky(Mdense, lower=True)
-    sw = np.sqrt(space.weights)
-    Xs = L.T @ (Xc * sw[None, :])
-    P, s, QT = np.linalg.svd(Xs, full_matrices=False)
+    # equal columns have equal centered columns; a -0.0/+0.0 mismatch
+    # only splits a group
+    ids = {}
+    which = np.array([ids.setdefault(col.tobytes(), len(ids))
+                      for col in X.T], dtype=np.intp)
+    first = np.unique(which, return_index=True)[1]
+    sw = np.sqrt(np.bincount(which, weights=space.weights))
+    A = (X[:, first] - mean[:, None]) * sw
+    N_h, d = A.shape
+    Q0, R0 = (sla.qr(A, mode="economic") if d < N_h
+              else (np.eye(N_h), A))
+    C = sla.cholesky(Q0.T @ (mass @ Q0), lower=False)
+    P, s, QT = np.linalg.svd(C @ R0, full_matrices=False)
 
     nnz = int(np.sum(s > 1e-14 * (s[0] if len(s) else 1.0)))
     if R is not None:
@@ -123,11 +136,10 @@ def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
             r = 0
 
     if r == 0:
-        N_h = X.shape[0]
         return DlrState(mean, np.zeros((N_h, 0)),
                         np.zeros((space.count, 0)))
-    U = sla.solve_triangular(L.T, P[:, :r] * s[:r], lower=False)
-    Y = (QT[:r].T / sw[:, None])
+    U = Q0 @ sla.solve_triangular(C, P[:, :r] * s[:r], lower=False)
+    Y = (QT[:r].T / sw[:, None])[which]
     return DlrState(mean, U, Y)
 
 

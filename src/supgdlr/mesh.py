@@ -110,7 +110,11 @@ class Mesh:
         Computed once per mesh and read-only, like quad_weights.
         """
         tri = self.vertices[self.triangles]
-        points = np.einsum("qa,eai->eqi", QUAD_POINTS, tri)
+        # einsum("qa,eai->eqi", QUAD_POINTS, tri) term by term from +0.0,
+        # the same sum in the same order, off NumPy's generic einsum loop
+        points = np.zeros((len(tri), len(QUAD_POINTS), 2))
+        for a in range(3):
+            points += QUAD_POINTS[:, a, None] * tri[:, None, a, :]
         points.flags.writeable = False
         return points
 

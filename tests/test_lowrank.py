@@ -1,12 +1,15 @@
 """Low-rank state construction and factorization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 from supgdlr import (
-    ConfigError, DlrState, assemble_blocks, build_structured_mesh,
-    evaluate_realization, init_from_modes, init_from_snapshot,
-    make_monte_carlo,
+    ConfigError, DlrState, SampleSpace, assemble_blocks, build_problem,
+    build_structured_mesh, evaluate_realization, init_from_modes,
+    init_from_snapshot, make_monte_carlo, preset_boundary_layer, runner,
 )
 
 from conftest import check_invariants
@@ -75,6 +78,94 @@ def test_snapshot_truncation_error_matches_svd_tail():
     diff = state.dense() - X
     err = np.sqrt(float(w @ np.einsum("ki,ki->i", diff, M @ diff)))
     assert abs(err - tail) <= 1e-10 * max(tail, 1.0)
+
+
+def dense_snapshot_svd(X, M, w, R=None, tol=None):
+    """Rank, singular values and truncated field of the weighted SVD
+    taken the dense way: Cholesky of M, SVD of every scaled column."""
+    mean = X @ w
+    L = np.linalg.cholesky(M)
+    P, s, QT = np.linalg.svd(L.T @ ((X - mean[:, None]) * np.sqrt(w)),
+                             full_matrices=False)
+    nnz = int(np.sum(s > 1e-14 * s[0]))
+    if R is not None:
+        r = min(R, nnz)
+    else:
+        tails = np.sqrt(np.cumsum((s ** 2)[::-1])[::-1] / np.sum(s ** 2))
+        r = next(k for k in range(nnz + 1)
+                 if k == len(s) or tails[k] <= tol)
+    core = (P[:, :r] * s[:r]) @ QT[:r] / np.sqrt(w)
+    return r, s, mean[:, None] + np.linalg.solve(L.T, core)
+
+
+def repeated_column_snapshot(n_vertices, rng):
+    # 5 distinct columns, each repeated, on unequal weights
+    which = np.array([0, 1, 2, 0, 3, 1, 4, 0, 2, 2, 3, 1, 0])
+    base = rng.standard_normal((n_vertices, 5)) \
+        * np.array([3.0, 1.0, 0.3, 1e-2, 1e-5])
+    weights = rng.uniform(0.2, 1.0, len(which))
+    space = SampleSpace(rng.standard_normal((len(which), 2)),
+                        weights / weights.sum())
+    return base[:, which], space
+
+
+@pytest.mark.parametrize("rule", [{"R": 2}, {"R": 4}, {"tol": 1e-3},
+                                  {"tol": 1e-9}],
+                         ids=["R2", "R4", "tol1e-3", "tol1e-9"])
+@pytest.mark.parametrize("n", [4, 1], ids=["tall", "wide"])
+def test_snapshot_with_repeated_columns_matches_dense_svd(n, rule):
+    # 25 vertices, or 4: fewer than the 5 distinct columns
+    mesh, _, blocks = setup(n=n)
+    X, space = repeated_column_snapshot(mesh.n_vertices,
+                                        np.random.default_rng(11))
+    M, w = blocks.mass.toarray(), space.weights
+    state = init_from_snapshot(X, blocks.mass, space, **rule)
+    rank, s, field = dense_snapshot_svd(X, M, w, **rule)
+    assert state.rank == rank <= 4            # centered: rank 4 at most
+    check_invariants(state, space, blocks.mass)
+    diff = state.dense() - X
+    err = np.sqrt(float(w @ np.einsum("ki,ki->i", diff, M @ diff)))
+    tail = np.sqrt(np.sum(s[rank:] ** 2))
+    assert abs(err - tail) <= 1e-10 * s[0]
+    assert np.max(np.abs(state.dense() - field)) \
+        <= 1e-12 * np.max(np.abs(field))
+
+
+def test_snapshot_only_multiplies_the_mass_matrix():
+    mesh, _, blocks = setup(n=4)
+    X, space = repeated_column_snapshot(mesh.n_vertices,
+                                        np.random.default_rng(12))
+    want = init_from_snapshot(X, blocks.mass, space, tol=1e-6)
+    got = init_from_snapshot(X, aslinearoperator(blocks.mass), space,
+                             tol=1e-6)
+    assert got.rank == want.rank == 4
+    assert np.max(np.abs(got.dense() - want.dense())) <= 1e-13
+
+
+def test_boundary_layer_snapshot_matches_dense_svd(monkeypatch):
+    # the desk snapshot on a 6^4 tensor grid: it depends only on two of
+    # the four parameters, so its 1296 columns hold 34 distinct ones
+    seen = []
+
+    def capture(X, mass, space, R=None, tol=None):
+        seen.append((X, mass, space, R, tol))
+        return init_from_snapshot(X, mass, space, R=R, tol=tol)
+
+    monkeypatch.setattr(runner, "init_from_snapshot", capture)
+    cfg = replace(preset_boundary_layer("desk"), n_per_side=10,
+                  sampler={"kind": "tensor_grid",
+                           "intervals": [(5000.0, 6000.0, 6)]
+                           + [(-1.0, 1.0, 6)] * 3})
+    state = build_problem(cfg)[-1]
+    (X, mass, space, R, tol), = seen
+    assert X.shape == (121, 1296) and R is None and tol == 1e-4
+    assert len(np.unique(X, axis=1).T) == 34
+    rank, _, field = dense_snapshot_svd(X, mass.toarray(), space.weights,
+                                        tol=tol)
+    assert state.rank == rank == 11
+    check_invariants(state, space, mass)
+    assert np.max(np.abs(state.dense() - field)) \
+        <= 1e-12 * np.max(np.abs(field))
 
 
 def test_snapshot_tolerance_selects_minimal_rank():

@@ -8,6 +8,7 @@ from supgdlr import (
     assemble_blocks, assemble_load, assemble_skewed, assemble_streamline,
     build_structured_mesh, directional_gradients, tag_boundary_layer,
 )
+from supgdlr.mesh import Mesh
 
 
 def exact_ref_integral(i, j):
@@ -98,6 +99,19 @@ def test_directional_gradients_are_the_einsum_bit_for_bit():
         vq = v(xq.reshape(-1, 2)).reshape(xq.shape)
         got = directional_gradients(mesh, lambda x, vq=vq: vq.reshape(-1, 2))
         want = np.einsum("eqi,eai->eqa", vq, mesh.grads)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_quad_points_are_the_einsum_bit_for_bit():
+    grid = build_structured_mesh(7)
+    # random vertices over six decades, negative coordinates included
+    xy = np.random.default_rng(1).standard_normal(grid.vertices.shape)
+    shaken = Mesh(7, xy * np.array([1e-3, 1e3]), grid.triangles,
+                  grid.boundary_tags)
+    for mesh in (grid, shaken):
+        want = np.einsum("qa,eai->eqi", QUAD_POINTS,
+                         mesh.vertices[mesh.triangles])
+        got = mesh.quad_points
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 from dataclasses import asdict, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -282,14 +283,15 @@ def test_field_dump_written_at_requested_time(tmp_path):
 ], ids=["rotating_body", "boundary_layer"])
 def test_build_problem_computes_quadrature_points_once(make_cfg,
                                                        monkeypatch):
-    einsum, calls = np.einsum, []
+    compute, calls = mesh_module.Mesh.quad_points.func, []
 
-    def spy(subscripts, *operands, **kwargs):
-        if subscripts == "qa,eai->eqi":
-            calls.append(subscripts)
-        return einsum(subscripts, *operands, **kwargs)
+    def spy(mesh):
+        calls.append(mesh)
+        return compute(mesh)
 
-    monkeypatch.setattr(np, "einsum", spy)
+    counted = cached_property(spy)
+    counted.__set_name__(mesh_module.Mesh, "quad_points")
+    monkeypatch.setattr(mesh_module.Mesh, "quad_points", counted)
     build_problem(make_cfg())
     assert len(calls) == 1
 
@@ -377,11 +379,40 @@ def test_failing_step_is_reported_for_any_numerical_error(tmp_path,
                                     condition=1e16)
         return step(state, ws)
 
+    ok = tmp_path / "ok"
+    assert run_from_config(tiny_config(str(ok), track_md_samples=(0,)))[0] \
+        == 0
     monkeypatch.setattr(integrator, "step", failing)
     out = tmp_path / "near_singular"
-    status, _ = run_from_config(tiny_config(str(out)))
+    status, _ = run_from_config(tiny_config(str(out),
+                                            track_md_samples=(0,)))
     assert status == 2
     with open(out / "run.json") as fh:
         echoed = json.load(fh)
     assert echoed["status"] == "numerical_failure"
     assert echoed["failing_step"] == 3
+    # the rows of t0 and steps 1-2, as the successful run wrote them
+    for name in ("norms.csv", "md.csv"):
+        kept = (out / name).read_bytes().splitlines(keepends=True)
+        assert kept == (ok / name).read_bytes().splitlines(
+            keepends=True)[:4]
+
+
+@pytest.mark.parametrize("make_cfg,want", [
+    (lambda: preset_boundary_layer("desk"), 7),
+    # 81 samples, but the snapshot depends on (y3, y4) alone and is even
+    # in them: 5 distinct columns, so a centered rank of 4
+    (lambda: replace(preset_boundary_layer("desk"), n_per_side=4,
+                     rank=9, snapshot_tol=None,
+                     sampler={"kind": "tensor_grid",
+                              "intervals": [(5000.0, 6000.0, 3)]
+                              + [(-1.0, 1.0, 3)] * 3}), 4),
+], ids=["boundary_layer", "rank_above_distinct_columns"])
+def test_run_json_records_the_initial_rank(tmp_path, make_cfg, want):
+    cfg = make_cfg()
+    cfg = replace(cfg, T=cfg.dt, out_dir=str(tmp_path))
+    status, _ = run_from_config(cfg)
+    assert status == 0
+    with open(tmp_path / "run.json") as fh:
+        assert json.load(fh)["initial_rank"] == want
+    assert build_problem(cfg)[-1].rank == want
