@@ -88,9 +88,8 @@ def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
     Householder QR A = Q0 R0 is made mass-orthonormal by the upper
     Cholesky factor C of Q0^T M Q0 (condition at most cond(M)), and the
     small core C R0 takes the SVD.  The mass matrix is only multiplied,
-    never densified; when d >= N_h the QR would only add work, and
-    Q0 = I.  Truncation is at fixed rank R or at the smallest rank whose relative
-    singular-value tail is below tol.
+    never densified.  Truncation is at fixed rank R or at the smallest
+    rank whose relative singular-value tail is below tol.
     """
     X = np.asarray(u_samples, dtype=float)
     if not np.all(np.isfinite(X)):
@@ -109,9 +108,7 @@ def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
     first = np.unique(which, return_index=True)[1]
     sw = np.sqrt(np.bincount(which, weights=space.weights))
     A = (X[:, first] - mean[:, None]) * sw
-    N_h, d = A.shape
-    Q0, R0 = (sla.qr(A, mode="economic") if d < N_h
-              else (np.eye(N_h), A))
+    Q0, R0 = sla.qr(A, mode="economic")
     C = sla.cholesky(Q0.T @ (mass @ Q0), lower=False)
     P, s, QT = np.linalg.svd(C @ R0, full_matrices=False)
 
@@ -136,6 +133,7 @@ def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
             r = 0
 
     if r == 0:
+        N_h = X.shape[0]
         return DlrState(mean, np.zeros((N_h, 0)),
                         np.zeros((space.count, 0)))
     U = Q0 @ sla.solve_triangular(C, P[:, :r] * s[:r], lower=False)

@@ -9,8 +9,6 @@ from (config, seed, version).
 """
 
 import configparser
-import contextlib
-import csv
 import json
 import os
 from dataclasses import dataclass, field, asdict
@@ -290,11 +288,10 @@ def run_from_config(cfg):
 
     Writes norms.csv, md.csv (spread and range excess of the tracked
     realizations), ledger.csv (when bounds are requested), requested
-    field dumps and a run.json manifest into cfg.out_dir.  The norms.csv
-    and md.csv rows are written as the run goes, so a failed run keeps
-    the rows of every completed step.  Exit status:
-    0 success, 1 configuration error, 2 numerical failure, 3 a requested
-    bound failed.
+    field dumps and a run.json manifest into cfg.out_dir.  A failed run
+    keeps the norms.csv and md.csv rows of every completed step.  Exit
+    status: 0 success, 1 configuration error, 2 numerical failure, 3 a
+    requested bound failed.
     """
     from .errors import SupgDlrError
 
@@ -307,38 +304,38 @@ def run_from_config(cfg):
         # the snapshot may hold fewer modes than the requested rank
         manifest["initial_rank"] = state.rank
 
+        reports, md_rows = [], []
         initial_range = {}
         dump_jobs = [(float(td), int(si)) for td in cfg.dump_times
                      for si in cfg.dump_samples]
-        norms_path = os.path.join(cfg.out_dir, "norms.csv")
-        write_reports_csv((), norms_path)     # the header; rows follow
-        with contextlib.ExitStack() as files:
-            norms = csv.writer(files.enter_context(
-                open(norms_path, "a", newline="")))
-            if cfg.track_md_samples:
-                md = files.enter_context(
-                    open(os.path.join(cfg.out_dir, "md.csv"), "w"))
-                md.write("t,sample,md,excess\n")
 
-            def observer(report, st):
-                norms.writerow(report.csv_row())
-                for idx in cfg.track_md_samples:
-                    u = evaluate_realization(st, idx)
-                    # the first call sees the initial state
-                    lo, hi = initial_range.setdefault(idx,
-                                                      (u.min(), u.max()))
-                    md.write(f"{report.t:.17g},{int(idx)},"
-                             f"{md_metric(u):.17g},"
-                             f"{range_excess(u, lo, hi):.17g}\n")
-                for td, si in dump_jobs:
-                    if abs(report.t - td) <= 0.5 * cfg.dt:
-                        fn = os.path.join(
-                            cfg.out_dir, f"field_t{report.t:.6f}_s{si}.txt")
-                        write_field_dump(fn, report.t, st.rank,
-                                         cfg.n_per_side, space.count,
-                                         evaluate_realization(st, si))
+        def observer(report, st):
+            reports.append(report)
+            for idx in cfg.track_md_samples:
+                u = evaluate_realization(st, idx)
+                # the first call sees the initial state
+                lo, hi = initial_range.setdefault(idx, (u.min(), u.max()))
+                md_rows.append((report.t, int(idx), md_metric(u),
+                                range_excess(u, lo, hi)))
+            for td, si in dump_jobs:
+                if abs(report.t - td) <= 0.5 * cfg.dt:
+                    fn = os.path.join(
+                        cfg.out_dir, f"field_t{report.t:.6f}_s{si}.txt")
+                    write_field_dump(fn, report.t, st.rank,
+                                     cfg.n_per_side, space.count,
+                                     evaluate_realization(st, si))
 
-            final, reports = run(state, ws, cfg.T, callbacks=(observer,))
+        try:
+            run(state, ws, cfg.T, callbacks=(observer,))
+        finally:
+            # after a failed step too: the rows of every completed step
+            write_reports_csv(reports,
+                              os.path.join(cfg.out_dir, "norms.csv"))
+            if md_rows:
+                with open(os.path.join(cfg.out_dir, "md.csv"), "w") as fh:
+                    fh.write("t,sample,md,excess\n")
+                    for t, idx, v, x in md_rows:
+                        fh.write(f"{t:.17g},{idx},{v:.17g},{x:.17g}\n")
 
         if cfg.bounds:
             ledgers = evaluate_bounds(reports, ws, cfg.bounds)

@@ -292,8 +292,19 @@ def test_build_problem_computes_quadrature_points_once(make_cfg,
     counted = cached_property(spy)
     counted.__set_name__(mesh_module.Mesh, "quad_points")
     monkeypatch.setattr(mesh_module.Mesh, "quad_points", counted)
-    build_problem(make_cfg())
+    # nor are they formed outside the property, by the einsum it replaced
+    einsum, formed = np.einsum, []
+
+    def einsum_spy(subscripts, *operands, **kwargs):
+        if subscripts == "qa,eai->eqi":
+            formed.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum_spy)
+    mesh, *_, ws, _ = build_problem(make_cfg())
     assert len(calls) == 1
+    assert formed == []
+    assert np.shares_memory(ws.xq_flat, mesh.quad_points)
 
 
 def test_build_problems_share_no_cached_array():
