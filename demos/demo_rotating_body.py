@@ -38,7 +38,7 @@ TRACKED = (0, 1, 2, 3, 4)
 def run_variant(scale, stabilization, seed):
     cfg = preset_rotating_body(scale=scale, seed=seed)
     cfg.stabilization = stabilization
-    mesh, space, model, analysis, delta, ws, state = build_problem(cfg)
+    *_, ws, state = build_problem(cfg)
 
     fields = {i: evaluate_realization(state, i) for i in TRACKED}
     lo = {i: fields[i].min() for i in TRACKED}
@@ -56,8 +56,7 @@ def run_variant(scale, stabilization, seed):
     t0 = time.perf_counter()
     final, reports = run(state, ws, cfg.T, callbacks=(observer,))
     wall = time.perf_counter() - t0
-    return (cfg, mesh, space, model, final, reports, md0, trace, excess,
-            wall)
+    return cfg, ws, final, reports, md0, trace, excess, wall
 
 
 def main():
@@ -69,11 +68,11 @@ def main():
 
     results = {}
     for stab in ("supg", "none"):
-        (cfg, mesh, space, model, final, reports,
+        (cfg, ws, final, reports,
          md0, trace, excess, wall) = run_variant(args.scale, stab, args.seed)
         results[stab] = (md0, trace, excess)
         label = "stabilized" if stab == "supg" else "standard"
-        print(f"{label:>10}: N_h={cfg.n_dof}, N_C={space.count}, "
+        print(f"{label:>10}: N_h={cfg.n_dof}, N_C={ws.space.count}, "
               f"rank={final.rank}, {len(reports) - 1} steps, "
               f"{wall:.1f} s")
         print(f"{'':>10}  final L2 norm {reports[-1].l2:.6f}, "
@@ -82,7 +81,7 @@ def main():
               f"worst mean defect "
               f"{max(r.defect_mean for r in reports):.2e}")
 
-    pec = local_peclet(model, mesh, space)
+    pec = local_peclet(ws.model, ws.mesh, ws.analysis)
     print(f"\nlocal Peclet: max {pec.max_peclet:.3e}, "
           f"advection dominated: {pec.advection_dominated}")
 

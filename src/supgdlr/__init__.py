@@ -25,7 +25,7 @@ from .mesh import (
     DirichletCondition, tag_boundary_layer,
 )
 from .sampling import (
-    SampleSpace, expectation, inner, project_complement,
+    SampleSpace, expectation, project_complement,
     weighted_orthonormalize, make_tensor_grid, make_monte_carlo,
 )
 from .coefficients import (

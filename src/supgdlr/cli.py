@@ -66,8 +66,7 @@ def _suite_coercivity():
     delta = runner.resolve_delta("coercivity", mesh, analysis, dt=None)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
-    report = check_coercivity(model, analysis, blocks, space,
-                              trials=100, seed=1)
+    report = check_coercivity(analysis, blocks, space, trials=100, seed=1)
     print(f"coercivity: worst margin {report.worst_margin:.3e}, "
           f"{report.violations}/{report.trials} violations")
     return 0 if report.ok else 3

@@ -2,10 +2,11 @@
 
 A CoefficientModel bundles a random diffusion, a random advection
 given as its mean plus affine modes, and a deterministic reaction and
-forcing.  The analysis operations derive everything the stability
-theory consumes: the shifted reaction field and its infimum, element
-sup-norms of the reaction, the stabilization parameter policies, the
-local Peclet number and the inverse-inequality constant.
+forcing.  analyze_reaction samples it once per problem; its
+ReactionAnalysis holds the sampled values and the shifted reaction,
+from which the other operations derive what the stability theory
+consumes: the stabilization parameter policies, the local Peclet
+number and the inverse-inequality constant.
 """
 
 from dataclasses import dataclass, field
@@ -39,18 +40,17 @@ class CoefficientModel:
     """Coefficient fields of the random advection-diffusion-reaction problem.
 
     eps      : callable (N,p) samples -> (N,) positive diffusion values
-    b_mean   : callable (n,2) points -> (n,2) mean advection
+    b_mean   : callable (n,2) points -> (n,2) mean advection, divergence
+               free
     b_modes  : affine advection modes ((theta_k, beta_k), ...): theta_k
                callable (N,p) samples -> (N,) with weighted mean zero,
                beta_k callable (n,2) points -> (n,2); the advection of
                sample omega is b_mean + sum_k theta_k(omega) beta_k.
                Every beta_k must be divergence free.
     c_mean   : None or callable points -> (n,) reaction (deterministic)
-    div_b    : callable points -> (n,), analytic divergence of b_mean
-               (never obtained by differencing); with divergence-free
-               modes it is the divergence of every sample's advection
     forcing  : None or callable (t, points) -> (n,) deterministic source
 
+    The fields are sampled once per problem, by analyze_reaction.
     b_fluct(points, omega) evaluates the fluctuation of one sample from
     the modes.  It keeps the beta_k(points) of the last points array it
     was given, matched by identity, so the full-order step's one call
@@ -67,7 +67,6 @@ class CoefficientModel:
     b_mean: callable
     b_modes: tuple = ()
     c_mean: callable = None
-    div_b: callable = None
     forcing: callable = None
     c_fluct: callable = field(init=False, default=None, repr=False)
     # (points, beta_k(points) of every mode) of the last b_fluct call
@@ -76,41 +75,6 @@ class CoefficientModel:
 
     def __post_init__(self):
         self.b_modes = tuple(self.b_modes)
-        if self.div_b is None:
-            self.div_b = lambda x: np.zeros(len(x))
-
-    # -- sample-wise accessors -------------------------------------------
-
-    def eps_values(self, space):
-        vals = np.asarray(self.eps(space.samples), dtype=float)
-        if vals.shape != (space.count,):
-            raise ConfigError("eps must return one value per sample")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-            raise ConfigError("diffusion values must be finite and positive")
-        return vals
-
-    def eps_split(self, space):
-        """Mean diffusion and per-sample fluctuation (eps_bar, eps_star)."""
-        vals = self.eps_values(space)
-        bar = float(np.dot(space.weights, vals))
-        return bar, vals - bar
-
-    def eps_bounds(self, space):
-        """(eps_hat, C_E) with eps_hat <= eps <= C_E eps_hat."""
-        vals = self.eps_values(space)
-        eps_hat = float(vals.min())
-        return eps_hat, float(vals.max() / eps_hat)
-
-    def advection_modes(self, space):
-        """[(theta_k at every sample, beta_k)] of the advection modes."""
-        out = []
-        for theta, beta in self.b_modes:
-            vals = np.asarray(theta(space.samples), dtype=float)
-            if vals.shape != (space.count,) or not np.all(np.isfinite(vals)):
-                raise ConfigError("an advection mode weight must give one "
-                                  "finite value per sample")
-            out.append((vals, beta))
-        return out
 
     def b_fluct(self, x, omega):
         """Advection fluctuation sum_k theta_k(omega) beta_k(x); needs
@@ -124,44 +88,21 @@ class CoefficientModel:
         return reduce(add, (float(theta(omega)[0]) * b
                             for (theta, _), b in zip(self.b_modes, betas)))
 
-    def c_at(self, x):
-        c = np.zeros(len(x))
-        if self.c_mean is not None:
-            c = c + np.asarray(self.c_mean(x), dtype=float)
-        return c
-
-    @property
-    def has_random_advection(self):
-        return bool(self.b_modes)
-
-    def validate(self, space, mesh):
-        """Check positivity of eps and zero-mean advection modes.
-
-        The weighted mean of the fluctuation, sum_k E[theta_k] beta_k,
-        must vanish at every quadrature point.
-        """
-        self.eps_bounds(space)
-        if self.b_modes:
-            xq = mesh.quad_points.reshape(-1, 2)
-            acc = sum(float(np.dot(space.weights, theta))
-                      * np.asarray(beta(xq), dtype=float)
-                      for theta, beta in self.advection_modes(space))
-            if np.max(np.abs(acc)) > 1e-10:
-                raise ConfigError("advection fluctuation is not zero-mean")
-        return self
-
 
 @dataclass
 class ReactionAnalysis:
-    """Shifted reaction field and associated scalars.
+    """The sampled coefficients and the scalars the stability theory reads.
 
-    mu_tilde(x) = c - |c|/2 - div(b)/2, mu = mu_tilde + nu >= 0,
-    nu = -min(inf mu_tilde, 0), mu0 = inf mu.  The reaction and the
-    divergence do not depend on the sample, so infima and element
+    mu_tilde(x) = c - |c|/2 (every advection is divergence free),
+    mu = mu_tilde + nu >= 0, nu = -min(inf mu_tilde, 0), mu0 = inf mu.
+    The reaction does not depend on the sample, so infima and element
     sup-norms come from one scan over the quadrature points of mesh,
-    which is all the discrete problem ever sees.  eps_star_sup and
-    random_advection record which coefficients vary with the sample;
-    the stability theorems assume some of them do not.
+    which is all the discrete problem ever sees.  eps holds the
+    diffusion at every sample, eps_bar its weighted mean and eps_star
+    the fluctuation eps - eps_bar, with eps_hat <= eps <= C_E eps_hat;
+    modes holds (theta_k at every sample, beta_k) per advection mode.
+    The stability theorems assume that some of these do not vary with
+    the sample.
     """
 
     mu_tilde: callable
@@ -169,10 +110,17 @@ class ReactionAnalysis:
     mu: callable
     mu0: float
     c_sup_K: np.ndarray
+    eps: np.ndarray
+    eps_bar: float
+    eps_star: np.ndarray
     eps_star_sup: float
     eps_hat: float
     C_E: float
-    random_advection: bool
+    modes: list
+
+    @property
+    def random_advection(self):
+        return bool(self.modes)
 
 
 class StabilizationParams:
@@ -199,20 +147,59 @@ class StabilizationParams:
 
 
 def analyze_reaction(model, mesh, space):
+    """Sample and check the coefficients of model once, on space and the
+    quadrature points of mesh; returns the ReactionAnalysis.
+
+    Refuses (ConfigError) diffusion that is not one finite positive value
+    per sample, mode weights that are not one finite value per sample, an
+    advection fluctuation with nonzero weighted mean at a quadrature
+    point, and non-finite mode or reaction values there.
+    """
+    eps = np.asarray(model.eps(space.samples), dtype=float)
+    if eps.shape != (space.count,):
+        raise ConfigError("eps must return one value per sample")
+    if not np.all(np.isfinite(eps)) or np.any(eps <= 0):
+        raise ConfigError("diffusion values must be finite and positive")
+    eps_bar = float(np.dot(space.weights, eps))
+    eps_star = eps - eps_bar
+    eps_hat = float(eps.min())
+
     xq = mesh.quad_points
     flat = xq.reshape(-1, 2)
-    ne, nq = xq.shape[0], xq.shape[1]
+    modes = []
+    for theta, beta in model.b_modes:
+        vals = np.asarray(theta(space.samples), dtype=float)
+        if vals.shape != (space.count,) or not np.all(np.isfinite(vals)):
+            raise ConfigError("an advection mode weight must give one "
+                              "finite value per sample")
+        modes.append((vals, beta))
+    if modes:
+        betas = [np.asarray(beta(flat), dtype=float) for _, beta in modes]
+        if not all(np.all(np.isfinite(b)) for b in betas):
+            raise ConfigError("advection field evaluated to non-finite "
+                              "values")
+        # the fluctuation sum_k E[theta_k] beta_k must vanish
+        acc = sum(float(np.dot(space.weights, theta)) * b
+                  for (theta, _), b in zip(modes, betas))
+        if np.max(np.abs(acc)) > 1e-10:
+            raise ConfigError("advection fluctuation is not zero-mean")
+
+    def c_at(x):
+        c = np.zeros(len(x))
+        if model.c_mean is not None:
+            c = c + np.asarray(model.c_mean(x), dtype=float)
+        return c
 
     def mu_tilde(x):
-        c = model.c_at(x)
-        div = np.asarray(model.div_b(x), dtype=float)
-        return c - 0.5 * np.abs(c) - 0.5 * div
+        c = c_at(x)
+        return c - 0.5 * np.abs(c)
 
-    mt = mu_tilde(flat)
+    cq = c_at(flat)
+    mt = cq - 0.5 * np.abs(cq)
     if not np.all(np.isfinite(mt)):
         raise ConfigError("reaction analysis hit non-finite values")
     mt_min = float(mt.min())
-    c_sup_K = np.abs(model.c_at(flat)).reshape(ne, nq).max(axis=1)
+    c_sup_K = np.abs(cq).reshape(xq.shape[:2]).max(axis=1)
 
     nu = max(-min(mt_min, 0.0), 0.0)
 
@@ -224,13 +211,11 @@ def analyze_reaction(model, mesh, space):
         raise ConfigError("shifted reaction came out negative")
     mu0 = max(mu0, 0.0)
 
-    eps_hat, C_E = model.eps_bounds(space)
-    _, eps_star = model.eps_split(space)
     return ReactionAnalysis(
         mu_tilde=mu_tilde, nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
-        eps_star_sup=float(np.max(np.abs(eps_star))),
-        eps_hat=eps_hat, C_E=C_E,
-        random_advection=model.has_random_advection)
+        eps=eps, eps_bar=eps_bar, eps_star=eps_star,
+        eps_star_sup=float(np.max(np.abs(eps_star))), eps_hat=eps_hat,
+        C_E=float(eps.max() / eps_hat), modes=modes)
 
 
 def estimate_inverse_constant(mesh, blocks):
@@ -294,9 +279,9 @@ class PecletReport:
     max_peclet: float
 
 
-def local_peclet(model, mesh, space):
+def local_peclet(model, mesh, analysis):
     """Largest local Peclet number |b| h_K / (2 eps) over the elements,
-    their quadrature points and the samples.
+    their quadrature points and the samples of analysis.
 
     A sample's advection b_mean + sum_k theta_k beta_k depends on it
     only through its row of mode weights, so the element maxima of
@@ -306,12 +291,11 @@ def local_peclet(model, mesh, space):
     ConfigError.
     """
     flat = mesh.quad_points.reshape(-1, 2)
-    eps = model.eps_values(space)
-    modes = model.advection_modes(space)
+    eps, modes = analysis.eps, analysis.modes
     b_mean = np.asarray(model.b_mean(flat), dtype=float)
     betas = [np.asarray(beta(flat), dtype=float) for _, beta in modes]
     thetas = np.reshape([theta for theta, _ in modes],
-                        (len(modes), space.count)).T          # (N_C, K)
+                        (len(modes), len(eps))).T             # (N_C, K)
     rows, which = np.unique(thetas, axis=0, return_inverse=True)
     top = np.empty(len(rows))
     for j, row in enumerate(rows):

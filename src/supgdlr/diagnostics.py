@@ -199,7 +199,7 @@ class CoercivityReport:
     seed: int
 
 
-def check_coercivity(model, analysis, blocks, space, trials=500, seed=0):
+def check_coercivity(analysis, blocks, space, trials=500, seed=0):
     """Randomized check of the weak-coercivity inequality.
 
     Draws random interior nodal fields (one column per sample) and
@@ -210,11 +210,11 @@ def check_coercivity(model, analysis, blocks, space, trials=500, seed=0):
     diffusion; random advection would need per-sample assembly and is
     rejected.
     """
-    if model.has_random_advection:
+    if analysis.random_advection:
         raise ConfigError("coercivity checker needs deterministic "
                           "advection")
     mesh = blocks.mesh
-    eps = model.eps_values(space)
+    eps = analysis.eps
     w = space.weights
     interior = mesh.interior_index()
     mu_mass = _mu_mass(blocks, analysis.mu)
@@ -344,6 +344,15 @@ def _delta_reason(theorem, dk, analysis, mesh, C_I, dt):
     return None
 
 
+def check_bound_names(bounds):
+    """Refuse (ConfigError) a (theorem, case) pair that names no bound."""
+    for theorem, case in bounds:
+        if theorem not in ("im_stab", "si_stab"):
+            raise ConfigError(f"unknown theorem {theorem!r}")
+        if case not in ("i", "ii", "iii"):
+            raise ConfigError(f"unknown case {case!r}")
+
+
 def evaluate_bounds(reports, ws, bounds):
     """Evaluate norm-stability inequalities over a trajectory of ws.
 
@@ -362,11 +371,7 @@ def evaluate_bounds(reports, ws, bounds):
     ledger, not a silent pass.  Reports that do not step by ws.cfg.dt
     raise ConfigError.
     """
-    for theorem, case in bounds:
-        if theorem not in ("im_stab", "si_stab"):
-            raise ConfigError(f"unknown theorem {theorem!r}")
-        if case not in ("i", "ii", "iii"):
-            raise ConfigError(f"unknown case {case!r}")
+    check_bound_names(bounds)
     N = len(reports) - 1
     dt = ws.cfg.dt
     t = np.array([r.t for r in reports])

@@ -68,7 +68,7 @@ def _subtract_advection(rhs, ws, fields, samples):
                         dtype=float).reshape(ne, nq, 2)
         np.multiply(bf[..., 0], g[0, :, None], out=v)
         v += bf[..., 1] * g[1, :, None]
-    rhs -= assemble_load(ws.blocks, val.transpose(1, 2, 0), skew=True)
+    rhs -= assemble_load(ws.blocks, val.transpose(1, 2, 0))
 
 
 def fom_step(state, ws):
@@ -79,7 +79,7 @@ def fom_step(state, ws):
 
     fqp = ws.forcing_qp(state.t)
     load = None if fqp is None \
-        else assemble_load(ws.blocks, fqp, skew=True)[:, None]
+        else assemble_load(ws.blocks, fqp)[:, None]
 
     out = np.empty_like(fields)
     colM = np.empty(fields.shape[1])

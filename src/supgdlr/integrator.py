@@ -138,25 +138,28 @@ class StepWorkspace:
 
 
 def prepare_workspace(model, mesh, space, cfg, analysis=None):
-    """Assemble and factorize everything one run of `step` needs."""
-    model.validate(space, mesh)
-    eps_bar, eps_star = model.eps_split(space)
+    """Assemble and factorize everything one run of `step` needs.
+
+    analysis is analyze_reaction(model, mesh, space), computed here when
+    not given; the sampled diffusion and mode weights come from it.
+    """
+    if analysis is None:
+        analysis = analyze_reaction(model, mesh, space)
+    eps_star = analysis.eps_star
 
     # assemble_blocks checks the per-element array
     delta = cfg.delta.delta_K if isinstance(cfg.delta, StabilizationParams) \
         else cfg.delta
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
-    if analysis is None:
-        analysis = analyze_reaction(model, mesh, space)
 
     terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
     modes = [(theta, directional_gradients(mesh, beta))
-             for theta, beta in model.advection_modes(space)]
+             for theta, beta in analysis.modes]
     terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
 
-    Braw = (blocks.skewed_mass / cfg.dt + eps_bar * blocks.stiffness
-            + blocks.transport).tocsr()
+    Braw = (blocks.skewed_mass / cfg.dt
+            + analysis.eps_bar * blocks.stiffness + blocks.transport).tocsr()
     bc = DirichletCondition(Braw, mesh, cfg.bc)
     # bc.matrix = D Braw D + diag has a symmetric pattern: minimum degree
     # on A^T + A fills less than the default COLAMD, and relax=1 keeps
@@ -190,7 +193,7 @@ def step_deterministic_modes(state, ws):
 
     fqp = ws.forcing_qp(state.t)
     if fqp is not None:
-        rhs[:, 0] += assemble_load(ws.blocks, fqp, skew=True)
+        rhs[:, 0] += assemble_load(ws.blocks, fqp)
 
     BU = [B @ U_full for _, B in ws.terms]
     for (theta, _), BU_k in zip(ws.terms, BU):

@@ -50,10 +50,6 @@ class DlrState:
         return self.U.shape[1]
 
     @property
-    def n_dof(self):
-        return len(self.U0)
-
-    @property
     def n_samples(self):
         return self.Y.shape[0]
 

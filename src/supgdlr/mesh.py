@@ -135,11 +135,9 @@ class Mesh:
         cols.flags.writeable = False
         return rows, cols
 
-    def boundary_index(self, tags=None):
-        """All boundary vertex indices (optionally only the given tags)."""
-        names = self.boundary_tags if tags is None else tags
-        idx = np.concatenate([self.boundary_tags[t] for t in names])
-        return np.unique(idx)
+    def boundary_index(self):
+        """All boundary vertex indices, sorted."""
+        return np.unique(np.concatenate(list(self.boundary_tags.values())))
 
     def interior_index(self):
         mask = np.ones(self.n_vertices, dtype=bool)
@@ -205,15 +203,15 @@ class FemBlocks:
     Each is one _form; the test index is always i (rows).  bg_at_qp
     holds b . grad phi_a at the quadrature points, shape (ne, nq, 3).
     assemble_galerkin leaves delta and bg_at_qp None and sets only mass
-    and stiffness.  load_tests keeps the weighted test functions of
-    assemble_load, one array per skew value.
+    and stiffness.  load_test keeps the weighted streamline test
+    functions of assemble_load, read-only, once it has run.
     """
 
     def __init__(self, mesh, delta, bg_at_qp):
         self.mesh = mesh
         self.delta = delta
         self.bg_at_qp = bg_at_qp        # (ne, nq, 3), stabilizing field
-        self.load_tests = {}
+        self.load_test = None
 
 
 def _form(blocks, test, trial, weight=None):
@@ -330,15 +328,15 @@ def assemble_streamline(blocks, vg_test, vg_trial):
     return _form(blocks, vg_test, vg_trial, blocks.delta[:, None])
 
 
-def assemble_load(blocks, values_at_qp, skew=False):
-    """Assemble load vector(s) from quadrature-point data.
+def assemble_load(blocks, values_at_qp):
+    """Streamline-tested load vector(s) from quadrature-point data.
 
     values_at_qp : (ne, nq) or (ne, nq, k) scalar source g; the result
-    holds (g, phi_i) plus, when skew is True, the stabilized companion
-    sum_K delta_K (g, b.grad phi_i)_K.  The element vectors are one
-    batched matmul, summed into the nodes by the sparse mesh.scatter;
-    the weighted test functions are computed once per skew value and
-    kept, read-only, in blocks.load_tests.
+    holds (g, phi_i + delta_K b.grad phi_i), the Galerkin load plus its
+    stabilized companion.  The element vectors are one batched matmul,
+    summed into the nodes by the sparse mesh.scatter; the weighted test
+    functions are computed once and kept, read-only, in
+    blocks.load_test.
 
     Returns (N_h,) or (N_h, k).
     """
@@ -348,12 +346,11 @@ def assemble_load(blocks, values_at_qp, skew=False):
     if squeeze:
         vals = vals[..., None]
 
-    weighted = blocks.load_tests.get(skew)
+    weighted = blocks.load_test
     if weighted is None:
-        test = _skewed_test(blocks) if skew else QUAD_POINTS[None]
-        weighted = mesh.quad_weights[..., None] * test  # (ne, nq, 3)
-        weighted.flags.writeable = False
-        blocks.load_tests[skew] = weighted
+        weighted = mesh.quad_weights[..., None] * _skewed_test(blocks)
+        weighted.flags.writeable = False                # (ne, nq, 3)
+        blocks.load_test = weighted
     contrib = np.matmul(weighted.transpose(0, 2, 1), vals)   # (ne, 3, k)
     out = mesh.scatter @ contrib.reshape(-1, vals.shape[-1])
     return out[:, 0] if squeeze else out

@@ -29,8 +29,8 @@ from .lowrank import evaluate_realization, init_from_modes, \
     init_from_snapshot, DlrState
 from .integrator import SchemeConfig, prepare_workspace, run
 from .diagnostics import (
-    evaluate_bounds, md_metric, range_excess, write_ledgers_csv,
-    write_reports_csv,
+    check_bound_names, evaluate_bounds, md_metric, range_excess,
+    write_ledgers_csv, write_reports_csv,
 )
 
 __all__ = [
@@ -300,7 +300,9 @@ def run_from_config(cfg):
                 "status": "ok", "failing_step": None}
     status = 0
     try:
-        mesh, space, model, _, _, ws, state = build_problem(cfg)
+        # a misspelt bound is refused before the run, not after it
+        check_bound_names(cfg.bounds)
+        mesh, space, model, analysis, _, ws, state = build_problem(cfg)
         # the snapshot may hold fewer modes than the requested rank
         manifest["initial_rank"] = state.rank
 
@@ -348,7 +350,7 @@ def run_from_config(cfg):
         manifest["n_steps"] = len(reports) - 1
         manifest["final_l2"] = reports[-1].l2
         manifest["peclet_flag"] = \
-            local_peclet(model, mesh, space).advection_dominated
+            local_peclet(model, mesh, analysis).advection_dominated
     except ConfigError as err:
         status, manifest["status"] = 1, "config_error"
         manifest["error"] = str(err)
@@ -477,10 +479,11 @@ def load_config(path):
             track_md_samples=ints(out.get("track_md_samples", "")),
             dump_times=floats(out.get("dump_times", "")),
             dump_samples=ints(out.get("dump_samples", "")),
-            bounds=tuple(tuple(b.split(":"))
+            bounds=tuple(b.partition(":")[::2]
                          for b in diag.get("bounds", "").split(",") if b),
-            tangent_residual=diag.get("tangent_residual",
-                                      "False") == "True",
+            tangent_residual=cp.getboolean("diagnostics",
+                                           "tangent_residual",
+                                           fallback=False),
         )
     except (KeyError, ValueError) as err:
         raise ConfigError(f"invalid config file {path}: {err}") from err

@@ -15,7 +15,6 @@ from .errors import ConfigError, RankLossError
 __all__ = [
     "SampleSpace",
     "expectation",
-    "inner",
     "project_complement",
     "weighted_orthonormalize",
     "make_tensor_grid",
@@ -51,10 +50,6 @@ class SampleSpace:
     def count(self):
         return len(self.weights)
 
-    @property
-    def dim(self):
-        return self.samples.shape[1]
-
 
 def _check_len(Z, space):
     Z = np.asarray(Z, dtype=float)
@@ -68,13 +63,6 @@ def expectation(Z, space):
     """Weighted mean sum_i m_i Z_i.  Z may have trailing axes."""
     Z = _check_len(Z, space)
     return np.tensordot(space.weights, Z, axes=(0, 0))
-
-
-def inner(Y, Z, space):
-    """Weighted inner product sum_i m_i Y_i Z_i."""
-    Y = _check_len(Y, space)
-    Z = _check_len(Z, space)
-    return float(np.dot(space.weights * Y, Z))
 
 
 def _gram(Y, space):

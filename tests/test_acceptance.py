@@ -109,8 +109,7 @@ def test_criterion_4_coercivity():
     delta = resolve_delta("coercivity", mesh, analysis, cfg.dt)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
-    report = check_coercivity(model, analysis, blocks, space, trials=500,
-                              seed=24)
+    report = check_coercivity(analysis, blocks, space, trials=500, seed=24)
     elapsed = time.time() - t0
     ok = report.ok and elapsed < 30.0
     verdict(4, ok, f"{report.violations}/{report.trials} violations, "
@@ -247,7 +246,8 @@ def test_criterion_8_stabilization_effect():
     mesh = build_structured_mesh(cfg.n_per_side)
     space = make_monte_carlo(cfg.sampler["intervals"],
                              cfg.sampler["count"], cfg.sampler["seed"])
-    pec = local_peclet(rotating_body(), mesh, space)
+    model = rotating_body()
+    pec = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
     elapsed = time.time() - t0
     ok = (wins / len(tracked) >= 0.9 and total_supg < total_none
           and pec.advection_dominated and elapsed < 180.0)
@@ -328,7 +328,7 @@ def plain_do_step(state, ws, model, mesh, space, dt):
                     C[va, vb] += wq * lam[ia] * bg[ib]
 
     w = space.weights
-    eps = model.eps_values(space)
+    eps = model.eps(space.samples)
     eps_bar = float(w @ eps)
     eps_star = eps - eps_bar
     B = M / dt + eps_bar * A + C

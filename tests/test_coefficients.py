@@ -36,25 +36,30 @@ def test_rotating_body_advection_rotates():
 def test_eps_split_fluctuation_is_zero_mean():
     space = mc3()
     model = rotating_body()
-    bar, star = model.eps_split(space)
+    a = analyze_reaction(model, build_structured_mesh(2), space)
+    assert np.array_equal(a.eps, model.eps(space.samples))
+    bar, star = a.eps_bar, a.eps_star
     assert abs(float(space.weights @ star)) <= 1e-12 * bar
-    assert np.allclose(bar + star, model.eps_values(space))
+    assert np.allclose(bar + star, a.eps)
+    assert a.eps_star_sup == np.max(np.abs(star))
 
 
 def test_eps_bounds_bracket():
     space = mc3()
-    model = rotating_body()
-    eps_hat, C_E = model.eps_bounds(space)
-    vals = model.eps_values(space)
-    assert eps_hat == vals.min()
-    assert abs(C_E - vals.max() / vals.min()) <= 1e-12
+    a = analyze_reaction(rotating_body(), build_structured_mesh(2), space)
+    vals = a.eps
+    assert a.eps_hat == vals.min()
+    assert abs(a.C_E - vals.max() / vals.min()) <= 1e-12
 
 
 def test_eps_must_be_positive():
     space = mc3()
-    bad = constant_adr(eps_fn=lambda s: np.full(len(np.atleast_2d(s)), -1.0))
-    with pytest.raises(ConfigError):
-        bad.eps_values(space)
+    for eps_fn, match in ((lambda s: np.full(len(s), -1.0), "positive"),
+                          (lambda s: np.full(len(s), np.nan), "positive"),
+                          (lambda s: np.ones(3), "one value per sample")):
+        bad = constant_adr(eps_fn=eps_fn)
+        with pytest.raises(ConfigError, match=match):
+            analyze_reaction(bad, build_structured_mesh(2), space)
 
 
 def test_reaction_analysis_positive_constant():
@@ -157,11 +162,13 @@ def test_delta_semi_implicit_formula():
 def test_local_peclet_regimes():
     mesh = build_structured_mesh(8)
     space = mc3(10)
-    hot = local_peclet(rotating_body(), mesh, space)
+    model = rotating_body()
+    hot = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
     assert hot.advection_dominated
     assert hot.max_peclet > 1.0
-    cold = local_peclet(constant_adr(eps_value=10.0, b=(1.0, 0.0)),
-                        mesh, make_monte_carlo([(-1.0, 1.0)], 4, seed=0))
+    model = constant_adr(eps_value=10.0, b=(1.0, 0.0))
+    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=0)
+    cold = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
     assert not cold.advection_dominated
 
 
@@ -170,7 +177,7 @@ def _peclet_by_sample(model, mesh, space):
     sample at a time."""
     ne, nq = mesh.quad_weights.shape
     flat = mesh.quad_points.reshape(-1, 2)
-    eps = model.eps_values(space)
+    eps = model.eps(space.samples)
     pe = np.empty((ne, space.count))
     for i, omega in enumerate(space.samples):
         bn = np.linalg.norm(sample_advection(model, flat, omega), axis=1)
@@ -205,7 +212,7 @@ def test_local_peclet_is_the_largest_per_sample_value(case):
     pe = _peclet_by_sample(model, mesh, space)
     # neither the first nor the last sample holds the maximum
     assert 0 < pe.max(axis=0).argmax() < space.count - 1
-    report = local_peclet(model, mesh, space)
+    report = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
     assert report.max_peclet == pe.max()
     assert report.advection_dominated == (pe.max() > 1.0)
 
@@ -221,8 +228,9 @@ def test_local_peclet_refuses_non_finite_advection(b_mean, beta):
         model = replace(model, b_modes=((
             lambda s: np.atleast_2d(s)[:, 0] - centered,
             lambda x: np.full((len(x), 2), beta)),))
+    # a non-finite mode is refused where the modes are sampled
     with pytest.raises(ConfigError, match="non-finite"):
-        local_peclet(model, mesh, space)
+        local_peclet(model, mesh, analyze_reaction(model, mesh, space))
 
 
 def test_moderate_stochasticity_gate():
@@ -267,7 +275,7 @@ def _random_eps_model(case):
 def test_moderate_stochasticity_is_the_smallest_per_sample_slack(case):
     mesh = build_structured_mesh(3)
     model, space = _random_eps_model(case)
-    eps = model.eps_values(space)
+    eps = model.eps(space.samples)
     eps_hat, eps_bar = float(eps.min()), float(space.weights @ eps)
     slack = min(eps_hat / 32.0 - abs(e - eps_bar) for e in eps)
     report = check_moderate_stochasticity(
@@ -285,10 +293,11 @@ def test_boundary_layer_mean_advection():
     for w, omega in zip(space.weights, space.samples):
         acc += w * sample_advection(model, x, omega)
     assert np.max(np.abs(acc - 1.0)) <= 1e-12
-    mesh = build_structured_mesh(4)
-    model.validate(space, mesh)
-    eps = model.eps_values(space)
-    assert np.all((eps >= 1.0 / 6000.0) & (eps <= 1.0 / 5000.0))
+    a = analyze_reaction(model, build_structured_mesh(4), space)
+    assert np.all((a.eps >= 1.0 / 6000.0) & (a.eps <= 1.0 / 5000.0))
+    (theta, beta), = a.modes
+    assert beta is model.b_modes[0][1]
+    assert np.array_equal(theta, model.b_modes[0][0](space.samples))
 
 
 def test_validate_rejects_biased_advection_mode():
@@ -303,9 +312,11 @@ def test_validate_rejects_biased_advection_mode():
                       lambda x: np.column_stack([x[:, 1], -x[:, 0]])),))
 
     centered = float(space.weights @ space.samples[:, 0])
-    model(centered).validate(space, mesh)
-    with pytest.raises(ConfigError):
-        model(centered - 0.1).validate(space, mesh)
+    assert analyze_reaction(model(centered), mesh, space).random_advection
+    with pytest.raises(ConfigError, match="zero-mean"):
+        analyze_reaction(model(centered - 0.1), mesh, space)
+    with pytest.raises(ConfigError, match="one finite value per sample"):
+        analyze_reaction(model(np.nan), mesh, space)
 
 
 def test_b_fluct_memo_matches_the_unmemoized_sum():

@@ -134,8 +134,7 @@ def test_coercivity_check_passes_with_compliant_delta():
     delta = resolve_delta("coercivity", mesh, analysis, None)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
                              delta.delta_K)
-    report = check_coercivity(model, analysis, blocks, space, trials=50,
-                              seed=7)
+    report = check_coercivity(analysis, blocks, space, trials=50, seed=7)
     assert report.ok
     assert report.worst_margin > -1e-10
 
@@ -150,12 +149,12 @@ def test_coercivity_check_mu_path_matches_elementwise_oracle():
     dk = delta.delta_K
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, dk)
     trials, seed = 3, 16
-    report = check_coercivity(model, analysis, blocks, space,
-                              trials=trials, seed=seed)
+    report = check_coercivity(analysis, blocks, space, trials=trials,
+                              seed=seed)
 
     # the same draws, every term by an element-by-element edge-midpoint
     # rule, exact for the quadratic integrands of constant coefficients
-    eps, w = model.eps_values(space), space.weights
+    eps, w = model.eps(space.samples), space.weights
     interior = mesh.interior_index()
     lam = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     rng = np.random.default_rng(seed)
@@ -167,7 +166,7 @@ def test_coercivity_check_mu_path_matches_elementwise_oracle():
         for e, tri in enumerate(mesh.triangles):
             area = mesh.signed_areas[e]
             x = lam @ mesh.vertices[tri]
-            b, c, mu = model.b_mean(x), model.c_at(x), analysis.mu(x)
+            b, c, mu = model.b_mean(x), model.c_mean(x), analysis.mu(x)
             for i in range(space.count):
                 grad = mesh.grads[e].T @ u[tri, i]
                 uq = lam @ u[tri, i]
@@ -194,7 +193,7 @@ def test_coercivity_check_rejects_random_advection():
     blocks = assemble_blocks(mesh, model.b_mean, None,
                              np.zeros(mesh.n_triangles))
     with pytest.raises(ConfigError):
-        check_coercivity(model, analysis, blocks, space, trials=1)
+        check_coercivity(analysis, blocks, space, trials=1)
 
 
 def tangent_setup(case):

@@ -122,15 +122,12 @@ def test_assemble_load_reuses_its_test_functions():
         np.linspace(0.05, 0.2, mesh.n_triangles))
     vals = np.random.default_rng(0).standard_normal(
         (mesh.n_triangles, len(QUAD_WEIGHTS)))
-    first = {skew: assemble_load(blocks, vals, skew=skew)
-             for skew in (True, False)}
-    kept = dict(blocks.load_tests)
-    assert set(kept) == {True, False}
-    for skew in (False, True):
-        assert np.array_equal(assemble_load(blocks, vals, skew=skew),
-                              first[skew])
-        assert blocks.load_tests[skew] is kept[skew]
-        assert not kept[skew].flags.writeable
+    assert blocks.load_test is None
+    first = assemble_load(blocks, vals)
+    kept = blocks.load_test
+    assert not kept.flags.writeable
+    assert np.array_equal(assemble_load(blocks, vals), first)
+    assert blocks.load_test is kept
 
 
 def test_mesh_h_is_diagonal_length():
@@ -288,11 +285,12 @@ def test_assemble_load_skew_adds_streamline_term():
 
     blocks = assemble_blocks(mesh, b_fn, None, delta)
     vals = np.ones((mesh.n_triangles, len(QUAD_WEIGHTS)))
-    plain = assemble_load(blocks, vals)
-    skew = assemble_load(blocks, vals, skew=True)
-    # (1, phi_i + delta_K b.grad phi_i) is skewed_mass applied to ones
-    assert np.max(np.abs(skew - plain)) > 0.0
-    want = blocks.skewed_mass @ np.ones(mesh.n_vertices)
+    skew = assemble_load(blocks, vals)
+    # (1, phi_i + delta_K b.grad phi_i) is skewed_mass applied to ones,
+    # and differs from the plain load (1, phi_i)
+    ones = np.ones(mesh.n_vertices)
+    assert np.max(np.abs(skew - blocks.mass @ ones)) > 0.0
+    want = blocks.skewed_mass @ ones
     assert np.max(np.abs(skew - want)) <= 1e-14
 
 
@@ -312,8 +310,10 @@ def test_assemble_load_multiple_columns():
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("skew", [False, True])
 def test_assemble_load_matches_element_loop(k, skew):
+    # skew False: delta = 0, whose streamline test is the plain phi_i
     mesh = build_structured_mesh(3)
-    delta = np.linspace(0.05, 0.2, mesh.n_triangles)
+    delta = np.linspace(0.05, 0.2, mesh.n_triangles) if skew \
+        else np.zeros(mesh.n_triangles)
     blocks = assemble_blocks(
         mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]), None,
         delta)
@@ -323,14 +323,14 @@ def test_assemble_load_matches_element_loop(k, skew):
     vals = rng.standard_normal((mesh.n_triangles, len(QUAD_WEIGHTS), k))
     want = np.zeros((mesh.n_vertices, k))
     for e, tri in enumerate(mesh.triangles):
-        test = phi + (delta[e] * blocks.bg_at_qp[e] if skew else 0.0)
+        test = phi + delta[e] * blocks.bg_at_qp[e]
         for a in range(3):
             want[tri[a]] += (pw[e, :, None] * test[:, a, None]
                              * vals[e]).sum(axis=0)
-    got = assemble_load(blocks, vals, skew=skew)
+    got = assemble_load(blocks, vals)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     if k == 1:
-        single = assemble_load(blocks, vals[:, :, 0], skew=skew)
+        single = assemble_load(blocks, vals[:, :, 0])
         assert np.max(np.abs(single - want[:, 0])) \
             <= 1e-14 * np.max(np.abs(want))
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    ConfigError, FomState, NearSingularError, RunConfig, SolverError,
-    analyze_reaction, assemble_blocks, assemble_load, build_problem,
-    build_structured_mesh, constant_adr, delta_coercivity,
+    CoefficientModel, ConfigError, FomState, NearSingularError, RunConfig,
+    SolverError, analyze_reaction, assemble_blocks, assemble_load,
+    build_problem, build_structured_mesh, constant_adr, delta_coercivity,
     delta_semi_implicit, estimate_inverse_constant, evaluate_realization,
     fom_step, load_config, local_peclet, make_monte_carlo,
     preset_boundary_layer, preset_rotating_body, range_excess, run,
@@ -116,6 +116,25 @@ def test_load_config_rejects_removed_scheme(tmp_path, capsys):
     assert load_config(path).n_per_side == 8
     path.write_text(text.replace(head, head + "scheme = explicit\n"))
     with pytest.raises(ConfigError, match="explicit"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_load_config_parses_tangent_residual_as_a_boolean(tmp_path,
+                                                           capsys):
+    from supgdlr.cli import main
+
+    path = tmp_path / "config.ini"
+    write_config(tiny_config(str(tmp_path / "out")), path)
+    text, line = path.read_text(), "tangent_residual = False\n"
+    assert line in text
+    for value, want in (("true", True), ("yes", True), ("0", False),
+                        ("False", False)):
+        path.write_text(text.replace(line, f"tangent_residual = {value}\n"))
+        assert load_config(path).tangent_residual is want
+    path.write_text(text.replace(line, "tangent_residual = yes please\n"))
+    with pytest.raises(ConfigError, match="yes please"):
         load_config(path)
     assert main(["solve", "--config", str(path)]) == 1
     assert "configuration error" in capsys.readouterr().err
@@ -245,9 +264,67 @@ def test_run_json_records_the_peclet_flag(tmp_path, make_cfg):
     assert status == 0
     with open(tmp_path / "run.json") as fh:
         flag = json.load(fh)["peclet_flag"]
-    mesh, space, model = build_problem(cfg)[:3]
+    mesh, _, model, analysis = build_problem(cfg)[:4]
     assert flag is True
-    assert flag == local_peclet(model, mesh, space).advection_dominated
+    assert flag == local_peclet(model, mesh, analysis).advection_dominated
+
+
+@pytest.mark.parametrize("bound", [("si_stab", "typo"), ("typo", "ii")])
+def test_unknown_bound_is_refused_before_the_run(tmp_path, monkeypatch,
+                                                 bound):
+    def never(*args, **kwargs):
+        raise AssertionError("the problem was built or run")
+
+    monkeypatch.setattr(runner, "build_problem", never)
+    monkeypatch.setattr(runner, "run", never)
+    status, manifest = run_from_config(
+        tiny_config(str(tmp_path), bounds=(("si_stab", "ii"), bound)))
+    assert status == 1
+    assert "typo" in manifest["error"]
+    assert not (tmp_path / "norms.csv").exists()
+
+
+def test_bound_without_a_case_is_a_configuration_error(tmp_path, capsys):
+    from supgdlr.cli import main
+
+    path = tmp_path / "config.ini"
+    write_config(tiny_config(str(tmp_path / "out"),
+                             bounds=(("si_stab", "ii"),)), path)
+    text = path.read_text()
+    assert "bounds = si_stab:ii\n" in text
+    path.write_text(text.replace("si_stab:ii", "si_stab"))
+    assert load_config(path).bounds == (("si_stab", ""),)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "unknown case ''" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "norms.csv").exists()
+
+
+def test_the_coefficients_are_sampled_once_per_run(tmp_path, monkeypatch):
+    calls = {"eps": 0, "theta": 0}
+    build_model = runner.build_model
+
+    def counted(key, fn):
+        def wrapper(samples):
+            calls[key] += 1
+            return fn(samples)
+        return wrapper
+
+    def counting_model(cfg, space):
+        model = build_model(cfg, space)
+        (theta, beta), = model.b_modes
+        return replace(model, eps=counted("eps", model.eps),
+                       b_modes=((counted("theta", theta), beta),))
+
+    monkeypatch.setattr(runner, "build_model", counting_model)
+    cfg = replace(preset_boundary_layer("desk"), out_dir=str(tmp_path))
+    status, _ = run_from_config(cfg)
+    assert status == 0
+    assert calls == {"eps": 1, "theta": 1}
+    # the analysis owns the samples; the model keeps no re-sampler
+    for name in ("eps_values", "eps_split", "eps_bounds",
+                 "advection_modes", "c_at", "has_random_advection",
+                 "validate", "div_b"):
+        assert not hasattr(CoefficientModel, name)
 
 
 def test_run_from_config_bad_model(tmp_path):
@@ -312,10 +389,10 @@ def test_build_problems_share_no_cached_array():
     arrays = []
     for _ in range(2):
         mesh, _, _, _, _, ws, _ = build_problem(cfg)
-        assemble_load(ws.blocks, np.ones(ws.pw.shape), skew=True)
+        assemble_load(ws.blocks, np.ones(ws.pw.shape))
         arrays.append([mesh.quad_points, mesh.quad_weights,
                        *mesh.form_index, ws.pw, ws.xq_flat,
-                       ws.blocks.load_tests[True]])
+                       ws.blocks.load_test])
     for a, b in zip(*arrays):
         assert np.array_equal(a, b)
         assert not np.shares_memory(a, b)
