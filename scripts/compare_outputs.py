@@ -9,6 +9,10 @@ the parent, run each copy into its own directory and compare the two:
     python3 scripts/compare_outputs.py /tmp/change
     python3 ../parent/scripts/compare_outputs.py /tmp/parent
     diff -r /tmp/parent /tmp/change
+    python3 scripts/diff_outputs.py /tmp/parent /tmp/change
+
+diff_outputs.py names, for each file that is not byte-identical, its
+largest relative numeric difference.
 
 OUT_DIR receives:
 - rotating_body_desk/, boundary_layer_desk/ and rotating_body_paper_100/:

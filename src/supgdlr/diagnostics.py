@@ -346,7 +346,11 @@ def _delta_reason(theorem, dk, analysis, mesh, C_I, dt):
 
 def check_bound_names(bounds):
     """Refuse (ConfigError) a (theorem, case) pair that names no bound."""
-    for theorem, case in bounds:
+    for entry in bounds:
+        if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+            raise ConfigError(f"bound {entry!r} is not a (theorem, case) "
+                              "pair")
+        theorem, case = entry
         if theorem not in ("im_stab", "si_stab"):
             raise ConfigError(f"unknown theorem {theorem!r}")
         if case not in ("i", "ii", "iii"):

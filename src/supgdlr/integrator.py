@@ -70,8 +70,8 @@ class SchemeConfig:
     compute_tangent_residual: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError("dt must be positive and finite")
         if self.delta is None:
             raise ConfigError("delta is required (all zeros for standard "
                               "Galerkin)")
@@ -288,8 +288,9 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
     """
     t0 = initial.t
     dt = ws.cfg.dt
-    if T <= t0:
-        raise ConfigError("final time must exceed the initial time")
+    if not t0 < T < np.inf:
+        raise ConfigError("final time must be finite and exceed the "
+                          "initial time")
     n_steps = int(round((T - t0) / dt))
     if abs(n_steps * dt - (T - t0)) > 1e-9 * max(T - t0, dt):
         raise ConfigError("dt does not divide the time interval")

@@ -74,44 +74,44 @@ def init_from_modes(U0, U, Y, space):
     return DlrState(raw.U0 + raw.U @ means, raw.U @ T.T, Yo)
 
 
-def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
+def init_from_snapshot(columns, which, mass, space, R=None, tol=None):
     """Low-rank factorization of a snapshot under the natural norms.
 
-    Truncated SVD of the centered snapshot, columns scaled by sqrt(w),
-    in the mass inner product.  Equal columns share one right singular
-    vector, so the SVD is taken, exactly, over the d distinct columns,
-    each scaled by the square root of its samples' summed weight.  Their
+    Sample i's field is columns[:, which[i]], and each column is some
+    sample's.  Truncated SVD of the centered snapshot, columns scaled by
+    sqrt(w), in the mass inner product: taken, exactly, over the d
+    columns, each scaled by the square root of its samples' summed
+    weight (equal columns only add zero singular values).  Their
     Householder QR A = Q0 R0 is made mass-orthonormal by the upper
     Cholesky factor C of Q0^T M Q0 (condition at most cond(M)), and the
     small core C R0 takes the SVD.  The mass matrix is only multiplied,
     never densified.  Truncation is at fixed rank R or at the smallest
     rank whose relative singular-value tail is below tol.
     """
-    X = np.asarray(u_samples, dtype=float)
+    X = np.asarray(columns, dtype=float)
+    which = np.asarray(which)
     if not np.all(np.isfinite(X)):
         raise ConfigError("snapshot contains non-finite values")
-    if X.shape[1] != space.count:
-        raise ConfigError("snapshot columns must match the sample count")
+    if which.shape != (space.count,) or which.dtype.kind not in "iu":
+        raise ConfigError("which must hold one column index per sample")
+    if not np.all((which >= 0) & (which < X.shape[1])):
+        raise ConfigError("which holds an index outside the columns")
     if R is None and tol is None:
         raise ConfigError("give a rank or a truncation tolerance")
 
-    mean = X @ space.weights
-    # equal columns have equal centered columns; a -0.0/+0.0 mismatch
-    # only splits a group
-    ids = {}
-    which = np.array([ids.setdefault(col.tobytes(), len(ids))
-                      for col in X.T], dtype=np.intp)
-    first = np.unique(which, return_index=True)[1]
-    sw = np.sqrt(np.bincount(which, weights=space.weights))
-    A = (X[:, first] - mean[:, None]) * sw
-    Q0, R0 = sla.qr(A, mode="economic")
+    W = np.bincount(which, weights=space.weights, minlength=X.shape[1])
+    if not np.all(W > 0):
+        raise ConfigError("every snapshot column must belong to a sample")
+    mean = X @ W
+    sw = np.sqrt(W)
+    Q0, R0 = sla.qr((X - mean[:, None]) * sw, mode="economic")
     C = sla.cholesky(Q0.T @ (mass @ Q0), lower=False)
     P, s, QT = np.linalg.svd(C @ R0, full_matrices=False)
 
     nnz = int(np.sum(s > 1e-14 * (s[0] if len(s) else 1.0)))
     if R is not None:
         R = int(R)
-        if R > min(X.shape):
+        if R > min(X.shape[0], space.count):
             raise ConfigError("requested rank exceeds snapshot size")
         r = min(R, nnz)
     else:
@@ -128,10 +128,6 @@ def init_from_snapshot(u_samples, mass, space, R=None, tol=None):
         else:
             r = 0
 
-    if r == 0:
-        N_h = X.shape[0]
-        return DlrState(mean, np.zeros((N_h, 0)),
-                        np.zeros((space.count, 0)))
     U = Q0 @ sla.solve_triangular(C, P[:, :r] * s[:r], lower=False)
     Y = (QT[:r].T / sw[:, None])[which]
     return DlrState(mean, U, Y)

@@ -165,16 +165,17 @@ def _rotating_shapes(mesh, space):
 
 
 def _boundary_layer_snapshot(mesh, space, mass, rank, tol):
+    """shape(x) e^{cos(y3 x1 + y4 x2)}, centered per spatial point: formed
+    once per distinct (y3, y4) pair, never as an (N_h, N_C) array."""
     x = mesh.vertices
     shape = 5.0 * np.sin(2.0 * np.pi * x[:, 0]) \
         * np.sin(2.0 * np.pi * x[:, 1])
-    y = space.samples
-    # random factor e^{cos(y3 x1 + y4 x2)}, centered per spatial point
-    phase = np.outer(x[:, 0], y[:, 2]) + np.outer(x[:, 1], y[:, 3])
-    rand = np.exp(np.cos(phase))
-    rand -= (rand @ space.weights)[:, None]
-    snapshot = shape[:, None] * rand
-    return init_from_snapshot(snapshot, mass, space, R=rank, tol=tol)
+    pairs, which = np.unique(space.samples[:, 2:4], axis=0,
+                             return_inverse=True)
+    rand = np.exp(np.cos(x @ pairs.T))
+    rand -= (rand @ np.bincount(which, weights=space.weights))[:, None]
+    return init_from_snapshot(shape[:, None] * rand, which, mass, space,
+                              R=rank, tol=tol)
 
 
 def build_initial(cfg, mesh, space, mass):
@@ -479,8 +480,9 @@ def load_config(path):
             track_md_samples=ints(out.get("track_md_samples", "")),
             dump_times=floats(out.get("dump_times", "")),
             dump_samples=ints(out.get("dump_samples", "")),
-            bounds=tuple(b.partition(":")[::2]
-                         for b in diag.get("bounds", "").split(",") if b),
+            bounds=tuple(tuple(p.strip() for p in b.partition(":")[::2])
+                         for b in diag.get("bounds", "").split(",")
+                         if b.strip()),
             tangent_residual=cp.getboolean("diagnostics",
                                            "tangent_residual",
                                            fallback=False),

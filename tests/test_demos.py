@@ -68,3 +68,42 @@ def test_compare_outputs_writes_every_output(tmp_path):
         == {"0", "1", "2"}
     assert len((tmp_path / "fom_boundary_layer.txt").read_text()
                .splitlines()) == 51
+
+
+def diff_outputs(parent, change):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "diff_outputs.py"),
+         str(parent), str(change)], capture_output=True, text=True,
+        timeout=60)
+
+
+def test_diff_outputs_flags_text_and_numbers_beyond_tolerance(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "run").mkdir(parents=True)
+        (root / "check.txt").write_text("R2 ok, version 0.1.0\nexit 0\n")
+    (parent / "run" / "norms.csv").write_text("t,l2\n0,0.5\n0.1,-2e-3\n")
+    (change / "run" / "norms.csv").write_text(
+        "t,l2\n0,0.50000000000000011\n0.1,-2e-3\n")
+    proc = diff_outputs(parent, change)
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines() == [
+        "check.txt: identical",
+        "run/norms.csv: max relative difference 2.22e-16 "
+        "(0.5 vs 0.5000000000000001)"]
+
+    for text, verdict in (("t,l2\n0,0.5\n0.1,-2.001e-3\n",
+                           "max relative difference 0.0005"),
+                          ("t,l1\n0,0.5\n0.1,-2e-3\n",
+                           "non-numeric text differs")):
+        (change / "run" / "norms.csv").write_text(text)
+        proc = diff_outputs(parent, change)
+        assert proc.returncode == 1
+        assert f"run/norms.csv: {verdict}" in proc.stdout
+    (change / "run" / "norms.csv").write_text("t,l2\n0,0.5\n0.1,-2e-3\n")
+    (change / "check.txt").write_text("R2 ok, version 0.1.1\nexit 0\n")
+    (change / "extra.txt").write_text("1\n")
+    proc = diff_outputs(parent, change)
+    assert proc.returncode == 1
+    assert "check.txt: non-numeric text differs  FAIL" in proc.stdout
+    assert f"extra.txt: only in {change}  FAIL" in proc.stdout

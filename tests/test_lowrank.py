@@ -1,5 +1,6 @@
 """Low-rank state construction and factorization."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from scipy.sparse.linalg import aslinearoperator
 
 from supgdlr import (
-    ConfigError, DlrState, SampleSpace, assemble_blocks, build_problem,
+    ConfigError, DlrState, SampleSpace, assemble_blocks, assemble_galerkin,
+    build_problem,
     build_structured_mesh, evaluate_realization, init_from_modes,
     init_from_snapshot, make_monte_carlo, preset_boundary_layer, runner,
 )
@@ -53,7 +55,8 @@ def test_snapshot_full_rank_reconstructs():
     mesh, space, blocks = setup(n=3, n_samples=6)
     rng = np.random.default_rng(3)
     X = rng.standard_normal((mesh.n_vertices, space.count))
-    state = init_from_snapshot(X, blocks.mass, space, R=space.count - 1)
+    state = init_from_snapshot(X, np.arange(space.count), blocks.mass,
+                               space, R=space.count - 1)
     assert np.max(np.abs(state.dense() - X)) <= 1e-10
     check_invariants(state, space, blocks.mass)
 
@@ -63,7 +66,8 @@ def test_snapshot_truncation_error_matches_svd_tail():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((mesh.n_vertices, space.count))
     R = 3
-    state = init_from_snapshot(X, blocks.mass, space, R=R)
+    state = init_from_snapshot(X, np.arange(space.count), blocks.mass,
+                               space, R=R)
     assert state.rank == R
 
     # independent weighted SVD oracle for the truncation error
@@ -106,7 +110,7 @@ def repeated_column_snapshot(n_vertices, rng):
     weights = rng.uniform(0.2, 1.0, len(which))
     space = SampleSpace(rng.standard_normal((len(which), 2)),
                         weights / weights.sum())
-    return base[:, which], space
+    return base, which, space
 
 
 @pytest.mark.parametrize("rule", [{"R": 2}, {"R": 4}, {"tol": 1e-3},
@@ -116,10 +120,11 @@ def repeated_column_snapshot(n_vertices, rng):
 def test_snapshot_with_repeated_columns_matches_dense_svd(n, rule):
     # 25 vertices, or 4: fewer than the 5 distinct columns
     mesh, _, blocks = setup(n=n)
-    X, space = repeated_column_snapshot(mesh.n_vertices,
-                                        np.random.default_rng(11))
+    base, which, space = repeated_column_snapshot(
+        mesh.n_vertices, np.random.default_rng(11))
+    X = base[:, which]
     M, w = blocks.mass.toarray(), space.weights
-    state = init_from_snapshot(X, blocks.mass, space, **rule)
+    state = init_from_snapshot(base, which, blocks.mass, space, **rule)
     rank, s, field = dense_snapshot_svd(X, M, w, **rule)
     assert state.rank == rank <= 4            # centered: rank 4 at most
     check_invariants(state, space, blocks.mass)
@@ -133,23 +138,24 @@ def test_snapshot_with_repeated_columns_matches_dense_svd(n, rule):
 
 def test_snapshot_only_multiplies_the_mass_matrix():
     mesh, _, blocks = setup(n=4)
-    X, space = repeated_column_snapshot(mesh.n_vertices,
-                                        np.random.default_rng(12))
-    want = init_from_snapshot(X, blocks.mass, space, tol=1e-6)
-    got = init_from_snapshot(X, aslinearoperator(blocks.mass), space,
-                             tol=1e-6)
+    base, which, space = repeated_column_snapshot(
+        mesh.n_vertices, np.random.default_rng(12))
+    want = init_from_snapshot(base, which, blocks.mass, space, tol=1e-6)
+    got = init_from_snapshot(base, which, aslinearoperator(blocks.mass),
+                             space, tol=1e-6)
     assert got.rank == want.rank == 4
     assert np.max(np.abs(got.dense() - want.dense())) <= 1e-13
 
 
 def test_boundary_layer_snapshot_matches_dense_svd(monkeypatch):
     # the desk snapshot on a 6^4 tensor grid: it depends only on two of
-    # the four parameters, so its 1296 columns hold 34 distinct ones
+    # the four parameters, so its 1296 samples share 36 pair columns, 34
+    # of them distinct
     seen = []
 
-    def capture(X, mass, space, R=None, tol=None):
-        seen.append((X, mass, space, R, tol))
-        return init_from_snapshot(X, mass, space, R=R, tol=tol)
+    def capture(columns, which, mass, space, R=None, tol=None):
+        seen.append((columns, which, mass, space, R, tol))
+        return init_from_snapshot(columns, which, mass, space, R=R, tol=tol)
 
     monkeypatch.setattr(runner, "init_from_snapshot", capture)
     cfg = replace(preset_boundary_layer("desk"), n_per_side=10,
@@ -157,15 +163,48 @@ def test_boundary_layer_snapshot_matches_dense_svd(monkeypatch):
                            "intervals": [(5000.0, 6000.0, 6)]
                            + [(-1.0, 1.0, 6)] * 3})
     state = build_problem(cfg)[-1]
-    (X, mass, space, R, tol), = seen
-    assert X.shape == (121, 1296) and R is None and tol == 1e-4
-    assert len(np.unique(X, axis=1).T) == 34
+    (columns, which, mass, space, R, tol), = seen
+    assert columns.shape == (121, 36) and R is None and tol == 1e-4
+    X = columns[:, which]
+    assert X.shape == (121, 1296) and len(np.unique(X, axis=1).T) == 34
     rank, _, field = dense_snapshot_svd(X, mass.toarray(), space.weights,
                                         tol=tol)
     assert state.rank == rank == 11
     check_invariants(state, space, mass)
     assert np.max(np.abs(state.dense() - field)) \
         <= 1e-12 * np.max(np.abs(field))
+
+
+def test_paper_boundary_layer_snapshot_is_never_dense():
+    # 2601 vertices x 10^4 samples: one dense snapshot is 208 MB
+    cfg = preset_boundary_layer("paper")
+    mesh = build_structured_mesh(cfg.n_per_side)
+    space = runner.build_space(cfg)
+    mass = assemble_galerkin(mesh).mass
+    tracemalloc.start()
+    try:
+        state = runner.build_initial(cfg, mesh, space, mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.rank == 34
+    assert peak < mesh.n_vertices * space.count * 8
+
+
+@pytest.mark.parametrize("which, match", [
+    ([0, 1, 2, 0, 3, 1, 4, 0, 2, 2, 3, 1], "one column index per sample"),
+    ([0, 1, 2, 0, 3, 1, 4, 0, 2, 2, 3, 1, 0, 4], "one column index"),
+    ([0.0, 1, 2, 0, 3, 1, 4, 0, 2, 2, 3, 1, 0], "one column index"),
+    ([0, 1, 2, 0, 3, 1, 5, 0, 2, 2, 3, 1, 0], "outside the columns"),
+    ([0, 1, 2, 0, 3, 1, -1, 0, 2, 2, 3, 1, 0], "outside the columns"),
+    ([0, 1, 2, 0, 3, 1, 1, 0, 2, 2, 3, 1, 0], "belong to a sample"),
+], ids=["short", "long", "float", "past_end", "negative", "unused"])
+def test_snapshot_refuses_a_bad_which(which, match):
+    mesh, _, blocks = setup(n=2)
+    base, _, space = repeated_column_snapshot(mesh.n_vertices,
+                                              np.random.default_rng(13))
+    with pytest.raises(ConfigError, match=match):
+        init_from_snapshot(base, which, blocks.mass, space, R=2)
 
 
 def test_snapshot_tolerance_selects_minimal_rank():
@@ -176,7 +215,8 @@ def test_snapshot_tolerance_selects_minimal_rank():
     Y = rng.standard_normal((space.count, 2))
     X = U @ Y.T + 1e-12 * rng.standard_normal((mesh.n_vertices,
                                                space.count))
-    state = init_from_snapshot(X, blocks.mass, space, tol=1e-6)
+    state = init_from_snapshot(X, np.arange(space.count), blocks.mass,
+                               space, tol=1e-6)
     assert state.rank <= 2
     assert np.max(np.abs(state.dense() - X)) <= 1e-8
 
@@ -185,7 +225,7 @@ def test_snapshot_needs_rank_or_tol():
     mesh, space, blocks = setup(n=2, n_samples=4)
     X = np.zeros((mesh.n_vertices, space.count))
     with pytest.raises(ConfigError):
-        init_from_snapshot(X, blocks.mass, space)
+        init_from_snapshot(X, np.arange(space.count), blocks.mass, space)
 
 
 def test_validate_rejects_broken_invariants():

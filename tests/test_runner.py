@@ -284,6 +284,43 @@ def test_unknown_bound_is_refused_before_the_run(tmp_path, monkeypatch,
     assert not (tmp_path / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("bound", [("si_stab",), ("si_stab", "ii", "x"),
+                                   "si_stab:ii"],
+                         ids=["single", "triple", "string"])
+def test_bound_that_is_not_a_pair_is_a_configuration_error(tmp_path,
+                                                           bound):
+    status, _ = run_from_config(tiny_config(str(tmp_path),
+                                            bounds=(bound,)))
+    assert status == 1
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert "not a (theorem, case) pair" in manifest["error"]
+
+
+def test_load_config_strips_bound_entries(tmp_path):
+    path = tmp_path / "config.ini"
+    write_config(tiny_config(str(tmp_path / "out"),
+                             bounds=(("si_stab", "ii"),)), path)
+    path.write_text(path.read_text().replace(
+        "bounds = si_stab:ii\n", "bounds = si_stab:ii, im_stab : iii ,\n"))
+    assert load_config(path).bounds == (("si_stab", "ii"),
+                                        ("im_stab", "iii"))
+
+
+@pytest.mark.parametrize("key, value", [("dt", float("nan")),
+                                        ("dt", float("inf")),
+                                        ("T", float("inf")),
+                                        ("T", float("nan"))],
+                         ids=["dt_nan", "dt_inf", "T_inf", "T_nan"])
+def test_non_finite_time_is_a_configuration_error(tmp_path, key, value):
+    status, _ = run_from_config(tiny_config(str(tmp_path),
+                                            **{key: value}))
+    assert status == 1
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert "finite" in manifest["error"]
+
+
 def test_bound_without_a_case_is_a_configuration_error(tmp_path, capsys):
     from supgdlr.cli import main
 
