@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import diagnostics
@@ -158,8 +159,14 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
              for theta, beta in analysis.modes]
     terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
 
-    Braw = (blocks.skewed_mass / cfg.dt
-            + analysis.eps_bar * blocks.stiffness + blocks.transport).tocsr()
+    # every form shares the mesh's CSR pattern, so Braw sums their data
+    # (scipy divides a matrix by a scalar through its reciprocal)
+    stiffness = blocks.stiffness
+    Braw = sp.csr_matrix((blocks.skewed_mass.data * (1 / cfg.dt)
+                          + analysis.eps_bar * stiffness.data
+                          + blocks.transport.data,
+                          stiffness.indices, stiffness.indptr),
+                         shape=stiffness.shape)
     bc = DirichletCondition(Braw, mesh, cfg.bc)
     # bc.matrix = D Braw D + diag has a symmetric pattern: minimum degree
     # on A^T + A fills less than the default COLAMD, and relax=1 keeps

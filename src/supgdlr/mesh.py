@@ -3,9 +3,11 @@
 Provides the mesh, a symmetric triangle quadrature rule, one assembler
 for the sparse bilinear forms of the Galerkin and streamline-upwind
 terms (including the skewed and streamline blocks of advection modes),
-and Dirichlet boundary handling.
+and Dirichlet boundary handling.  Every form of a mesh is a CSR matrix
+on the one pattern of Mesh.form_pattern.
 """
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -109,12 +111,14 @@ class Mesh:
 
         Computed once per mesh and read-only, like quad_weights.
         """
-        tri = self.vertices[self.triangles]
+        tri = self.vertices[self.triangles].T           # (2, 3, ne)
         # einsum("qa,eai->eqi", QUAD_POINTS, tri) term by term from +0.0,
-        # the same sum in the same order, off NumPy's generic einsum loop
-        points = np.zeros((len(tri), len(QUAD_POINTS), 2))
+        # the same sum in the same order, off NumPy's generic einsum loop;
+        # summed element-last, then laid out (ne, nq, 2)
+        points = np.zeros((2, len(QUAD_POINTS), len(self.triangles)))
         for a in range(3):
-            points += QUAD_POINTS[:, a, None] * tri[:, None, a, :]
+            points += QUAD_POINTS[None, :, a, None] * tri[:, None, a]
+        points = np.ascontiguousarray(points.T)
         points.flags.writeable = False
         return points
 
@@ -126,14 +130,58 @@ class Mesh:
         return weights
 
     @cached_property
-    def form_index(self):
-        """(rows, cols) of the element matrices of _form, flattened in
-        (element, test vertex, trial vertex) order."""
-        rows = np.repeat(self.triangles, 3, axis=1).ravel()
-        cols = np.tile(self.triangles, (1, 3)).ravel()
-        rows.flags.writeable = False
-        cols.flags.writeable = False
-        return rows, cols
+    def form_pattern(self):
+        """CSR pattern of every P1 form on this mesh and the order in
+        which _form sums element entries into it; computed once.
+
+        Returns int32 (indptr, indices, first, more).  Element matrices
+        are flattened element-last, entry (a, b) of element e at
+        (3 a + b) n_e + e.  Slot s of a form's data starts as entry
+        first[s]; each (slots, src) of more then adds entries src to
+        slots.  That is the order of scipy's coo_matrix((elem, (rows,
+        cols))).tocsr() with the entries in (element, test, trial)
+        order: it buckets them by row in input order, sorts each row by
+        column alone (a permutation that depends only on the columns)
+        and adds each run of one column left to right.
+
+        first and more are read-only.  indptr and indices, which every
+        form shares, stay writeable, as scipy copies read-only index
+        arrays in every product: copy a form before changing its pattern
+        in place (eliminate_zeros, prune).
+        """
+        n, ne = self.n_vertices, self.n_triangles
+        tri = self.triangles.astype(np.int32)
+        # scipy buckets the entries (e, a, b) by their row tri[e, a] in
+        # input order: the (e, a) pairs in stable row order, each followed
+        # by its three trial vertices b
+        ea = np.argsort(tri.ravel(), kind="stable")
+        e, a = ea // 3, ea % 3
+        src = (3 * a[:, None] + np.arange(3)) * ne + e[:, None]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(3 * np.bincount(tri.ravel(), minlength=n),
+                  out=indptr[1:])
+        # then sorts each row by column: scipy's own sort, carrying the
+        # element-last index of each entry as the data
+        probe = sp.csr_matrix((src.ravel().astype(float), tri[e].ravel(),
+                               indptr), shape=(n, n))
+        probe.sort_indices()
+        src, col = probe.data.astype(np.int32), probe.indices
+        # and adds each run of one column in a row, left to right
+        head = np.ones(len(col), dtype=bool)
+        np.not_equal(col[1:], col[:-1], out=head[1:])
+        head[indptr[:-1][np.diff(indptr) > 0]] = True
+        start = np.flatnonzero(head)
+        count = np.diff(start, append=len(col))
+        indptr = np.concatenate((np.zeros(1, dtype=np.int32),
+                                 np.cumsum(head, dtype=np.int32)))[indptr]
+        more = []
+        for k in range(1, count.max()):
+            slots = np.flatnonzero(count > k)
+            more.append((slots.astype(np.int32), src[start[slots] + k]))
+        first = src[start]
+        for arr in (first, *(arr for pair in more for arr in pair)):
+            arr.flags.writeable = False
+        return indptr, col[start], first, tuple(more)
 
     def boundary_index(self):
         """All boundary vertex indices, sorted."""
@@ -176,7 +224,8 @@ def tag_boundary_layer(mesh):
 
     'd1' covers the left edge up to y=0.2, the whole bottom edge and the
     right edge up to y=0.02; 'd2' is the rest.
-    Returns a new Mesh sharing geometry with the retagged boundary.
+    Returns a new Mesh with the retagged boundary that shares the
+    geometry, and every per-mesh array computed so far, with mesh.
     """
     all_bdry = mesh.boundary_index()
     x = mesh.vertices[all_bdry, 0]
@@ -187,8 +236,9 @@ def tag_boundary_layer(mesh):
         | (y < tol)
         | ((x > 1.0 - tol) & (y <= 0.02 + tol))
     )
-    tags = {"d1": all_bdry[d1], "d2": all_bdry[~d1]}
-    return Mesh(mesh.n_per_side, mesh.vertices, mesh.triangles, tags)
+    retagged = copy.copy(mesh)
+    retagged.boundary_tags = {"d1": all_bdry[d1], "d2": all_bdry[~d1]}
+    return retagged
 
 
 class FemBlocks:
@@ -220,21 +270,28 @@ def _form(blocks, test, trial, weight=None):
     test and trial hold the basis functions at the quadrature points of
     blocks, broadcastable to (ne, nq, 3), or to (ne, nq, 3, 2) for vector
     values, whose components the product contracts; weight is None or
-    broadcastable to (ne, nq).
+    broadcastable to (ne, nq).  The matrix shares the indptr and
+    indices of mesh.form_pattern, and equals scipy's COO-to-CSR
+    conversion of the element matrices bit for bit.
     """
     mesh = blocks.mesh
     pw = mesh.quad_weights
     if weight is not None:
         pw = pw * weight
-    test, trial = (f if f.ndim == 4 else f[..., None]
-                   for f in (test, trial))
-    elem = np.einsum("eq,eqac,eqbc->eab", pw, test, trial)
-    rows, cols = mesh.form_index
+    # element-last (component, point, vertex, element) arrays, views of
+    # directional_gradients values and copies otherwise: the sums of
+    # einsum("eq,eqac,eqbc->eab"), bit for bit, on long inner loops
+    test, trial = (np.ascontiguousarray(
+        (f if f.ndim == 4 else f[..., None]).transpose(3, 1, 2, 0))
+        for f in (test, trial))
+    elem = np.einsum("qe,cqae,cqbe->abe", np.ascontiguousarray(pw.T),
+                     test, trial).ravel()
+    indptr, indices, first, more = mesh.form_pattern
+    data = elem[first]
+    for slots, src in more:
+        data[slots] += elem[src]
     n = mesh.n_vertices
-    mat = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_blocks(mesh, b, c_bar, delta):
@@ -296,11 +353,13 @@ def directional_gradients(mesh, v):
     if not np.all(np.isfinite(vq)):
         raise ConfigError("advection field evaluated to non-finite values")
     # einsum("eqi,eai->eqa", vq, grads) term by term from +0.0, the same
-    # sum in the same order (signed zeros included) at half its cost
-    out = np.zeros(xq.shape[:2] + (3,))
+    # sum in the same order (signed zeros included), summed element-last;
+    # the (ne, nq, 3) result is a view of that (nq, 3, ne) array
+    vq, grads = np.ascontiguousarray(vq.T), mesh.grads.T   # (2, nq|3, ne)
+    out = np.zeros((xq.shape[1], 3, len(xq)))
     for i in range(2):
-        out += vq[..., i, None] * mesh.grads[:, None, :, i]
-    return out
+        out += vq[i, :, None] * grads[i]
+    return out.transpose(2, 0, 1)
 
 
 def _skewed_test(blocks):
@@ -348,7 +407,8 @@ def assemble_load(blocks, values_at_qp):
 
     weighted = blocks.load_test
     if weighted is None:
-        weighted = mesh.quad_weights[..., None] * _skewed_test(blocks)
+        weighted = np.ascontiguousarray(
+            mesh.quad_weights[..., None] * _skewed_test(blocks))
         weighted.flags.writeable = False                # (ne, nq, 3)
         blocks.load_test = weighted
     contrib = np.matmul(weighted.transpose(0, 2, 1), vals)   # (ne, 3, k)
@@ -361,7 +421,9 @@ class DirichletCondition:
 
     Stores the constrained dof indices, their values and the lift (the
     eliminated columns of the original operator times the values), so
-    repeated right-hand sides can be constrained cheaply.
+    repeated right-hand sides can be constrained cheaply.  matrix is a
+    CSR matrix with sorted indices that stores the diagonal entry of
+    every constrained dof, as every form of the mesh does.
     """
 
     def __init__(self, matrix, mesh, boundary_values):
@@ -381,15 +443,24 @@ class DirichletCondition:
         order = np.argsort(self.dofs)
         self.dofs = self.dofs[order]
         self.values = self.values[order]
-        self._lift = matrix.tocsc()[:, self.dofs].tocsr() @ self.values
+        n = matrix.shape[0]
+        lifted = np.zeros(n)
+        lifted[self.dofs] = self.values
+        self._lift = matrix @ lifted
 
-        # D A D + diag(boundary indicator), D the interior indicator
-        boundary = np.zeros(matrix.shape[0])
-        boundary[self.dofs] = 1.0
-        interior = sp.diags(1.0 - boundary)
-        self.matrix = (interior @ matrix @ interior
-                       + sp.diags(boundary)).tocsr()
-        self.matrix.sort_indices()
+        # D A D + diag(boundary indicator), D the interior indicator, on
+        # a copy of the data: boundary rows and columns zeroed, their
+        # diagonal set to one, and zeros dropped as the products drop them
+        boundary = np.zeros(n, dtype=bool)
+        boundary[self.dofs] = True
+        indptr, indices = matrix.indptr, matrix.indices
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        data = np.where(boundary[rows] | boundary[indices], 0.0,
+                        matrix.data)
+        data[(rows == indices) & boundary[rows]] = 1.0
+        self.matrix = sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                                    shape=matrix.shape)
+        self.matrix.eliminate_zeros()
 
     def constrain_rhs(self, rhs):
         """Return the rhs consistent with the constrained matrix."""

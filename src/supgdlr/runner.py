@@ -245,9 +245,49 @@ def resolve_delta(policy, mesh, analysis, dt):
     raise ConfigError(f"unknown delta policy {policy!r}")
 
 
+# How many random variables (sample columns y_1, y_2, ...) each model
+# and each initial condition reads.
+MODEL_VARIABLES = {"rotating_body": 1, "boundary_layer": 2,
+                   "constant_adr": 0}
+INITIAL_VARIABLES = {"rotating_body_shapes": 3,
+                     "boundary_layer_snapshot": 4, "zero": 0}
+
+
+def _check_config(cfg):
+    """Refuse (ConfigError) sampler and boundary settings that would
+    otherwise fail later, as a bare exception or a numerical failure."""
+    s = cfg.sampler
+    kind, intervals = s.get("kind"), s.get("intervals", ())
+    width = {"monte_carlo": 2, "tensor_grid": 3}.get(kind)
+    for iv in intervals:
+        if width is not None and len(iv) != width:
+            raise ConfigError(f"a {kind} interval takes {width} numbers "
+                              f"(got {iv!r})")
+        if not np.all(np.isfinite(iv[:2])) or iv[0] > iv[1]:
+            raise ConfigError(f"interval {iv[0]:g},{iv[1]:g} must have "
+                              "finite ends, the lower one first")
+    needed = max(MODEL_VARIABLES.get(cfg.model, 0),
+                 INITIAL_VARIABLES.get(cfg.initial, 0))
+    if len(intervals) < needed:
+        raise ConfigError(
+            f"model {cfg.model!r} with initial condition {cfg.initial!r} "
+            f"reads {needed} random variables, but [sampling] intervals "
+            f"gives {len(intervals)}")
+    if kind == "monte_carlo":
+        seed = s.get("seed")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer "
+                              f"(got {seed!r})")
+    for tag, value in cfg.bc.items():
+        if not callable(value) and not np.isfinite(value):
+            raise ConfigError(f"boundary value of {tag!r} must be finite "
+                              f"(got {value!r})")
+
+
 def build_problem(cfg):
     """Materialize (mesh, space, model, analysis, delta, workspace,
     state)."""
+    _check_config(cfg)
     mesh = build_structured_mesh(cfg.n_per_side)
     if set(cfg.bc) - set(mesh.boundary_tags):
         if set(cfg.bc) == {"d1", "d2"}:
@@ -379,6 +419,7 @@ def _config_dict(cfg):
 
 
 def write_config(cfg, path):
+    check_bound_names(cfg.bounds)
     cp = configparser.ConfigParser()
     cp["run"] = {
         "name": cfg.name, "scale": cfg.scale,

@@ -150,3 +150,59 @@ def test_solve_constant_adr_advection_triple_is_config_error(tmp_path,
     assert main(["solve", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "pair of numbers" in err
+
+
+def _tiny_rotating_body_config(tmp_path, section, key, value):
+    """A small rotating-body config file with one key set to value."""
+    import configparser
+    from supgdlr.runner import RunConfig, write_config
+
+    cfg = RunConfig(
+        name="mini", n_per_side=4, dt=0.05, T=0.1, rank=2,
+        model="rotating_body",
+        sampler={"kind": "monte_carlo", "count": 4, "seed": 0,
+                 "intervals": [(-1.0, 1.0)] * 3},
+        initial="rotating_body_shapes", bc={"boundary": 0.0},
+        out_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.ini"
+    write_config(cfg, path)
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp[section][key] = value
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("sampling", "intervals", "1,-1;1,-1;1,-1", "the lower one first"),
+    ("sampling", "intervals", "-1,1", "reads 3 random variables"),
+    ("sampling", "seed", "-5", "seed must be a non-negative integer"),
+    ("boundary", "boundary", "nan", "must be finite"),
+], ids=["reversed_interval", "too_few_intervals", "negative_seed",
+        "nan_boundary"])
+def test_solve_refuses_bad_input_as_config_error(tmp_path, capsys, section,
+                                                 key, value, message):
+    import json
+
+    path = _tiny_rotating_body_config(tmp_path, section, key, value)
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    manifest = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert message in manifest["error"]
+    assert not (tmp_path / "out" / "norms.csv").exists()
+
+
+def test_write_config_refuses_a_bound_that_is_not_a_pair(tmp_path):
+    from supgdlr.errors import ConfigError
+    from supgdlr.runner import RunConfig, write_config
+
+    cfg = RunConfig(name="mini", n_per_side=4, dt=0.05, T=0.1,
+                    sampler={"kind": "monte_carlo", "count": 4, "seed": 0,
+                             "intervals": [(-1.0, 1.0)]},
+                    bounds=(("si_stab",),))
+    with pytest.raises(ConfigError, match="not a .theorem, case. pair"):
+        write_config(cfg, tmp_path / "config.ini")
+    assert not (tmp_path / "config.ini").exists()

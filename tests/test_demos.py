@@ -100,6 +100,25 @@ def test_diff_outputs_flags_text_and_numbers_beyond_tolerance(tmp_path):
         proc = diff_outputs(parent, change)
         assert proc.returncode == 1
         assert f"run/norms.csv: {verdict}" in proc.stdout
+    # round-off-level numbers agree to ATOL absolute, whatever their
+    # ratio; a norm is still held to the relative rule
+    (parent / "run" / "norms.csv").write_text(
+        "t,l2,defect_gram\n0,0.5,2.220446049250313e-16\n")
+    (change / "run" / "norms.csv").write_text(
+        "t,l2,defect_gram\n0,0.5,4.440892098500626e-16\n")
+    proc = diff_outputs(parent, change)
+    assert proc.returncode == 0, proc.stdout
+    assert ("run/norms.csv: max relative difference 0.5 "
+            "(2.220446049250313e-16 vs 4.440892098500626e-16), "
+            "within 1e-13 absolute") in proc.stdout
+    (change / "run" / "norms.csv").write_text(
+        "t,l2,defect_gram\n0,0.500000000001,4.440892098500626e-16\n")
+    proc = diff_outputs(parent, change)
+    assert proc.returncode == 1
+    assert ("run/norms.csv: max relative difference 2e-12 "
+            "(0.5 vs 0.500000000001)  FAIL") in proc.stdout
+
+    (parent / "run" / "norms.csv").write_text("t,l2\n0,0.5\n0.1,-2e-3\n")
     (change / "run" / "norms.csv").write_text("t,l2\n0,0.5\n0.1,-2e-3\n")
     (change / "check.txt").write_text("R2 ok, version 0.1.1\nexit 0\n")
     (change / "extra.txt").write_text("1\n")

@@ -2,13 +2,60 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from supgdlr import (
     QUAD_POINTS, QUAD_WEIGHTS, ConfigError, DirichletCondition,
     assemble_blocks, assemble_load, assemble_skewed, assemble_streamline,
     build_structured_mesh, directional_gradients, tag_boundary_layer,
 )
-from supgdlr.mesh import Mesh
+from supgdlr.mesh import Mesh, _form
+from supgdlr.runner import build_problem, preset_boundary_layer, \
+    preset_rotating_body
+
+
+def pattern_arrays(mesh):
+    """Every array of mesh.form_pattern, flat."""
+    indptr, indices, first, more = mesh.form_pattern
+    return [indptr, indices, first, *(a for pair in more for a in pair)]
+
+
+def relabelled_mesh(n, seed):
+    """A structured mesh with shuffled vertex numbers, shuffled triangles
+    and rotated vertex order within each triangle: no row of its forms
+    comes in the order of the structured builder."""
+    grid = build_structured_mesh(n)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(grid.n_vertices)
+    vertices = np.empty_like(grid.vertices)
+    vertices[perm] = grid.vertices
+    triangles = perm[grid.triangles][rng.permutation(grid.n_triangles)]
+    triangles = np.roll(triangles, 1, axis=1)
+    return Mesh(n, vertices, triangles,
+                {"boundary": perm[grid.boundary_tags["boundary"]]})
+
+
+def scipy_form(mesh, test, trial, weight=None):
+    """_form the way scipy builds it: the einsum over (element, point,
+    vertex, component) and a COO matrix with its duplicates summed."""
+    pw = mesh.quad_weights if weight is None else mesh.quad_weights * weight
+    test, trial = (f if f.ndim == 4 else f[..., None] for f in (test, trial))
+    elem = np.einsum("eq,eqac,eqbc->eab", pw, test, trial)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_vertices
+    mat = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def assert_same_csr(got, want):
+    """Same pattern and the same data, bit for bit."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 def exact_ref_integral(i, j):
@@ -79,7 +126,9 @@ def test_quadrature_arrays_are_cached_and_read_only():
                           np.einsum("qa,eai->eqi", QUAD_POINTS, tri))
     assert np.array_equal(
         weights, 2.0 * mesh.signed_areas[:, None] * QUAD_WEIGHTS[None, :])
-    for arr in (points, weights, *mesh.form_index):
+    # the pattern's indptr and indices stay writeable: scipy copies
+    # read-only index arrays on every sparse product
+    for arr in (points, weights, *pattern_arrays(mesh)[2:]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -425,3 +474,116 @@ def test_assemble_blocks_rejects_non_finite_delta(bad):
     delta[4] = bad
     with pytest.raises(ConfigError, match="non-finite"):
         assemble_blocks(mesh, lambda x: np.ones((len(x), 2)), None, delta)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: build_structured_mesh(1),
+    lambda: build_structured_mesh(20),
+    lambda: build_structured_mesh(32),
+    lambda: relabelled_mesh(5, 3),
+    lambda: relabelled_mesh(9, 4),
+], ids=["n1", "boundary_layer_desk", "rotating_body_desk", "relabelled5",
+        "relabelled9"])
+def test_form_matches_scipy_coo_bit_for_bit(make_mesh):
+    mesh = make_mesh()
+    ne, nq = mesh.n_triangles, len(QUAD_WEIGHTS)
+    rng = np.random.default_rng(mesh.n_vertices)
+    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+                             np.zeros(ne))
+    phi, grads = QUAD_POINTS[None], mesh.grads[:, None]
+    rand = rng.standard_normal((ne, nq, 3))
+    # negative zeros, which a sum from +0.0 would turn positive
+    signed = np.where(rng.random((ne, nq, 3)) < 0.5, -0.0, rand)
+    cases = [
+        (phi, phi, None), (grads, grads, None),
+        (rand, phi, None), (phi, rand, rng.standard_normal((ne, nq))),
+        (rand, rng.standard_normal((ne, nq, 3)), rng.random((ne, 1))),
+        (signed, signed, None),
+        (rng.standard_normal((ne, 1, 3, 2)), grads, None),
+    ]
+    for test, trial, weight in cases:
+        assert_same_csr(_form(blocks, test, trial, weight),
+                        scipy_form(mesh, test, trial, weight))
+
+
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_form_pattern_is_scipys_pattern(n):
+    mesh = build_structured_mesh(n)
+    indptr, indices, first, more = mesh.form_pattern
+    ones = scipy_form(mesh, QUAD_POINTS[None], QUAD_POINTS[None])
+    assert indptr.dtype == indices.dtype == np.int32
+    assert np.array_equal(indptr, ones.indptr)
+    assert np.array_equal(indices, ones.indices)
+    # each element entry lands in exactly one slot
+    sources = np.concatenate([first, *(src for _, src in more)])
+    assert np.array_equal(np.sort(sources), np.arange(9 * mesh.n_triangles))
+    assert mesh.form_pattern is mesh.form_pattern
+
+
+def test_blocks_share_one_pattern():
+    mesh = build_structured_mesh(4)
+    blocks = assemble_blocks(
+        mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]),
+        lambda x: 1.0 + x[:, 0], np.full(mesh.n_triangles, 0.05))
+    indptr, indices, _, _ = mesh.form_pattern
+    for mat in (blocks.mass, blocks.stiffness, blocks.supg_conv,
+                blocks.skewed_mass, blocks.transport):
+        assert np.shares_memory(mat.indices, indices)
+        assert np.shares_memory(mat.indptr, indptr)
+
+
+def reference_dirichlet(matrix, dofs, values):
+    """D A D + diag(boundary indicator) and the column-slice lift."""
+    boundary = np.zeros(matrix.shape[0])
+    boundary[dofs] = 1.0
+    interior = sp.diags(1.0 - boundary)
+    constrained = (interior @ matrix @ interior + sp.diags(boundary)).tocsr()
+    constrained.sort_indices()
+    lift = matrix.tocsc()[:, dofs].tocsr() @ values
+    return constrained, lift
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: preset_boundary_layer("desk"),
+    lambda: preset_rotating_body("desk"),
+], ids=["boundary_layer", "rotating_body"])
+def test_braw_and_constraint_match_scipy_bit_for_bit(make_cfg):
+    cfg = make_cfg()
+    mesh, *_, ws, _ = build_problem(cfg)
+    blocks = ws.blocks
+    want = (blocks.skewed_mass / cfg.dt
+            + ws.analysis.eps_bar * blocks.stiffness + blocks.transport)
+    got = ws.Braw.copy()
+    got.eliminate_zeros()
+    assert_same_csr(got, want)
+    matrix, lift = reference_dirichlet(ws.Braw, ws.bc.dofs, ws.bc.values)
+    assert_same_csr(ws.bc.matrix, matrix)
+    assert np.array_equal(ws.bc._lift.view(np.int64), lift.view(np.int64))
+
+
+@pytest.mark.parametrize("form", ["mass", "stiffness"])
+def test_dirichlet_matches_scipy_bit_for_bit(form):
+    # the stiffness holds exact zeros (the diagonal edges), which the
+    # constrained matrix drops as the sparse products do
+    mesh = tag_boundary_layer(build_structured_mesh(7))
+    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+                             np.zeros(mesh.n_triangles))
+    bc = DirichletCondition(getattr(blocks, form), mesh,
+                            {"d1": lambda p: 1.0 + p[:, 0], "d2": -0.5})
+    matrix, lift = reference_dirichlet(getattr(blocks, form), bc.dofs,
+                                       bc.values)
+    assert_same_csr(bc.matrix, matrix)
+    assert np.array_equal(bc._lift.view(np.int64), lift.view(np.int64))
+
+
+def test_tag_boundary_layer_reuses_the_geometry():
+    mesh = build_structured_mesh(6)
+    points, pattern = mesh.quad_points, mesh.form_pattern
+    tagged = tag_boundary_layer(mesh)
+    for name in ("vertices", "triangles", "signed_areas", "h_K", "grads"):
+        assert getattr(tagged, name) is getattr(mesh, name)
+    assert tagged.h == mesh.h
+    assert tagged.quad_points is points
+    assert tagged.form_pattern is pattern
+    assert mesh.boundary_tags.keys() == {"boundary"}
+    assert tagged.boundary_tags.keys() == {"d1", "d2"}

@@ -427,9 +427,10 @@ def test_build_problems_share_no_cached_array():
     for _ in range(2):
         mesh, _, _, _, _, ws, _ = build_problem(cfg)
         assemble_load(ws.blocks, np.ones(ws.pw.shape))
-        arrays.append([mesh.quad_points, mesh.quad_weights,
-                       *mesh.form_index, ws.pw, ws.xq_flat,
-                       ws.blocks.load_test])
+        indptr, indices, first, more = mesh.form_pattern
+        arrays.append([mesh.quad_points, mesh.quad_weights, indptr,
+                       indices, first, *(a for pair in more for a in pair),
+                       ws.pw, ws.xq_flat, ws.blocks.load_test])
     for a, b in zip(*arrays):
         assert np.array_equal(a, b)
         assert not np.shares_memory(a, b)
