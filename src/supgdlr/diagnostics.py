@@ -316,9 +316,10 @@ def forcing_norms(ws, t0, n_steps):
     if ws.model.forcing is None:
         return np.zeros(n_steps)
     out = np.empty(n_steps)
+    pw = np.ascontiguousarray(ws.pw)     # einsum sums in layout order
     for k in range(n_steps):
         f = ws.forcing_qp(t0 + k * ws.cfg.dt)
-        out[k] = np.sqrt(np.einsum("eq,eq->", ws.pw, f ** 2))
+        out[k] = np.sqrt(np.einsum("eq,eq->", pw, f ** 2))
     return out
 
 

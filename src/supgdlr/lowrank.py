@@ -111,6 +111,8 @@ def init_from_snapshot(columns, which, mass, space, R=None, tol=None):
     nnz = int(np.sum(s > 1e-14 * (s[0] if len(s) else 1.0)))
     if R is not None:
         R = int(R)
+        if R < 0:
+            raise ConfigError(f"rank must be non-negative (got {R})")
         if R > min(X.shape[0], space.count):
             raise ConfigError("requested rank exceeds snapshot size")
         r = min(R, nnz)

@@ -58,6 +58,10 @@ class Mesh:
 
     Each grid cell is split along the lower-left to upper-right diagonal.
     boundary_tags maps a tag name to an array of boundary vertex indices.
+    Element geometry is element-last (the element index the last,
+    contiguous axis): coords() and the P1 basis gradients dphi are
+    (component, vertex, element), the read-only quadrature weights
+    (point, element); grads and quad_weights are their transposed views.
     """
 
     def __init__(self, n_per_side, vertices, triangles, boundary_tags):
@@ -66,27 +70,26 @@ class Mesh:
         self.triangles = triangles
         self.boundary_tags = boundary_tags
 
-        tri = vertices[triangles]                      # (ne, 3, 2)
-        e1 = tri[:, 1] - tri[:, 0]
-        e2 = tri[:, 2] - tri[:, 0]
-        self.signed_areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        edges = np.stack([tri[:, 1] - tri[:, 0],
-                          tri[:, 2] - tri[:, 1],
-                          tri[:, 0] - tri[:, 2]], axis=1)
-        self.h_K = np.linalg.norm(edges, axis=2).max(axis=1)
+        xy = self.coords()
+        # the edge opposite each vertex a, p_{a+2} - p_{a+1}
+        opp = xy[:, [2, 0, 1]] - xy[:, [1, 2, 0]]
+        e2 = xy[:, 2] - xy[:, 0]
+        self.signed_areas = 0.5 * (opp[0, 2] * e2[1] - opp[1, 2] * e2[0])
+        self.h_K = np.sqrt((opp * opp).sum(axis=0).max(axis=0))
         self.h = float(self.h_K.max())
 
-        # Constant P1 basis gradients per element, shape (ne, 3, 2).
-        # For vertices p0,p1,p2 the gradient of the barycentric coordinate
-        # lambda_a is the rotated opposite edge over twice the area.
-        grads = np.empty((len(triangles), 3, 2))
-        twoA = 2.0 * self.signed_areas
-        opp = [(1, 2), (2, 0), (0, 1)]
-        for a, (i, j) in enumerate(opp):
-            d = tri[:, j] - tri[:, i]
-            grads[:, a, 0] = -d[:, 1] / twoA
-            grads[:, a, 1] = d[:, 0] / twoA
-        self.grads = grads
+        # Constant P1 basis gradients per element: the gradient of the
+        # barycentric coordinate lambda_a is the rotated opposite edge
+        # over twice the area.
+        self.dphi = np.stack((-opp[1], opp[0])) / (2.0 * self.signed_areas)
+        self.grads = self.dphi.T
+        self.weights = 2.0 * self.signed_areas * QUAD_WEIGHTS[:, None]
+        self.weights.flags.writeable = False
+        self.quad_weights = self.weights.T
+
+    def coords(self):
+        """Vertex coordinates of each element, (2, 3, ne)."""
+        return np.take(self.vertices.T, self.triangles.T, axis=1)
 
     @cached_property
     def scatter(self):
@@ -111,23 +114,16 @@ class Mesh:
 
         Computed once per mesh and read-only, like quad_weights.
         """
-        tri = self.vertices[self.triangles].T           # (2, 3, ne)
-        # einsum("qa,eai->eqi", QUAD_POINTS, tri) term by term from +0.0,
-        # the same sum in the same order, off NumPy's generic einsum loop;
-        # summed element-last, then laid out (ne, nq, 2)
-        points = np.zeros((2, len(QUAD_POINTS), len(self.triangles)))
+        # einsum("qa,eai->eqi", QUAD_POINTS, vertices[triangles]) term by
+        # term from +0.0, the same sum in the same order, off NumPy's
+        # generic einsum loop; summed element-last, laid out (ne, nq, 2)
+        xy = self.coords()
+        points = np.zeros((2, len(QUAD_POINTS), self.n_triangles))
         for a in range(3):
-            points += QUAD_POINTS[None, :, a, None] * tri[:, None, a]
+            points += QUAD_POINTS[None, :, a, None] * xy[:, None, a]
         points = np.ascontiguousarray(points.T)
         points.flags.writeable = False
         return points
-
-    @cached_property
-    def quad_weights(self):
-        """Physical quadrature weights per element, shape (ne, nq)."""
-        weights = 2.0 * self.signed_areas[:, None] * QUAD_WEIGHTS[None, :]
-        weights.flags.writeable = False
-        return weights
 
     @cached_property
     def form_pattern(self):
@@ -275,17 +271,16 @@ def _form(blocks, test, trial, weight=None):
     conversion of the element matrices bit for bit.
     """
     mesh = blocks.mesh
-    pw = mesh.quad_weights
+    pw = mesh.weights
     if weight is not None:
-        pw = pw * weight
+        pw = np.ascontiguousarray(pw * weight.T)
     # element-last (component, point, vertex, element) arrays, views of
-    # directional_gradients values and copies otherwise: the sums of
-    # einsum("eq,eqac,eqbc->eab"), bit for bit, on long inner loops
+    # mesh.grads and directional_gradients values, copies otherwise: the
+    # sums of einsum("eq,eqac,eqbc->eab"), bit for bit, on long loops
     test, trial = (np.ascontiguousarray(
         (f if f.ndim == 4 else f[..., None]).transpose(3, 1, 2, 0))
         for f in (test, trial))
-    elem = np.einsum("qe,cqae,cqbe->abe", np.ascontiguousarray(pw.T),
-                     test, trial).ravel()
+    elem = np.einsum("qe,cqae,cqbe->abe", pw, test, trial).ravel()
     indptr, indices, first, more = mesh.form_pattern
     data = elem[first]
     for slots, src in more:
@@ -355,17 +350,19 @@ def directional_gradients(mesh, v):
     # einsum("eqi,eai->eqa", vq, grads) term by term from +0.0, the same
     # sum in the same order (signed zeros included), summed element-last;
     # the (ne, nq, 3) result is a view of that (nq, 3, ne) array
-    vq, grads = np.ascontiguousarray(vq.T), mesh.grads.T   # (2, nq|3, ne)
+    vq = np.ascontiguousarray(vq.T)                    # (2, nq, ne)
     out = np.zeros((xq.shape[1], 3, len(xq)))
     for i in range(2):
-        out += vq[i, :, None] * grads[i]
+        out += vq[i, :, None] * mesh.dphi[i]
     return out.transpose(2, 0, 1)
 
 
 def _skewed_test(blocks):
     """Streamline test functions phi_a + delta_K b . grad phi_a at the
-    quadrature points, shape (ne, nq, 3)."""
-    return QUAD_POINTS[None] + blocks.delta[:, None, None] * blocks.bg_at_qp
+    quadrature points, shape (ne, nq, 3), a view of an element-last
+    (nq, 3, ne) array."""
+    bg = blocks.bg_at_qp.transpose(1, 2, 0)
+    return (QUAD_POINTS[..., None] + blocks.delta * bg).transpose(2, 0, 1)
 
 
 def assemble_skewed(blocks, vg):

@@ -254,7 +254,7 @@ INITIAL_VARIABLES = {"rotating_body_shapes": 3,
 
 
 def _check_config(cfg):
-    """Refuse (ConfigError) sampler and boundary settings that would
+    """Refuse (ConfigError) sampler, rank and boundary settings that would
     otherwise fail later, as a bare exception or a numerical failure."""
     s = cfg.sampler
     kind, intervals = s.get("kind"), s.get("intervals", ())
@@ -273,11 +273,15 @@ def _check_config(cfg):
             f"model {cfg.model!r} with initial condition {cfg.initial!r} "
             f"reads {needed} random variables, but [sampling] intervals "
             f"gives {len(intervals)}")
-    if kind == "monte_carlo":
-        seed = s.get("seed")
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer "
-                              f"(got {seed!r})")
+    rank = cfg.rank
+    if rank is not None and (isinstance(rank, bool) or not isinstance(
+            rank, (int, np.integer)) or rank < 0):
+        raise ConfigError(f"rank must be a non-negative integer or unset "
+                          f"(got {rank!r})")
+    if cfg.initial == "rotating_body_shapes" and rank is not None \
+            and rank > 2:
+        raise ConfigError(f"initial condition 'rotating_body_shapes' has "
+                          f"rank 2; rank {rank} cannot be honoured")
     for tag, value in cfg.bc.items():
         if not callable(value) and not np.isfinite(value):
             raise ConfigError(f"boundary value of {tag!r} must be finite "
@@ -332,7 +336,8 @@ def run_from_config(cfg):
     field dumps and a run.json manifest into cfg.out_dir.  A failed run
     keeps the norms.csv and md.csv rows of every completed step.  Exit
     status: 0 success, 1 configuration error, 2 numerical failure, 3 a
-    requested bound failed.
+    requested bound failed.  Any other exception is raised after run.json
+    records it as an internal_error.
     """
     from .errors import SupgDlrError
 
@@ -400,10 +405,15 @@ def run_from_config(cfg):
         status, manifest["status"] = 2, "numerical_failure"
         manifest["error"] = str(err)
         manifest["failing_step"] = getattr(err, "step_index", None)
-
-    with open(os.path.join(cfg.out_dir, "run.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    except BaseException as err:
+        # not one of ours: recorded, so no earlier run.json stays, and raised
+        manifest["status"] = "internal_error"
+        manifest["error"] = f"{type(err).__name__}: {err}"
+        raise
+    finally:
+        with open(os.path.join(cfg.out_dir, "run.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return status, manifest
 
 

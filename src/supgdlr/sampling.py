@@ -158,14 +158,26 @@ def make_tensor_grid(intervals):
 
 
 def make_monte_carlo(intervals, n_samples, seed):
-    """Uniform independent samples on a box, equal weights, seeded."""
+    """Uniform independent samples on a box, equal weights, seeded.
+
+    intervals holds finite (low, high) pairs, low <= high, and seed is a
+    non-negative integer; anything else is a ConfigError.
+    """
     n = int(n_samples)
     if n < 1:
         raise ConfigError("need at least one sample")
     if not intervals:
         raise ConfigError("empty axis list")
+    if any(len(iv) != 2 for iv in intervals):
+        raise ConfigError("a monte_carlo interval takes 2 numbers")
+    lo, hi = np.array(intervals, dtype=float).T
+    if not np.all(np.isfinite([lo, hi])) or np.any(lo > hi):
+        raise ConfigError(f"intervals {intervals!r} must have finite ends, "
+                          "the lower one first")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer "
+                          f"(got {seed!r})")
     rng = np.random.default_rng(seed)
-    lo = np.array([a for a, _ in intervals])
-    hi = np.array([b for _, b in intervals])
     samples = rng.uniform(lo, hi, size=(n, len(intervals)))
     return SampleSpace(samples, _uniform_weights(n))

@@ -179,8 +179,11 @@ def _tiny_rotating_body_config(tmp_path, section, key, value):
     ("sampling", "intervals", "-1,1", "reads 3 random variables"),
     ("sampling", "seed", "-5", "seed must be a non-negative integer"),
     ("boundary", "boundary", "nan", "must be finite"),
+    ("run", "rank", "-1", "rank must be a non-negative integer"),
+    ("run", "rank", "500", "rank 500 cannot be honoured"),
+    ("run", "rank", "3", "rank 3 cannot be honoured"),
 ], ids=["reversed_interval", "too_few_intervals", "negative_seed",
-        "nan_boundary"])
+        "nan_boundary", "negative_rank", "rank_500", "rank_3"])
 def test_solve_refuses_bad_input_as_config_error(tmp_path, capsys, section,
                                                  key, value, message):
     import json
@@ -206,3 +209,25 @@ def test_write_config_refuses_a_bound_that_is_not_a_pair(tmp_path):
     with pytest.raises(ConfigError, match="not a .theorem, case. pair"):
         write_config(cfg, tmp_path / "config.ini")
     assert not (tmp_path / "config.ini").exists()
+
+
+def test_solve_refuses_a_negative_boundary_layer_rank(tmp_path, capsys):
+    # it once ran to a NearSingularError at step 1 (exit 2)
+    import configparser
+    import json
+
+    assert main(["preset", "boundary-layer", "--scale", "desk",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "config.ini"
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp["run"]["rank"] = "-1"
+    cp["output"]["dir"] = str(tmp_path / "out")
+    with open(path, "w") as fh:
+        cp.write(fh)
+    capsys.readouterr()
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "rank must be a non-negative integer" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert manifest["config"]["rank"] == -1

@@ -221,6 +221,18 @@ def test_snapshot_tolerance_selects_minimal_rank():
     assert np.max(np.abs(state.dense() - X)) <= 1e-8
 
 
+def test_snapshot_refuses_a_negative_rank():
+    # R = -1 once kept all but the last mode, P[:, :-1]
+    mesh, space, blocks = setup(n=2, n_samples=4)
+    X = np.random.default_rng(3).standard_normal((mesh.n_vertices,
+                                                  space.count))
+    with pytest.raises(ConfigError, match="rank must be non-negative"):
+        init_from_snapshot(X, np.arange(space.count), blocks.mass, space,
+                           R=-1)
+    assert init_from_snapshot(X, np.arange(space.count), blocks.mass,
+                              space, R=0).rank == 0
+
+
 def test_snapshot_needs_rank_or_tol():
     mesh, space, blocks = setup(n=2, n_samples=4)
     X = np.zeros((mesh.n_vertices, space.count))

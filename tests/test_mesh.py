@@ -37,9 +37,15 @@ def relabelled_mesh(n, seed):
 
 def scipy_form(mesh, test, trial, weight=None):
     """_form the way scipy builds it: the einsum over (element, point,
-    vertex, component) and a COO matrix with its duplicates summed."""
+    vertex, component) and a COO matrix with its duplicates summed.
+
+    The einsum's order of summation follows the layout of its operands,
+    so they are element-first C arrays: the reference sums in the order
+    of that layout."""
     pw = mesh.quad_weights if weight is None else mesh.quad_weights * weight
-    test, trial = (f if f.ndim == 4 else f[..., None] for f in (test, trial))
+    pw = np.ascontiguousarray(pw)
+    test, trial = (np.ascontiguousarray(f if f.ndim == 4 else f[..., None])
+                   for f in (test, trial))
     elem = np.einsum("eq,eqac,eqbc->eab", pw, test, trial)
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
@@ -148,6 +154,66 @@ def test_directional_gradients_are_the_einsum_bit_for_bit():
         vq = v(xq.reshape(-1, 2)).reshape(xq.shape)
         got = directional_gradients(mesh, lambda x, vq=vq: vq.reshape(-1, 2))
         want = np.einsum("eqi,eai->eqa", vq, mesh.grads)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def element_first_geometry(mesh):
+    """signed_areas, h_K, grads, quad_points and quad_weights by the
+    element-first formulas on an (ne, 3, 2) gather of the vertices."""
+    tri = mesh.vertices[mesh.triangles]
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    edges = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1],
+                      tri[:, 0] - tri[:, 2]], axis=1)
+    h_K = np.linalg.norm(edges, axis=2).max(axis=1)
+    grads = np.empty((len(tri), 3, 2))
+    for a, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        d = tri[:, j] - tri[:, i]
+        grads[:, a, 0] = -d[:, 1] / (2.0 * areas)
+        grads[:, a, 1] = d[:, 0] / (2.0 * areas)
+    points = np.einsum("qa,eai->eqi", QUAD_POINTS, tri)
+    weights = 2.0 * areas[:, None] * QUAD_WEIGHTS[None, :]
+    return {"signed_areas": areas, "h_K": h_K, "grads": grads,
+            "quad_points": points, "quad_weights": weights}
+
+
+def shaken_mesh(n, seed):
+    """A structured mesh's connectivity on random vertices over six
+    decades, negative coordinates and both orientations included."""
+    grid = build_structured_mesh(n)
+    xy = np.random.default_rng(seed).standard_normal(grid.vertices.shape)
+    return Mesh(n, xy * np.array([1e-3, 1e3]), grid.triangles,
+                grid.boundary_tags)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: build_structured_mesh(1),
+    lambda: tag_boundary_layer(build_structured_mesh(20)),
+    lambda: relabelled_mesh(5, 3),
+    lambda: shaken_mesh(7, 1),
+], ids=["n1", "boundary_layer_desk", "relabelled5", "shaken7"])
+def test_element_last_geometry_is_element_first_bit_for_bit(make_mesh):
+    mesh = make_mesh()
+    for name, want in element_first_geometry(mesh).items():
+        got = getattr(mesh, name)
+        assert got.shape == want.shape, name
+        # signed zeros included
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    # the element-first arrays are views of the element-last ones
+    assert mesh.dphi.shape == (2, 3, mesh.n_triangles)
+    assert mesh.weights.shape == (len(QUAD_WEIGHTS), mesh.n_triangles)
+    assert mesh.dphi.flags.c_contiguous and mesh.weights.flags.c_contiguous
+    assert mesh.grads.base is mesh.dphi
+    assert mesh.quad_weights.base is mesh.weights
+    assert np.array_equal(mesh.coords(), mesh.vertices[mesh.triangles].T)
+    grads = element_first_geometry(mesh)["grads"]
+    xq = mesh.quad_points
+    rng = np.random.default_rng(mesh.n_triangles)
+    for vq in (rng.standard_normal(xq.shape),
+               np.where(rng.random(xq.shape) < 0.5, -0.0, xq)):
+        want = np.einsum("eqi,eai->eqa", vq, grads)
+        got = directional_gradients(mesh,
+                                    lambda x, vq=vq: vq.reshape(-1, 2))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

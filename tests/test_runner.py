@@ -524,6 +524,30 @@ def test_failing_step_is_reported_for_any_numerical_error(tmp_path,
             keepends=True)[:4]
 
 
+def test_unexpected_error_is_recorded_in_run_json_and_raised(tmp_path,
+                                                             monkeypatch):
+    step, calls = integrator.step, []
+
+    def failing(state, ws):
+        calls.append(state.t)
+        if len(calls) == 2:
+            raise RuntimeError("forced at the second step")
+        return step(state, ws)
+
+    # an earlier run's run.json in the same directory is replaced
+    assert run_from_config(tiny_config(str(tmp_path)))[0] == 0
+    monkeypatch.setattr(integrator, "step", failing)
+    with pytest.raises(RuntimeError, match="forced at the second step"):
+        run_from_config(tiny_config(str(tmp_path)))
+    with open(tmp_path / "run.json") as fh:
+        echoed = json.load(fh)
+    assert echoed["status"] == "internal_error"
+    assert echoed["error"] == "RuntimeError: forced at the second step"
+    assert "final_l2" not in echoed
+    # the rows of t0 and step 1 are kept, as for a numerical failure
+    assert len((tmp_path / "norms.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("make_cfg,want", [
     (lambda: preset_boundary_layer("desk"), 7),
     # 81 samples, but the snapshot depends on (y3, y4) alone and is even

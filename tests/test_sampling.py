@@ -40,6 +40,31 @@ def test_space_validation():
         SampleSpace([[0.0]], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("intervals, seed, message", [
+    ([(-1.0, 1.0), (1.0, -1.0)], 0, "the lower one first"),
+    ([(-1.0, np.inf)], 0, "finite ends"),
+    ([(np.nan, 1.0)], 0, "finite ends"),
+    ([(-1.0, 1.0, 3)], 0, "takes 2 numbers"),
+    ([(-1.0, 1.0)], -5, "non-negative integer"),
+    ([(-1.0, 1.0)], 1.5, "non-negative integer"),
+    ([(-1.0, 1.0)], None, "non-negative integer"),
+    ([(-1.0, 1.0)], True, "non-negative integer"),
+], ids=["reversed", "infinite", "nan", "triple", "negative_seed",
+        "float_seed", "no_seed", "bool_seed"])
+def test_monte_carlo_refuses_bad_input_as_config_error(intervals, seed,
+                                                       message):
+    with pytest.raises(ConfigError, match=message):
+        make_monte_carlo(intervals, 4, seed)
+
+
+def test_monte_carlo_takes_a_point_interval_and_numpy_seed():
+    space = make_monte_carlo([(0.5, 0.5), (-1.0, 1.0)], 6, np.int64(3))
+    assert np.all(space.samples[:, 0] == 0.5)
+    assert np.array_equal(space.samples,
+                          make_monte_carlo([(0.5, 0.5), (-1.0, 1.0)], 6,
+                                           3).samples)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 10 ** 6))
 def test_orthonormalize_properties(n, r, seed):
