@@ -359,10 +359,8 @@ def directional_gradients(mesh, v):
 
 def _skewed_test(blocks):
     """Streamline test functions phi_a + delta_K b . grad phi_a at the
-    quadrature points, shape (ne, nq, 3), a view of an element-last
-    (nq, 3, ne) array."""
-    bg = blocks.bg_at_qp.transpose(1, 2, 0)
-    return (QUAD_POINTS[..., None] + blocks.delta * bg).transpose(2, 0, 1)
+    quadrature points, shape (ne, nq, 3)."""
+    return QUAD_POINTS[None] + blocks.delta[:, None, None] * blocks.bg_at_qp
 
 
 def assemble_skewed(blocks, vg):
