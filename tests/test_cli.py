@@ -212,7 +212,7 @@ def test_write_config_refuses_a_bound_that_is_not_a_pair(tmp_path):
 
 
 def test_solve_refuses_a_negative_boundary_layer_rank(tmp_path, capsys):
-    # it once ran to a NearSingularError at step 1 (exit 2)
+    # unchecked, rank -1 runs to a NearSingularError at step 1 (exit 2)
     import configparser
     import json
 

@@ -222,7 +222,7 @@ def test_snapshot_tolerance_selects_minimal_rank():
 
 
 def test_snapshot_refuses_a_negative_rank():
-    # R = -1 once kept all but the last mode, P[:, :-1]
+    # unchecked, R = -1 keeps all but the last mode, P[:, :-1]
     mesh, space, blocks = setup(n=2, n_samples=4)
     X = np.random.default_rng(3).standard_normal((mesh.n_vertices,
                                                   space.count))
