@@ -82,8 +82,8 @@ def main():
               f"{max(r.defect_mean for r in reports):.2e}")
 
     pec = local_peclet(ws.model, ws.mesh, ws.analysis)
-    print(f"\nlocal Peclet: max {pec.max_peclet:.3e}, "
-          f"advection dominated: {pec.advection_dominated}")
+    print(f"\nlocal Peclet: max {pec:.3e}, "
+          f"advection dominated: {pec > 1.0}")
 
     _, _, xs = results["supg"]
     _, _, xn = results["none"]

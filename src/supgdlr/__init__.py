@@ -29,9 +29,8 @@ from .sampling import (
     weighted_orthonormalize, make_tensor_grid, make_monte_carlo,
 )
 from .coefficients import (
-    CoefficientModel, ReactionAnalysis, StabilizationParams,
-    rotating_body, boundary_layer, constant_adr, analyze_reaction,
-    estimate_inverse_constant, delta_coercivity, delta_semi_implicit,
+    CoefficientModel, ReactionAnalysis, rotating_body, boundary_layer,
+    constant_adr, analyze_reaction, delta_coercivity, delta_semi_implicit,
     delta_experiment, local_peclet, check_moderate_stochasticity,
 )
 from .lowrank import (

@@ -64,8 +64,7 @@ def _suite_coercivity():
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
     delta = runner.resolve_delta("coercivity", mesh, analysis, dt=None)
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                             delta.delta_K)
+    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
     report = check_coercivity(analysis, blocks, space, trials=100, seed=1)
     print(f"coercivity: worst margin {report.worst_margin:.3e}, "
           f"{report.violations}/{report.trials} violations")

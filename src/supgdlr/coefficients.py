@@ -5,8 +5,9 @@ given as its mean plus affine modes, and a deterministic reaction and
 forcing.  analyze_reaction samples it once per problem; its
 ReactionAnalysis holds the sampled values and the shifted reaction,
 from which the other operations derive what the stability theory
-consumes: the stabilization parameter policies, the local Peclet
-number and the inverse-inequality constant.
+consumes: the per-element stabilization parameter delta_K of each
+policy, the largest local Peclet number and the moderate-stochasticity
+margin.
 """
 
 from dataclasses import dataclass, field
@@ -14,19 +15,16 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 
 __all__ = [
     "CoefficientModel",
     "ReactionAnalysis",
-    "StabilizationParams",
     "rotating_body",
     "boundary_layer",
     "constant_adr",
     "analyze_reaction",
-    "estimate_inverse_constant",
     "delta_coercivity",
     "delta_semi_implicit",
     "delta_experiment",
@@ -123,29 +121,6 @@ class ReactionAnalysis:
         return bool(self.modes)
 
 
-class StabilizationParams:
-    """Per-element stabilization parameter, with the inverse constant C_I
-    of the bound policy that produced it (None for h_K/4).
-
-    Every policy here gives finite entries, and any other entry is
-    refused; `capped` clips them at a per-element cap (the runner caps
-    the coercivity policy at h_K/4).
-    """
-
-    def __init__(self, delta_K, C_I=None):
-        self.delta_K = np.asarray(delta_K, dtype=float)
-        self.C_I = C_I
-        if not np.all(np.isfinite(self.delta_K)):
-            raise ConfigError("delta_K must be finite")
-        if np.any(self.delta_K < 0):
-            raise ConfigError("delta_K must be nonnegative")
-
-    def capped(self, cap_delta_K):
-        """Clip delta_K at the given per-element cap."""
-        return StabilizationParams(np.minimum(self.delta_K, cap_delta_K),
-                                   self.C_I)
-
-
 def analyze_reaction(model, mesh, space):
     """Sample and check the coefficients of model once, on space and the
     quadrature points of mesh; returns the ReactionAnalysis.
@@ -218,43 +193,21 @@ def analyze_reaction(model, mesh, space):
         C_E=float(eps.max() / eps_hat), modes=modes)
 
 
-def estimate_inverse_constant(mesh, blocks):
-    """Inverse-inequality constant C_I with grad-norm <= (C_I/h) L2-norm.
-
-    C_I = h sqrt(lambda_max) where lambda_max is the largest generalized
-    eigenvalue of (stiffness, mass) restricted to interior nodes, found
-    by Lanczos iteration on the mass-preconditioned stiffness from a
-    fixed random start, so C_I is reproducible.
-    """
-    interior = mesh.interior_index()
-    A = blocks.stiffness[np.ix_(interior, interior)].tocsc()
-    M = blocks.mass[np.ix_(interior, interior)].tocsc()
-    v0 = np.random.default_rng(0).standard_normal(len(interior))
-    try:
-        lam = spla.eigsh(A, k=1, M=M, which="LA", v0=v0,
-                         maxiter=5000, tol=1e-10,
-                         return_eigenvectors=False)
-    except spla.ArpackNoConvergence as err:
-        raise SolverError("largest generalized eigenvalue for the "
-                          "inverse constant did not converge") from err
-    # small inflation so random Rayleigh quotients stay below
-    return mesh.h * np.sqrt(float(lam[0]) * (1.0 + 1e-6))
-
-
 def delta_coercivity(mesh, analysis, C_I):
-    """Largest delta_K admitted by the weak-coercivity lemma.
+    """Largest delta_K admitted by the weak-coercivity lemma, per element.
 
-    Per element the minimum of 1/(2 |||c|||_K) and
-    h_K^2/(2 d C_I^2 C_E^2 eps_hat) in d = 2 space dimensions.  The
-    reaction constraint is inactive (+inf) without reaction, the
-    diffusion constraint is always finite, so every entry is finite.
+    The minimum of 1/(2 |||c|||_K) and h_K^2/(2 d C_I^2 C_E^2 eps_hat)
+    in d = 2 space dimensions, C_I the inverse constant (the runner
+    passes mesh.inverse_constant).  The reaction constraint is inactive
+    (+inf) without reaction, the diffusion constraint is always finite,
+    so every entry is finite.
     """
     with np.errstate(divide="ignore"):
         b1 = np.where(analysis.c_sup_K > 0,
                       1.0 / (2.0 * analysis.c_sup_K), np.inf)
     b2 = mesh.h_K ** 2 / (4.0 * C_I ** 2 * analysis.C_E ** 2
                           * analysis.eps_hat)
-    return StabilizationParams(np.minimum(b1, b2), C_I)
+    return np.minimum(b1, b2)
 
 
 def delta_semi_implicit(mesh, analysis, C_I, dt):
@@ -262,26 +215,21 @@ def delta_semi_implicit(mesh, analysis, C_I, dt):
     eighth of the smaller of the coercivity bound and 2 dt.  Its
     reaction and diffusion constraints are the coercivity ones, since
     C_E >= 1 makes max(C_E^2, 1) = C_E^2."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    dk = delta_coercivity(mesh, analysis, C_I).delta_K
-    return StabilizationParams(0.125 * np.minimum(dk, 2.0 * dt), C_I)
+    if not 0 < dt < np.inf:
+        raise ConfigError("dt must be positive and finite")
+    dk = delta_coercivity(mesh, analysis, C_I)
+    return 0.125 * np.minimum(dk, 2.0 * dt)
 
 
 def delta_experiment(mesh):
     """The h_K/4 policy used by the experiment presets."""
-    return StabilizationParams(mesh.h_K / 4.0)
-
-
-@dataclass
-class PecletReport:
-    advection_dominated: bool
-    max_peclet: float
+    return mesh.h_K / 4.0
 
 
 def local_peclet(model, mesh, analysis):
     """Largest local Peclet number |b| h_K / (2 eps) over the elements,
-    their quadrature points and the samples of analysis.
+    their quadrature points and the samples of analysis; above 1 the
+    problem is advection dominated.
 
     A sample's advection b_mean + sum_k theta_k beta_k depends on it
     only through its row of mode weights, so the element maxima of
@@ -308,21 +256,12 @@ def local_peclet(model, mesh, analysis):
         top[j] = (np.sqrt(bsq.max(axis=1)) * mesh.h_K).max()
     if not np.all(np.isfinite(top)):
         raise ConfigError("advection field evaluated to non-finite values")
-    mx = float((top[which] / (2.0 * eps)).max())
-    return PecletReport(mx > 1.0, mx)
-
-
-@dataclass
-class StochasticityReport:
-    eps_margin: float
-
-    @property
-    def ok(self):
-        return self.eps_margin >= 0
+    return float((top[which] / (2.0 * eps)).max())
 
 
 def check_moderate_stochasticity(analysis):
-    """Verify |eps_star| <= eps_hat/32 over the samples.
+    """Margin of |eps_star| <= eps_hat/32 over the samples; the
+    condition holds when it is >= 0.
 
     The margin eps_hat/32 - analysis.eps_star_sup is the smallest
     per-sample slack bit for bit (subtraction rounds monotonically);
@@ -330,9 +269,8 @@ def check_moderate_stochasticity(analysis):
     deterministic, so its half of the condition holds trivially.
     """
     if analysis.eps_star_sup <= 1e-14 * analysis.eps_hat:
-        return StochasticityReport(np.inf)
-    return StochasticityReport(analysis.eps_hat / 32.0
-                               - analysis.eps_star_sup)
+        return np.inf
+    return analysis.eps_hat / 32.0 - analysis.eps_star_sup
 
 
 # -- built-in models -----------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .coefficients import check_moderate_stochasticity, \
-    delta_coercivity, delta_semi_implicit, estimate_inverse_constant
+    delta_coercivity, delta_semi_implicit
 from .mesh import QUAD_POINTS, _form, assemble_streamline
 from .sampling import expectation, project_complement
 
@@ -333,10 +333,10 @@ def _delta_reason(theorem, dk, analysis, mesh, C_I, dt):
     if theorem == "im_stab":
         if np.any(dk > (1.0 + 1e-12) * dt / 4.0):
             return "delta_K exceeds dt/4"
-        bound = delta_coercivity(mesh, analysis, C_I).delta_K
+        bound = delta_coercivity(mesh, analysis, C_I)
         name = "weak-coercivity bound (reaction and diffusion constraints)"
     else:
-        bound = delta_semi_implicit(mesh, analysis, C_I, dt).delta_K
+        bound = delta_semi_implicit(mesh, analysis, C_I, dt)
         name = ("semi-implicit bound (reaction, diffusion and time-step "
                 "constraints)")
     excess = float(np.max(dk / bound))
@@ -366,13 +366,12 @@ def evaluate_bounds(reports, ws, bounds):
     BoundLedger per pair.  The facts the inequalities read come from
     the run: the reaction analysis, delta_K and dt of ws, T = N dt after
     N steps, the forcing norm of each step at the time level the scheme
-    used, and the moderate-stochasticity report.  The diffusion
-    constraint on delta_K needs the inverse constant C_I of the delta
-    policy; a policy without one (h_K/4, or standard Galerkin) has it
-    estimated from ws.blocks.  Both theorems assume a deterministic
-    advection field, the implicit one (im_stab) also deterministic
-    diffusion, and the semi-implicit one (si_stab) moderate
-    stochasticity.  Preconditions that fail yield a not-applicable
+    used, and the moderate-stochasticity margin.  The diffusion
+    constraint on delta_K reads the mesh's inverse constant C_I, which
+    a bound delta policy has already computed.  Both theorems assume a
+    deterministic advection field, the implicit one (im_stab) also
+    deterministic diffusion, and the semi-implicit one (si_stab)
+    moderate stochasticity.  Preconditions that fail yield a not-applicable
     ledger, not a silent pass.  Reports that do not step by ws.cfg.dt
     raise ConfigError.
     """
@@ -388,13 +387,12 @@ def evaluate_bounds(reports, ws, bounds):
                 for theorem, case in bounds]
 
     analysis = ws.analysis
-    C_I = getattr(ws.cfg.delta, "C_I", None)
-    if C_I is None:
-        C_I = estimate_inverse_constant(ws.mesh, ws.blocks)
+    C_I = ws.mesh.inverse_constant
     fsq = float(np.sum(forcing_norms(ws, reports[0].t, N) ** 2))
     has_f = fsq > 0.0
-    stoch = check_moderate_stochasticity(analysis)
-    dmax = float(np.max(ws.delta))
+    eps_margin = check_moderate_stochasticity(analysis)
+    delta = ws.blocks.delta
+    dmax = float(np.max(delta))
     u0sq = reports[0].l2 ** 2
     uNsq = reports[-1].l2 ** 2
     supg_sum = float(sum(r.supg ** 2 for r in reports[1:]))
@@ -409,15 +407,15 @@ def evaluate_bounds(reports, ws, bounds):
             return _not_applicable(theorem, case, "the diffusion is "
                                    "random; the implicit theorem "
                                    "assumes it deterministic")
-        delta_reason = _delta_reason(theorem, ws.delta, analysis, ws.mesh,
+        delta_reason = _delta_reason(theorem, delta, analysis, ws.mesh,
                                      C_I, dt)
         if delta_reason:
             return _not_applicable(theorem, case, delta_reason)
-        if theorem == "si_stab" and not stoch.ok:
+        if theorem == "si_stab" and eps_margin < 0:
             return _not_applicable(
                 theorem, case,
                 "moderate-stochasticity conditions violated "
-                f"(eps margin {stoch.eps_margin:.3e})")
+                f"(eps margin {eps_margin:.3e})")
 
         if case == "i" and not analysis.mu0 > 0:
             return _not_applicable(theorem, case, "mu0 is not positive")

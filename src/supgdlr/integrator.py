@@ -37,7 +37,7 @@ from .mesh import DirichletCondition, assemble_blocks, assemble_load, \
 from .sampling import expectation, project_complement, \
     weighted_orthonormalize
 from .lowrank import DlrState
-from .coefficients import StabilizationParams, analyze_reaction
+from .coefficients import analyze_reaction
 
 __all__ = [
     "SchemeConfig",
@@ -61,8 +61,8 @@ BLOWUP_FACTOR = 1e8
 class SchemeConfig:
     """Time-stepping settings for one run.
 
-    delta is a StabilizationParams or a per-element array; an all-zero
-    delta gives standard Galerkin.
+    delta is the per-element stabilization parameter, which
+    assemble_blocks checks; an all-zero delta gives standard Galerkin.
     """
 
     dt: float
@@ -96,7 +96,6 @@ class StepWorkspace:
     space: object
     cfg: SchemeConfig
     analysis: object
-    delta: np.ndarray
     blocks: object
     Braw: object
     bc: DirichletCondition
@@ -147,11 +146,7 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
     if analysis is None:
         analysis = analyze_reaction(model, mesh, space)
     eps_star = analysis.eps_star
-
-    # assemble_blocks checks the per-element array
-    delta = cfg.delta.delta_K if isinstance(cfg.delta, StabilizationParams) \
-        else cfg.delta
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
+    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, cfg.delta)
 
     terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
@@ -174,7 +169,7 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
     lu = spla.splu(bc.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
     return StepWorkspace(
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
-        delta=blocks.delta, blocks=blocks, Braw=Braw, bc=bc, lu=lu,
+        blocks=blocks, Braw=Braw, bc=bc, lu=lu,
         eps_expl=eps_star, b_expl=model.b_fluct if model.b_modes else None,
         modes=modes, terms=terms)
 

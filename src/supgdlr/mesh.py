@@ -12,8 +12,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 
 __all__ = [
     "Mesh",
@@ -179,6 +180,35 @@ class Mesh:
             arr.flags.writeable = False
         return indptr, col[start], first, tuple(more)
 
+    @cached_property
+    def inverse_constant(self):
+        """Inverse-inequality constant C_I, grad-norm <= (C_I/h) L2-norm
+        on the P1 functions that vanish on the boundary; computed once.
+
+        C_I = h sqrt(lambda_max) where lambda_max is the largest generalized
+        eigenvalue of (stiffness, mass) restricted to interior nodes, found
+        by Lanczos iteration on the mass-preconditioned stiffness from a
+        fixed random start, so C_I is reproducible.  Refuses (ConfigError)
+        a mesh with fewer than two interior vertices.
+        """
+        interior = self.interior_index()
+        if len(interior) < 2:
+            raise ConfigError("the inverse constant needs at least two "
+                              "interior vertices: n_per_side >= 3")
+        blocks = assemble_galerkin(self)
+        A = blocks.stiffness[np.ix_(interior, interior)].tocsc()
+        M = blocks.mass[np.ix_(interior, interior)].tocsc()
+        v0 = np.random.default_rng(0).standard_normal(len(interior))
+        try:
+            lam = spla.eigsh(A, k=1, M=M, which="LA", v0=v0,
+                             maxiter=5000, tol=1e-10,
+                             return_eigenvectors=False)
+        except spla.ArpackNoConvergence as err:
+            raise SolverError("largest generalized eigenvalue for the "
+                              "inverse constant did not converge") from err
+        # small inflation so random Rayleigh quotients stay below
+        return self.h * np.sqrt(float(lam[0]) * (1.0 + 1e-6))
+
     def boundary_index(self):
         """All boundary vertex indices, sorted."""
         return np.unique(np.concatenate(list(self.boundary_tags.values())))
@@ -221,7 +251,8 @@ def tag_boundary_layer(mesh):
     'd1' covers the left edge up to y=0.2, the whole bottom edge and the
     right edge up to y=0.02; 'd2' is the rest.
     Returns a new Mesh with the retagged boundary that shares the
-    geometry, and every per-mesh array computed so far, with mesh.
+    geometry, and every per-mesh array computed so far, with mesh; the
+    boundary vertex set is unchanged, so the inverse constant holds too.
     """
     all_bdry = mesh.boundary_index()
     x = mesh.vertices[all_bdry, 0]

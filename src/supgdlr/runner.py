@@ -17,13 +17,11 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import ConfigError
-from .mesh import build_structured_mesh, tag_boundary_layer, \
-    assemble_galerkin
+from .mesh import build_structured_mesh, tag_boundary_layer
 from .sampling import make_monte_carlo, make_tensor_grid
 from .coefficients import (
-    StabilizationParams, analyze_reaction, boundary_layer, constant_adr,
-    delta_coercivity, delta_experiment, delta_semi_implicit,
-    estimate_inverse_constant, local_peclet, rotating_body,
+    analyze_reaction, boundary_layer, constant_adr, delta_coercivity,
+    delta_experiment, delta_semi_implicit, local_peclet, rotating_body,
 )
 from .lowrank import evaluate_realization, init_from_modes, \
     init_from_snapshot, DlrState
@@ -228,20 +226,21 @@ def build_model(cfg, space):
 
 
 def resolve_delta(policy, mesh, analysis, dt):
-    """Per-element stabilization parameter of one delta policy.
+    """Per-element stabilization parameter of one delta policy, an array.
 
-    Policies other than the plain h_K/4 rule ("experiment") need the
-    inverse constant, estimated from the mass and stiffness alone; the
-    coercivity policy is capped at h_K/4, and only the semi_implicit
-    policy reads dt.
+    Policies other than the plain h_K/4 rule ("experiment") read the
+    mesh's inverse constant; the coercivity policy is capped at h_K/4,
+    and only the semi_implicit policy reads dt.
     """
     if policy == "experiment":
         return delta_experiment(mesh)
-    C_I = estimate_inverse_constant(mesh, assemble_galerkin(mesh))
     if policy == "coercivity":
-        return delta_coercivity(mesh, analysis, C_I).capped(mesh.h_K / 4.0)
+        return np.minimum(delta_coercivity(mesh, analysis,
+                                           mesh.inverse_constant),
+                          mesh.h_K / 4.0)
     if policy == "semi_implicit":
-        return delta_semi_implicit(mesh, analysis, C_I, dt)
+        return delta_semi_implicit(mesh, analysis, mesh.inverse_constant,
+                                   dt)
     raise ConfigError(f"unknown delta policy {policy!r}")
 
 
@@ -302,7 +301,7 @@ def build_problem(cfg):
     model = build_model(cfg, space)
     analysis = analyze_reaction(model, mesh, space)
     if cfg.stabilization == "none":
-        delta = StabilizationParams(np.zeros(mesh.n_triangles))
+        delta = np.zeros(mesh.n_triangles)
     elif cfg.stabilization == "supg":
         delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
     else:
@@ -395,8 +394,7 @@ def run_from_config(cfg):
 
         manifest["n_steps"] = len(reports) - 1
         manifest["final_l2"] = reports[-1].l2
-        manifest["peclet_flag"] = \
-            local_peclet(model, mesh, analysis).advection_dominated
+        manifest["peclet_flag"] = local_peclet(model, mesh, analysis) > 1.0
     except ConfigError as err:
         status, manifest["status"] = 1, "config_error"
         manifest["error"] = str(err)

@@ -107,8 +107,7 @@ def test_criterion_4_coercivity():
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("coercivity", mesh, analysis, cfg.dt)
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                             delta.delta_K)
+    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
     report = check_coercivity(analysis, blocks, space, trials=500, seed=24)
     elapsed = time.time() - t0
     ok = report.ok and elapsed < 30.0
@@ -154,7 +153,7 @@ def test_criterion_6_forced_cases_i_and_iii():
         c=2.0, f=1.0)
     _, reports = run(state, ws, 100 * ws.cfg.dt)
     [led_i] = evaluate_bounds(reports, ws, [("im_stab", "i")])
-    want_C2 = 2.0 / analysis.mu0 + 4.0 * float(np.max(delta.delta_K))
+    want_C2 = 2.0 / analysis.mu0 + 4.0 * float(np.max(delta))
     const_ok = abs(led_i.constants.get("C2", np.nan) - want_C2) <= 1e-13
 
     # case (iii): mu0 = 0, nonzero forcing, dt below the Gronwall limit
@@ -193,10 +192,10 @@ def test_criterion_7_moderate_stochasticity_gate():
                                analysis=analysis)
         state = random_state(mesh, space, rank=1, seed=27)
         _, reports = run(state, ws, 0.05)
-        stoch = check_moderate_stochasticity(analysis)
+        eps_margin = check_moderate_stochasticity(analysis)
         [led] = evaluate_bounds(reports, ws, [("si_stab", "ii")])
         outcomes.append(led.applicable == expect_ok
-                        and stoch.ok == expect_ok
+                        and (eps_margin >= 0) == expect_ok
                         and (led.passed if expect_ok
                              else "stochasticity" in led.reason))
         details.append(f"amp {amp}: applicable={led.applicable}")
@@ -250,7 +249,7 @@ def test_criterion_8_stabilization_effect():
     pec = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
     elapsed = time.time() - t0
     ok = (wins / len(tracked) >= 0.9 and total_supg < total_none
-          and pec.advection_dominated and elapsed < 180.0)
+          and pec > 1.0 and elapsed < 180.0)
 
     def fmt(values):
         return "/".join(f"{v:.3f}" for v in values)
@@ -262,7 +261,7 @@ def test_criterion_8_stabilization_effect():
                    f"{total_none:.3f}); final spread change, for "
                    f"information: SUPG {fmt(spread_dev['supg'])}, "
                    f"standard {fmt(spread_dev['none'])}; peclet flag "
-                   f"{pec.advection_dominated}, {elapsed:.1f}s")
+                   f"{pec > 1.0}, {elapsed:.1f}s")
 
 
 def test_criterion_9_paper_parameter_fidelity():
@@ -284,7 +283,7 @@ def test_criterion_9_paper_parameter_fidelity():
     # the h_K/4 policy resolves to exactly h_K/4 on the paper mesh
     mesh = build_structured_mesh(rb.n_per_side)
     d = delta_experiment(mesh)
-    checks["rb delta values"] = bool(np.all(d.delta_K == mesh.h_K / 4.0))
+    checks["rb delta values"] = bool(np.all(d == mesh.h_K / 4.0))
     bad = [k for k, v in checks.items() if not v]
     verdict(9, not bad, "all paper parameters echoed" if not bad
             else f"mismatched: {bad}")

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    QUAD_POINTS, ConfigError, SchemeConfig, StabilizationParams,
-    analyze_reaction, assemble_blocks, boundary_layer, build_problem,
-    build_structured_mesh, check_coercivity, check_tangent_residual,
-    constant_adr, delta_experiment, estimate_inverse_constant,
-    evaluate_bounds, forcing_norms,
+    QUAD_POINTS, ConfigError, SchemeConfig, analyze_reaction,
+    assemble_blocks, boundary_layer, build_problem, build_structured_mesh,
+    check_coercivity, check_tangent_residual, constant_adr,
+    delta_experiment, evaluate_bounds, forcing_norms,
     init_from_modes, l2_norm, make_monte_carlo, md_metric,
     prepare_workspace, preset_boundary_layer, preset_rotating_body,
-    rotating_body, run, step, step_report,
+    rotating_body, run, step, step_report, tag_boundary_layer,
     write_ledgers_csv, write_reports_csv,
 )
+from supgdlr import mesh as mesh_module
 from supgdlr.diagnostics import StepReport
 from supgdlr.integrator import step_deterministic_modes, \
     step_stochastic_modes
@@ -88,7 +88,8 @@ def test_supg_norm_dense_oracle(case):
         bq = sample_advection(model, ws.xq_flat, space.samples[i]).reshape(
             *ws.pw.shape, 2)
         bg = np.einsum("eqd,ed->eq", bq, g)
-        bsq = float(np.einsum("e,eq,eq->", ws.delta, ws.pw, bg ** 2))
+        bsq = float(np.einsum("e,eq,eq->", ws.blocks.delta, ws.pw,
+                              bg ** 2))
         vq = np.einsum("qa,ea->eq", QUAD_POINTS, tri)
         musq = float(np.einsum("eq,eq,eq->", ws.pw, mu, vq ** 2))
         total += w[i] * (a.eps_hat * gradsq + bsq + musq)
@@ -132,8 +133,7 @@ def test_coercivity_check_passes_with_compliant_delta():
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("coercivity", mesh, analysis, None)
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                             delta.delta_K)
+    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
     report = check_coercivity(analysis, blocks, space, trials=50, seed=7)
     assert report.ok
     assert report.worst_margin > -1e-10
@@ -145,8 +145,7 @@ def test_coercivity_check_mu_path_matches_elementwise_oracle():
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=2.0)
     analysis = analyze_reaction(model, mesh, space)
     assert analysis.mu0 > 0          # the mu-weighted mass takes part
-    delta = resolve_delta("coercivity", mesh, analysis, None)
-    dk = delta.delta_K
+    dk = resolve_delta("coercivity", mesh, analysis, None)
     blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, dk)
     trials, seed = 3, 16
     report = check_coercivity(analysis, blocks, space, trials=trials,
@@ -284,7 +283,7 @@ def test_bound_case_i_constants_and_pass():
     ws, reports = decay_run(c=2.0, f=1.0)
     led = one_bound(reports, ws, "im_stab", "i")
     assert led.applicable and led.passed
-    dmax = float(np.max(ws.delta))
+    dmax = float(np.max(ws.blocks.delta))
     assert abs(led.constants["C2"]
                - (2.0 / ws.analysis.mu0 + 4.0 * dmax)) <= 1e-13
 
@@ -364,20 +363,35 @@ def test_bound_checks_the_diffusion_constraint_on_delta():
         assert not led.applicable and "diffusion" in led.reason
 
 
-def test_bound_estimates_a_missing_inverse_constant():
-    # the h_K/4 policy carries no C_I; the ledger estimates it from the
-    # run's blocks and agrees with the same delta_K given that C_I
+def test_inverse_constant_is_computed_once_per_mesh(monkeypatch):
+    # two ledgers of one run and a bound delta policy on its mesh share
+    # one eigensolve; a retagged mesh has the same interior, so the same C_I
+    calls = []
+    eigsh = mesh_module.spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module.spla, "eigsh", counted)
     ws, reports = experiment_policy_run(eps=1e-6)
-    C_I = estimate_inverse_constant(ws.mesh, ws.blocks)
-    ws_C_I = prepare_workspace(ws.model, ws.mesh, ws.space, SchemeConfig(
-        dt=0.2, delta=StabilizationParams(ws.delta, C_I=C_I)))
+    assert not calls                     # the h_K/4 policy reads no C_I
     bounds = [("im_stab", "ii"), ("si_stab", "ii")]
-    estimated = evaluate_bounds(reports, ws, bounds)
-    supplied = evaluate_bounds(reports, ws_C_I, bounds)
-    assert all(led.applicable and led.passed for led in estimated)
-    for a, b in zip(estimated, supplied):
-        assert a.csv_row() == b.csv_row()
-        assert a.constants == b.constants
+    first = evaluate_bounds(reports, ws, bounds)
+    second = evaluate_bounds(reports, ws, bounds)
+    resolve_delta("coercivity", ws.mesh, ws.analysis, None)
+    assert len(calls) == 1
+    assert all(led.applicable and led.passed for led in first)
+    assert [led.csv_row() for led in first] \
+        == [led.csv_row() for led in second]
+
+    assert tag_boundary_layer(ws.mesh).inverse_constant \
+        == ws.mesh.inverse_constant
+    assert len(calls) == 1
+    fresh = build_structured_mesh(8)
+    assert tag_boundary_layer(fresh).inverse_constant \
+        == ws.mesh.inverse_constant
+    assert len(calls) == 2
 
 
 def test_bound_refuses_random_coefficients():

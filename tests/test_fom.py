@@ -72,7 +72,7 @@ def _per_sample_step(state, ws):
     ne, nq = ws.pw.shape
     Gq = np.einsum("ead,eai->edi", mesh.grads, fields[mesh.triangles])
     test = QUAD_POINTS[None] \
-        + ws.delta[:, None, None] * ws.blocks.bg_at_qp
+        + ws.blocks.delta[:, None, None] * ws.blocks.bg_at_qp
     rhs = ws.blocks.skewed_mass @ fields / ws.cfg.dt
     rhs -= ws.blocks.stiffness @ (fields * ws.eps_expl[None, :])
     for i, omega in enumerate(ws.space.samples):
@@ -116,7 +116,7 @@ def _one_shot_forcing_step(state, ws):
     there is no random advection."""
     mesh, fields = ws.mesh, state.fields
     test = QUAD_POINTS[None] \
-        + ws.delta[:, None, None] * ws.blocks.bg_at_qp
+        + ws.blocks.delta[:, None, None] * ws.blocks.bg_at_qp
     fq = ws.model.forcing(state.t + ws.cfg.dt, ws.xq_flat)
     contrib = np.einsum("eq,eq,eqa->ea", ws.pw,
                         np.reshape(fq, ws.pw.shape), test)

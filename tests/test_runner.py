@@ -11,12 +11,12 @@ import pytest
 
 from supgdlr import (
     CoefficientModel, ConfigError, FomState, NearSingularError, RunConfig,
-    SolverError, analyze_reaction, assemble_blocks, assemble_load,
+    SolverError, analyze_reaction, assemble_load,
     build_problem, build_structured_mesh, constant_adr, delta_coercivity,
-    delta_semi_implicit, estimate_inverse_constant, evaluate_realization,
-    fom_step, load_config, local_peclet, make_monte_carlo,
-    preset_boundary_layer, preset_rotating_body, range_excess, run,
-    run_from_config, write_config, write_field_dump,
+    delta_semi_implicit, evaluate_realization, fom_step, load_config,
+    local_peclet, make_monte_carlo, preset_boundary_layer,
+    preset_rotating_body, range_excess, run, run_from_config,
+    write_config, write_field_dump,
 )
 from supgdlr import integrator, mesh as mesh_module, runner
 from supgdlr.runner import resolve_delta
@@ -156,7 +156,8 @@ def test_build_problem_shapes():
     assert mesh.n_vertices == 81
     assert space.count == 20
     assert state.rank == 2
-    assert ws.delta.shape == (mesh.n_triangles,)
+    assert delta.shape == (mesh.n_triangles,)
+    assert ws.blocks.delta is ws.cfg.delta is delta
     check_invariants(state, space, ws.blocks.mass)
 
 
@@ -266,7 +267,7 @@ def test_run_json_records_the_peclet_flag(tmp_path, make_cfg):
         flag = json.load(fh)["peclet_flag"]
     mesh, _, model, analysis = build_problem(cfg)[:4]
     assert flag is True
-    assert flag == local_peclet(model, mesh, analysis).advection_dominated
+    assert flag == (local_peclet(model, mesh, analysis) > 1.0)
 
 
 @pytest.mark.parametrize("bound", [("si_stab", "typo"), ("typo", "ii")])
@@ -307,18 +308,47 @@ def test_load_config_strips_bound_entries(tmp_path):
                                         ("im_stab", "iii"))
 
 
-@pytest.mark.parametrize("key, value", [("dt", float("nan")),
-                                        ("dt", float("inf")),
-                                        ("T", float("inf")),
-                                        ("T", float("nan"))],
-                         ids=["dt_nan", "dt_inf", "T_inf", "T_nan"])
-def test_non_finite_time_is_a_configuration_error(tmp_path, key, value):
-    status, _ = run_from_config(tiny_config(str(tmp_path),
-                                            **{key: value}))
+@pytest.mark.parametrize("key, value, policy", [
+    ("dt", float("nan"), "experiment"), ("dt", float("inf"), "experiment"),
+    ("T", float("inf"), "experiment"), ("T", float("nan"), "experiment"),
+    ("dt", float("nan"), "semi_implicit"),
+    ("dt", float("inf"), "semi_implicit")],
+    ids=["dt_nan", "dt_inf", "T_inf", "T_nan", "dt_nan_semi_implicit",
+         "dt_inf_semi_implicit"])
+def test_non_finite_time_is_a_configuration_error(tmp_path, key, value,
+                                                  policy):
+    status, _ = run_from_config(tiny_config(
+        str(tmp_path), delta_policy=policy, **{key: value}))
     assert status == 1
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["status"] == "config_error"
     assert "finite" in manifest["error"]
+    # the semi-implicit policy reads dt first and names it
+    if key == "dt":
+        assert "dt" in manifest["error"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("policy, bounds", [
+    ("coercivity", ()), ("experiment", (("si_stab", "iii"),))],
+    ids=["coercivity", "experiment_bounds"])
+def test_inverse_constant_on_a_tiny_mesh_is_a_configuration_error(
+        tmp_path, n, policy, bounds):
+    # fewer than two interior vertices leave no eigenvalue to estimate
+    cfg = RunConfig(
+        name="tiny_mesh", n_per_side=n, dt=0.05, T=0.1,
+        delta_policy=policy, bounds=bounds, model="constant_adr",
+        model_params={"f": 1.0},
+        sampler={"kind": "monte_carlo", "count": 4, "seed": 0,
+                 "intervals": [(-1.0, 1.0)]},
+        out_dir=str(tmp_path))
+    status, manifest = run_from_config(cfg)
+    assert status == 1
+    assert manifest["status"] == "config_error"
+    assert "n_per_side >= 3" in manifest["error"]
+    # the ledger's C_I is read after the run, whose rows are kept
+    assert (tmp_path / "norms.csv").exists() == bool(bounds)
+    assert not (tmp_path / "ledger.csv").exists()
 
 
 def test_bound_without_a_case_is_a_configuration_error(tmp_path, capsys):
@@ -445,13 +475,12 @@ def test_resolve_delta_assembles_only_mass_and_stiffness(policy,
     analysis = analyze_reaction(model, mesh, space)
     dt = 0.01
 
-    # the estimate from a whole zero-delta FemBlocks, as before
-    plain = assemble_blocks(mesh, model.b_mean, model.c_mean,
-                            np.zeros(mesh.n_triangles))
-    C_I = estimate_inverse_constant(mesh, plain)
-    want = delta_coercivity(mesh, analysis, C_I).capped(mesh.h_K / 4.0) \
+    # the reference on a twin mesh, whose C_I is computed before counting
+    twin = build_structured_mesh(8)
+    C_I = twin.inverse_constant
+    want = np.minimum(delta_coercivity(twin, analysis, C_I), twin.h_K / 4.0) \
         if policy == "coercivity" \
-        else delta_semi_implicit(mesh, analysis, C_I, dt)
+        else delta_semi_implicit(twin, analysis, C_I, dt)
 
     form, calls = mesh_module._form, []
 
@@ -462,8 +491,10 @@ def test_resolve_delta_assembles_only_mass_and_stiffness(policy,
     monkeypatch.setattr(mesh_module, "_form", counting)
     got = resolve_delta(policy, mesh, analysis, dt)
     assert len(calls) == 2
-    assert got.C_I == want.C_I
-    assert np.array_equal(got.delta_K, want.delta_K)
+    assert np.array_equal(got, want)
+    # the mesh keeps its C_I: a second policy assembles nothing
+    assert np.array_equal(resolve_delta(policy, mesh, analysis, dt), want)
+    assert len(calls) == 2
 
 
 def test_non_finite_solve_is_a_numerical_failure(tmp_path, monkeypatch):
