@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__ as _version
-from .errors import ConfigError
+from .errors import ConfigError, SupgDlrError
 from .mesh import build_structured_mesh, tag_boundary_layer
 from .sampling import make_monte_carlo, make_tensor_grid
 from .coefficients import (
@@ -253,8 +253,9 @@ INITIAL_VARIABLES = {"rotating_body_shapes": 3,
 
 
 def _check_config(cfg):
-    """Refuse (ConfigError) sampler, rank and boundary settings that would
-    otherwise fail later, as a bare exception or a numerical failure."""
+    """Refuse (ConfigError) sampler, rank, dump-time and boundary settings
+    that would otherwise fail later, as a bare exception or a numerical
+    failure, or be ignored, as a dump time no step reaches."""
     s = cfg.sampler
     kind, intervals = s.get("kind"), s.get("intervals", ())
     width = {"monte_carlo": 2, "tensor_grid": 3}.get(kind)
@@ -281,6 +282,9 @@ def _check_config(cfg):
             and rank > 2:
         raise ConfigError(f"initial condition 'rotating_body_shapes' has "
                           f"rank 2; rank {rank} cannot be honoured")
+    if not all(0.0 <= t <= cfg.T for t in cfg.dump_times):
+        raise ConfigError(f"dump times must lie in [0, T] = [0, {cfg.T:g}] "
+                          f"(got {cfg.dump_times!r})")
     for tag, value in cfg.bc.items():
         if not callable(value) and not np.isfinite(value):
             raise ConfigError(f"boundary value of {tag!r} must be finite "
@@ -336,12 +340,15 @@ def run_from_config(cfg):
     keeps the norms.csv and md.csv rows of every completed step.  Exit
     status: 0 success, 1 configuration error, 2 numerical failure, 3 a
     requested bound failed.  Any other exception is raised after run.json
-    records it as an internal_error.
+    records it as an internal_error; an output directory that cannot be
+    made is a ConfigError, raised with no run.json.
     """
-    from .errors import SupgDlrError
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = {"version": _version, "config": _config_dict(cfg),
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create the output directory "
+                          f"{cfg.out_dir!r}: {err}") from err
+    manifest = {"version": _version, "config": asdict(cfg),
                 "status": "ok", "failing_step": None}
     status = 0
     try:
@@ -417,124 +424,117 @@ def run_from_config(cfg):
 
 # -- config file round trip ----------------------------------------------
 
-def _config_dict(cfg):
-    d = asdict(cfg)
-    d["sampler"] = dict(cfg.sampler)
-    if "intervals" in d["sampler"]:
-        d["sampler"]["intervals"] = [list(iv)
-                                     for iv in d["sampler"]["intervals"]]
-    return d
+_g = "{:.17g}".format
+
+
+def _listed(parse, fmt):
+    """(parse, format) of a comma-separated list, read as a tuple."""
+    return (lambda s: tuple(map(parse, filter(str.strip, s.split(",")))),
+            lambda values: ",".join(map(fmt, values)))
+
+
+def _boolean(text):
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"Not a boolean: {text}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+SECTIONS = ("run", "model", "sampling", "boundary", "output", "diagnostics")
+# The [sampling] keys of each sampler kind besides kind and intervals.
+SAMPLER_KEYS = {"monte_carlo": ("count", "seed"), "tensor_grid": ()}
+
+# One row per plain RunConfig field, in file order: (section, key,
+# attribute, parse, format).  configparser lower-cases keys.  [model],
+# [sampling] and [boundary] are read and written by their own code.
+FIELDS = (
+    ("run", "name", "name", str, str),
+    ("run", "scale", "scale", str, str),
+    ("run", "n_per_side", "n_per_side", int, str),
+    ("run", "dt", "dt", float, _g),
+    ("run", "t", "T", float, _g),
+    ("run", "stabilization", "stabilization", str, str),
+    ("run", "delta_policy", "delta_policy", str, str),
+    ("run", "initial", "initial", str, str),
+    ("run", "rank", "rank", int, str),
+    ("run", "snapshot_tol", "snapshot_tol", float, _g),
+    ("output", "dir", "out_dir", str, str),
+    ("output", "track_md_samples", "track_md_samples", *_listed(int, str)),
+    ("output", "dump_times", "dump_times", *_listed(float, _g)),
+    ("output", "dump_samples", "dump_samples", *_listed(int, str)),
+    ("diagnostics", "tangent_residual", "tangent_residual", _boolean, str),
+    ("diagnostics", "bounds", "bounds", *_listed(
+        lambda b: tuple(p.strip() for p in b.partition(":")[::2]),
+        ":".join)),
+)
 
 
 def write_config(cfg, path):
     check_bound_names(cfg.bounds)
     cp = configparser.ConfigParser()
-    cp["run"] = {
-        "name": cfg.name, "scale": cfg.scale,
-        "n_per_side": str(cfg.n_per_side),
-        "dt": f"{cfg.dt:.17g}", "T": f"{cfg.T:.17g}",
-        "stabilization": cfg.stabilization,
-        "delta_policy": cfg.delta_policy,
-        "initial": cfg.initial,
-    }
-    if cfg.rank is not None:
-        cp["run"]["rank"] = str(cfg.rank)
-    if cfg.snapshot_tol is not None:
-        cp["run"]["snapshot_tol"] = f"{cfg.snapshot_tol:.17g}"
-    cp["model"] = {"name": cfg.model}
+    cp.read_dict(dict.fromkeys(SECTIONS, {}))
+    for section, key, attr, _, fmt in FIELDS:
+        # an unset rank or snapshot_tol is left out
+        if getattr(cfg, attr) is not None:
+            cp[section][key] = fmt(getattr(cfg, attr))
+    cp["model"]["name"] = cfg.model
     for k, v in cfg.model_params.items():
         cp["model"][k] = ",".join(
-            f"{x:.17g}" if isinstance(x, float) else str(x)
+            _g(x) if isinstance(x, float) else str(x)
             for x in (v if isinstance(v, (tuple, list)) else (v,)))
     s = cfg.sampler
-    cp["sampling"] = {"kind": s["kind"]}
-    if s["kind"] == "monte_carlo":
-        cp["sampling"]["count"] = str(s["count"])
-        cp["sampling"]["seed"] = str(s["seed"])
-        cp["sampling"]["intervals"] = ";".join(
-            f"{a:.17g},{b:.17g}" for a, b in s["intervals"])
-    else:
-        cp["sampling"]["intervals"] = ";".join(
-            f"{a:.17g},{b:.17g},{n}" for a, b, n in s["intervals"])
-    cp["boundary"] = {tag: f"{v:.17g}" for tag, v in cfg.bc.items()}
-    cp["output"] = {
-        "dir": cfg.out_dir,
-        "track_md_samples": ",".join(str(i)
-                                     for i in cfg.track_md_samples),
-        "dump_times": ",".join(f"{t:.17g}" for t in cfg.dump_times),
-        "dump_samples": ",".join(str(i) for i in cfg.dump_samples),
-    }
-    cp["diagnostics"] = {
-        "tangent_residual": str(cfg.tangent_residual),
-        "bounds": ",".join(f"{t}:{c}" for t, c in cfg.bounds),
-    }
+    cp["sampling"] = {"kind": s["kind"], **{
+        k: str(s[k]) for k in SAMPLER_KEYS.get(s["kind"], ())},
+        "intervals": ";".join(",".join(map(_g, iv)) for iv in s["intervals"])}
+    cp["boundary"] = {tag: _g(v) for tag, v in cfg.bc.items()}
     with open(path, "w") as fh:
         cp.write(fh)
 
 
 def load_config(path):
+    """Read a config file; a key left out takes its RunConfig default.
+    An unknown section or key is a ConfigError, except in [model] and
+    [boundary], whose keys build_problem checks."""
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    cp.read_dict({"run": {"name": "run"}})  # the one default not in RunConfig
     try:
-        r = cp["run"]
-        # the semi-implicit step is the only scheme; a file asking for
-        # another one must not silently run it
-        if r.get("scheme", "semi_implicit") != "semi_implicit":
-            raise ConfigError(f"unknown scheme {r['scheme']!r} in {path}; "
-                              "only semi_implicit is supported")
-        sampler = {"kind": cp["sampling"]["kind"]}
-        ivs = cp["sampling"].get("intervals", "")
-        parts = [p for p in ivs.split(";") if p]
-        if sampler["kind"] == "monte_carlo":
-            sampler["count"] = cp["sampling"].getint("count")
-            sampler["seed"] = cp["sampling"].getint("seed")
-            sampler["intervals"] = [tuple(map(float, p.split(",")))
-                                    for p in parts]
-        else:
-            sampler["intervals"] = [
-                (float(a), float(b), int(n))
-                for a, b, n in (p.split(",") for p in parts)]
-        model_params = {}
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        # the semi-implicit step is the only scheme; no other runs silently
+        if cp["run"].get("scheme", "semi_implicit") != "semi_implicit":
+            raise ConfigError(f"unknown scheme {cp['run']['scheme']!r} in "
+                              f"{path}; only semi_implicit is supported")
+        s = cp["sampling"]
+        if s["kind"] not in SAMPLER_KEYS:
+            raise ConfigError(f"unknown sampler kind {s['kind']!r}")
+        known = {("run", "scheme"), *(row[:2] for row in FIELDS), *(
+            ("sampling", k)
+            for k in ("kind", "intervals", *SAMPLER_KEYS[s["kind"]]))}
+        for section in cp.sections():
+            if section not in SECTIONS:
+                raise ConfigError(f"unknown section [{section}] in {path}")
+            unknown = [k for k in cp[section] if (section, k) not in known]
+            if unknown and section not in ("model", "boundary"):
+                raise ConfigError(f"unknown key {unknown[0]!r} in "
+                                  f"[{section}] of {path}")
+        # a field without a RunConfig default (n_per_side, dt, T) is required
+        given = {attr: parse(cp[sec][key])
+                 for sec, key, attr, parse, _ in FIELDS
+                 if cp.has_option(sec, key) or not hasattr(RunConfig, attr)}
+        params = {}
         for k, v in cp["model"].items():
-            if k == "name":
-                continue
-            try:
+            try:  # numbers; build_model refuses any other text
                 nums = tuple(float(x) for x in v.split(","))
-                model_params[k] = nums[0] if len(nums) == 1 else nums
+                params[k] = nums[0] if len(nums) == 1 else nums
             except ValueError:
-                model_params[k] = v
-        out = cp["output"] if "output" in cp else {}
-        diag = cp["diagnostics"] if "diagnostics" in cp else {}
-
-        def ints(text):
-            return tuple(int(x) for x in text.split(",") if x)
-
-        def floats(text):
-            return tuple(float(x) for x in text.split(",") if x)
-
+                params[k] = v
         return RunConfig(
-            name=r.get("name", "run"), scale=r.get("scale", "desk"),
-            n_per_side=int(r["n_per_side"]), dt=float(r["dt"]),
-            T=float(r["T"]),
-            stabilization=r.get("stabilization", "supg"),
-            delta_policy=r.get("delta_policy", "experiment"),
-            rank=int(r["rank"]) if "rank" in r else None,
-            snapshot_tol=float(r["snapshot_tol"])
-            if "snapshot_tol" in r else None,
-            model=cp["model"]["name"], model_params=model_params,
-            sampler=sampler, initial=r.get("initial", "zero"),
-            bc={tag: float(v) for tag, v in cp["boundary"].items()},
-            out_dir=out.get("dir", "."),
-            track_md_samples=ints(out.get("track_md_samples", "")),
-            dump_times=floats(out.get("dump_times", "")),
-            dump_samples=ints(out.get("dump_samples", "")),
-            bounds=tuple(tuple(p.strip() for p in b.partition(":")[::2])
-                         for b in diag.get("bounds", "").split(",")
-                         if b.strip()),
-            tangent_residual=cp.getboolean("diagnostics",
-                                           "tangent_residual",
-                                           fallback=False),
-        )
-    except (KeyError, ValueError) as err:
+            **given, model=cp["model"]["name"],
+            model_params={k: v for k, v in params.items() if k != "name"},
+            sampler={"kind": s["kind"],
+                     **{k: int(s[k]) for k in SAMPLER_KEYS[s["kind"]]},
+                     "intervals": [(float(a), float(b), *map(int, n))
+                                   for a, b, *n in (p.split(",") for p in
+                                   s.get("intervals", "").split(";") if p)]},
+            bc={tag: float(v) for tag, v in cp["boundary"].items()})
+    except (KeyError, ValueError, configparser.Error) as err:
         raise ConfigError(f"invalid config file {path}: {err}") from err

@@ -140,6 +140,91 @@ def test_load_config_parses_tangent_residual_as_a_boolean(tmp_path,
     assert "configuration error" in capsys.readouterr().err
 
 
+def _edited_config(tmp_path, old, new):
+    """The tiny config file, written and then edited: old -> new."""
+    path = tmp_path / "config.ini"
+    write_config(tiny_config(str(tmp_path / "out")), path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("delta_policy = experiment\n", "delta_polciy = coercivity\n",
+     "unknown key 'delta_polciy' in [run]"),
+    ("[diagnostics]\n", "[diagnostic]\n", "unknown section [diagnostic]"),
+    ("[output]\n", "[output]\nbounds = si_stab:ii\n",
+     "unknown key 'bounds' in [output]"),
+    ("kind = monte_carlo\n", "kind = montecarlo\n",
+     "unknown sampler kind 'montecarlo'"),
+    ("kind = monte_carlo\n", "kind = tensor_grid\n",
+     "unknown key 'count' in [sampling]"),
+    ("count = 20\n", "", "'count'"),
+    ("seed = 3\n", "", "'seed'"),
+], ids=["misspelt_run_key", "unknown_section", "key_in_wrong_section",
+        "unknown_sampler_kind", "count_on_a_tensor_grid", "no_count",
+        "no_seed"])
+def test_load_config_refuses_unknown_and_missing_keys(tmp_path, capsys, old,
+                                                      new, message):
+    from supgdlr.cli import main
+
+    path = _edited_config(tmp_path, old, new)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert message in str(info.value)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make_cfg", [
+    tiny_config, lambda d: replace(every_field_config(d), initial="zero"),
+], ids=["monte_carlo", "tensor_grid"])
+def test_every_misspelt_key_is_a_configuration_error(tmp_path, make_cfg):
+    import configparser
+
+    path = tmp_path / "config.ini"
+    write_config(make_cfg(str(tmp_path / "out")), path)
+    sections = configparser.ConfigParser()
+    sections.read(path)
+    for section in sections.sections():
+        for key in sections[section]:
+            cp = configparser.ConfigParser()
+            cp.read(path)
+            cp[section][key + "x"] = cp[section].pop(key)
+            misspelt = tmp_path / "misspelt.ini"
+            with open(misspelt, "w") as fh:
+                cp.write(fh)
+            # [model] keys and [boundary] tags are checked at build time;
+            # the boundary message names no tag
+            with pytest.raises(ConfigError,
+                               match=None if section == "boundary" else key):
+                build_problem(load_config(misspelt))
+
+
+def test_empty_output_dir_is_a_configuration_error(tmp_path, capsys):
+    from supgdlr.cli import main
+
+    path = _edited_config(tmp_path, f"dir = {tmp_path / 'out'}\n",
+                          "dir = \n")
+    assert load_config(path).out_dir == ""
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "cannot create the output directory ''" in err
+
+
+@pytest.mark.parametrize("time", [5.0, -1.0], ids=["past_T", "below_0"])
+def test_dump_time_outside_the_run_is_a_configuration_error(tmp_path, time):
+    status, manifest = run_from_config(tiny_config(
+        str(tmp_path), dump_times=(0.05, time), dump_samples=(0,)))
+    assert status == 1
+    assert manifest["status"] == "config_error"
+    assert "dump times must lie in [0, T] = [0, 0.1]" in manifest["error"]
+    assert not (tmp_path / "norms.csv").exists()
+
+
 def test_field_dump_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.standard_normal(25)
