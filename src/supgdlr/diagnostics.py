@@ -66,8 +66,23 @@ class StepReport:
 
 
 def _colwise(F, u):
-    """Column-wise quadratic form: entry r is u[:, r]^T F u[:, r]."""
+    """Column-wise quadratic form: entry r is u[:, r]^T F u[:, r].
+
+    For fields with a column per sample, where einsum's inner loop runs
+    along the many columns.  The full-order step takes it per chunk of
+    columns and l2_norm over all of them, and the two must agree bit
+    for bit, so every such field goes through this one reduction.
+    """
     return np.einsum("kr,kr->r", u, F @ u)
+
+
+def _factor_colwise(U_full, FU):
+    """Entry r is U_full[:, r] . FU[:, r], one BLAS dot per column.
+
+    For the few long columns of a low-rank factor, where einsum's inner
+    loop would run along a row of R+1 entries.
+    """
+    return (U_full.T[:, None, :] @ FU.T[:, :, None]).ravel()
 
 
 def _mu_mass(blocks, mu):
@@ -89,8 +104,10 @@ class NormEvaluator:
     with b the advection of each sample and the deterministic reaction
     mu.  Each term is a quadratic form of an assembled matrix (mass,
     stiffness, supg_conv, the mu-weighted mass or None when mu = 0)
-    summed over the columns of U_full = [U0, U], as Y_full = [1, Y] is
-    weighted orthonormal.  The advection of sample i is
+    summed over the columns of the state's U_full = [U0, U], as
+    Y_full = [1, Y] is weighted orthonormal.  The stiffness product is
+    the state's kept one (DlrState.product), which the step from the
+    state reuses.  The advection of sample i is
     b_0 + sum_k theta_k[i] b_k, with b_0 the mean field and b_k the
     divergence-free affine modes (theta_0 = 1).  Its streamline term
     adds the forms S_kl = sum_K delta_K (b_l . grad phi_j,
@@ -120,20 +137,22 @@ class NormEvaluator:
 
     def norms(self, state):
         """Returns a dict of l2, grad, supg, mu_half, bconv, mode_norms."""
-        U_full = np.column_stack([state.U0, state.U])
-        colM = _colwise(self.blocks.mass, U_full)
+        U_full, Y_full = state.U_full, state.Y_full
+        colM = _factor_colwise(U_full, self.blocks.mass @ U_full)
         l2sq = float(colM.sum())
-        gradsq = float(_colwise(self.blocks.stiffness, U_full).sum())
-        bsq = float(_colwise(self.blocks.supg_conv, U_full).sum())
+        gradsq = float(_factor_colwise(
+            U_full, state.product(self.blocks.stiffness)).sum())
+        bsq = float(_factor_colwise(
+            U_full, self.blocks.supg_conv @ U_full).sum())
         if self.b_forms:
             w = self.space.weights
-            Y_full = np.column_stack([np.ones(state.n_samples), state.Y])
             for psi, S in self.b_forms:
                 Yw = Y_full.T @ ((w * psi)[:, None] * Y_full)
                 bsq += float(np.sum((U_full.T @ (S @ U_full)) * Yw))
         bsq = max(bsq, 0.0)
         musq = 0.0 if self.mu_mass is None \
-            else max(float(_colwise(self.mu_mass, U_full).sum()), 0.0)
+            else max(float(_factor_colwise(
+                U_full, self.mu_mass @ U_full).sum()), 0.0)
         supgsq = self.eps_hat * gradsq + bsq + musq
         return {
             "l2": float(np.sqrt(max(l2sq, 0.0))),
@@ -258,18 +277,15 @@ def check_tangent_residual(ws, state_n, U_tilde, Y_tilde):
     """
     from .fom import FomState, fom_step
 
-    n = ws.space.count
     w = ws.space.weights
-    Y_full_n = np.column_stack([np.ones(n), state_n.Y])
-    Yt_full = np.column_stack([np.ones(n), Y_tilde])
-    un1 = U_tilde @ Yt_full.T
+    un1 = U_tilde[:, :1] + U_tilde[:, 1:] @ Y_tilde.T
     exact = fom_step(FomState(state_n.dense(), t=state_n.t), ws).fields
 
     res = ws.Braw @ (un1 - exact)
     scale = max(float(np.max(np.abs(ws.Braw @ un1))), 1e-300)
 
     interior = ws.mesh.interior_index()
-    tested_nodes = (res * w[None, :]) @ Y_full_n
+    tested_nodes = (res * w[None, :]) @ state_n.Y_full
     d1 = float(np.max(np.abs(tested_nodes[interior]))) \
         if len(interior) else 0.0
 

@@ -174,30 +174,27 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
         modes=modes, terms=terms)
 
 
-def _full_factors(state):
-    Y_full = np.column_stack([np.ones(state.n_samples), state.Y])
-    U_full = np.column_stack([state.U0, state.U])
-    return U_full, Y_full
-
-
 def step_deterministic_modes(state, ws):
     """Solve the R+1 implicit mode systems; returns (U_tilde, caches).
 
     Mode j of the explicit right-hand side is
     sum_k (B_k U_full) (Y_full^T diag(w theta_k) Y_full)[:, j]; caches
     carries the products B_k U_full and the solved right-hand side on
-    to the stochastic step.
+    to the stochastic step.  The products come from state.product, and
+    ws.terms lists the stiffness first, so the diffusion term reads the
+    product the state's step report took.
     """
-    U_full, Y_full = _full_factors(state)
+    U_full, Y_full = state.U_full, state.Y_full
     w = ws.space.weights
 
-    rhs = ws.blocks.skewed_mass @ U_full / ws.cfg.dt
+    rhs = ws.blocks.skewed_mass @ U_full
+    rhs /= ws.cfg.dt
 
     fqp = ws.forcing_qp(state.t)
     if fqp is not None:
         rhs[:, 0] += assemble_load(ws.blocks, fqp)
 
-    BU = [B @ U_full for _, B in ws.terms]
+    BU = [state.product(B) for _, B in ws.terms]
     for (theta, _), BU_k in zip(ws.terms, BU):
         E = Y_full.T @ ((w * theta)[:, None] * Y_full)
         rhs -= BU_k @ E
@@ -210,7 +207,7 @@ def step_deterministic_modes(state, ws):
     if not np.all(np.isfinite(U_tilde)):
         raise SolverError("deterministic mode solve returned non-finite "
                           "values")
-    return U_tilde, (Y_full, BU, rhs)
+    return U_tilde, (BU, rhs)
 
 
 def step_stochastic_modes(state, U_tilde, ws, caches):
@@ -221,17 +218,19 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
     side is sum_k theta_k[i] (Um^T B_k U_full) Y_full[i].  The
     fluctuation modes Um vanish on the Dirichlet dofs and satisfy
     Braw Um = rhs[:, 1:] on every other row, so the mode coupling matrix
-    Um^T Braw^T Um is read from that solved right-hand side.
+    What = Um^T Braw^T Um is read from that solved right-hand side.
+    The increments solve dY What = rhs, applied from the right.
     Returns (Y_tilde, dY, w_condition).
     """
     R = state.rank
     if R == 0:
         return state.Y.copy(), np.zeros_like(state.Y), 1.0
-    Y_full, BU, solved_rhs = caches
+    BU, solved_rhs = caches
 
     Um = U_tilde[:, 1:]
     What = solved_rhs[:, 1:].T @ Um
-    cond = float(np.linalg.cond(What))
+    sv = np.linalg.svd(What, compute_uv=False)       # descending
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > WCOND_THRESHOLD:
         raise NearSingularError(
             f"mode coupling matrix condition {cond:.3e} exceeds "
@@ -240,18 +239,23 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
     rhs = np.zeros((state.n_samples, R))
     for (theta, _), BU_k in zip(ws.terms, BU):
         G = Um.T @ BU_k                                # (R, R+1)
-        rhs -= theta[:, None] * (Y_full @ G.T)
+        rhs -= theta[:, None] * (state.Y_full @ G.T)
 
     if not np.any(rhs):
         dY = np.zeros_like(state.Y)
     else:
         rhs = project_complement(rhs, state.Y, ws.space)
-        dY = np.linalg.solve(What.T, rhs.T).T
+        dY = rhs @ np.linalg.inv(What)
     return state.Y + dY, dY, cond
 
 
 def step(state, ws):
-    """Advance one time step; returns (new state, StepReport)."""
+    """Advance one time step; returns (new state, StepReport).
+
+    The new state's [U0 | U] is U_tilde times one (R+1) x (R+1) matrix:
+    the means of Y_tilde fold into the mean mode, and the fluctuation
+    modes take the orthonormalization's T^T.
+    """
     U_tilde, caches = step_deterministic_modes(state, ws)
     Y_tilde, dY, wcond = step_stochastic_modes(state, U_tilde, ws, caches)
 
@@ -260,10 +264,13 @@ def step(state, ws):
         if state.rank else 0.0
 
     means = expectation(Y_tilde, ws.space)
-    U0_new = U_tilde[:, 0] + U_tilde[:, 1:] @ means
     Y_new, T = weighted_orthonormalize(Y_tilde - means, ws.space)
-    U_new = U_tilde[:, 1:] @ T.T
-    new_state = DlrState(U0_new, U_new, Y_new, t=state.t + ws.cfg.dt)
+    recombine = np.zeros((state.rank + 1, state.rank + 1))
+    recombine[0, 0] = 1.0
+    recombine[1:, 0] = means
+    recombine[1:, 1:] = T.T
+    new_state = DlrState.from_full(U_tilde @ recombine, Y_new,
+                                   t=state.t + ws.cfg.dt)
 
     tangent = None
     if ws.cfg.compute_tangent_residual:

@@ -27,23 +27,56 @@ class DlrState:
     Y  : (N_C, R) stochastic modes, orthonormal and zero-mean in the
          weighted inner product
 
-    The factor shapes are checked, never guessed: a transposed U raises
-    ConfigError.
+    The state owns its full factors, formed once and read-only:
+    U_full = [U0 | U], (N_h, R+1), and Y_full = [1 | Y], (N_C, R+1);
+    U0, U and Y are views into them.  The factor shapes are checked,
+    never guessed: a transposed U raises ConfigError.
     """
 
     def __init__(self, U0, U, Y, t=0.0):
-        self.U0 = np.asarray(U0, dtype=float)
-        self.U = np.asarray(U, dtype=float)
-        self.Y = np.asarray(Y, dtype=float)
-        self.t = float(t)
-        if self.U0.ndim != 1 or self.U.ndim != 2 or self.Y.ndim != 2:
+        U0 = np.asarray(U0, dtype=float)
+        U = np.asarray(U, dtype=float)
+        if U0.ndim != 1 or U.ndim != 2:
             raise ConfigError("U0 must be a vector, U and Y matrices")
-        if self.U.shape[0] != len(self.U0):
+        if U.shape[0] != len(U0):
             raise ConfigError(
-                f"deterministic modes have shape {self.U.shape}, expected "
-                f"({len(self.U0)}, R)")
-        if self.U.shape[1] != self.Y.shape[1]:
+                f"deterministic modes have shape {U.shape}, expected "
+                f"({len(U0)}, R)")
+        U_full = np.empty((len(U0), U.shape[1] + 1))
+        U_full[:, 0] = U0
+        U_full[:, 1:] = U
+        self._own(U_full, Y, t)
+
+    @classmethod
+    def from_full(cls, U_full, Y, t=0.0):
+        """State with the factors [U0 | U] = U_full, (N_h, R+1), and Y.
+
+        U_full is kept, not copied, and made read-only.
+        """
+        state = cls.__new__(cls)
+        U_full = np.asarray(U_full, dtype=float)
+        if U_full.ndim != 2 or U_full.shape[1] < 1:
+            raise ConfigError("U_full must be a matrix [U0 | U]")
+        state._own(U_full, Y, t)
+        return state
+
+    def _own(self, U_full, Y, t):
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2:
+            raise ConfigError("U0 must be a vector, U and Y matrices")
+        if U_full.shape[1] != Y.shape[1] + 1:
             raise ConfigError("deterministic and stochastic ranks differ")
+        # column-major: Y is contiguous, as the QR factor it comes from
+        Y_full = np.empty((Y.shape[0], Y.shape[1] + 1), order="F")
+        Y_full[:, 0] = 1.0
+        Y_full[:, 1:] = Y
+        U_full.flags.writeable = False
+        Y_full.flags.writeable = False
+        self.U_full, self.Y_full = U_full, Y_full
+        self.U0, self.U = U_full[:, 0], U_full[:, 1:]
+        self.Y = Y_full[:, 1:]
+        self.t = float(t)
+        self._kept = None
 
     @property
     def rank(self):
@@ -52,6 +85,19 @@ class DlrState:
     @property
     def n_samples(self):
         return self.Y.shape[0]
+
+    def product(self, A):
+        """A @ U_full, read-only.
+
+        The product with the matrix last asked for is kept, so the
+        stiffness product a step report takes serves the step from this
+        state.
+        """
+        if self._kept is None or self._kept[0] is not A:
+            AU = A @ self.U_full
+            AU.flags.writeable = False
+            self._kept = (A, AU)
+        return self._kept[1]
 
     def dense(self):
         """All realizations as columns, (N_h, N_C)."""

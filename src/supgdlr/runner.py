@@ -253,9 +253,16 @@ INITIAL_VARIABLES = {"rotating_body_shapes": 3,
 
 
 def _check_config(cfg):
-    """Refuse (ConfigError) sampler, rank, dump-time and boundary settings
-    that would otherwise fail later, as a bare exception or a numerical
-    failure, or be ignored, as a dump time no step reaches."""
+    """Refuse (ConfigError) stabilization, sampler, rank, dump-time and
+    boundary settings that would otherwise fail later, as a bare
+    exception or a numerical failure, or be ignored, as a delta policy
+    under stabilization = none or a dump time no step reaches."""
+    if cfg.stabilization not in ("supg", "none"):
+        raise ConfigError(f"unknown stabilization {cfg.stabilization!r} "
+                          "(accepted: supg, none)")
+    if cfg.delta_policy not in DELTA_POLICY_LABELS:
+        raise ConfigError(f"unknown delta_policy {cfg.delta_policy!r} "
+                          f"(accepted: {', '.join(DELTA_POLICY_LABELS)})")
     s = cfg.sampler
     kind, intervals = s.get("kind"), s.get("intervals", ())
     width = {"monte_carlo": 2, "tensor_grid": 3}.get(kind)
@@ -282,6 +289,13 @@ def _check_config(cfg):
             and rank > 2:
         raise ConfigError(f"initial condition 'rotating_body_shapes' has "
                           f"rank 2; rank {rank} cannot be honoured")
+    # two centered, weighted-orthonormal stochastic modes span, with the
+    # constants, three dimensions of the sample space
+    if cfg.initial == "rotating_body_shapes" and width is not None \
+            and cfg.n_samples < 3:
+        raise ConfigError(f"initial condition 'rotating_body_shapes' needs "
+                          f"at least 3 samples for its two stochastic "
+                          f"modes (got {cfg.n_samples})")
     if not all(0.0 <= t <= cfg.T for t in cfg.dump_times):
         raise ConfigError(f"dump times must lie in [0, T] = [0, {cfg.T:g}] "
                           f"(got {cfg.dump_times!r})")
@@ -306,10 +320,8 @@ def build_problem(cfg):
     analysis = analyze_reaction(model, mesh, space)
     if cfg.stabilization == "none":
         delta = np.zeros(mesh.n_triangles)
-    elif cfg.stabilization == "supg":
-        delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
     else:
-        raise ConfigError(f"unknown stabilization {cfg.stabilization!r}")
+        delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
     scheme_cfg = SchemeConfig(
         dt=cfg.dt, delta=delta, bc=dict(cfg.bc),
         compute_tangent_residual=cfg.tangent_residual)

@@ -62,11 +62,9 @@ def _check_len(Z, space):
 def expectation(Z, space):
     """Weighted mean sum_i m_i Z_i.  Z may have trailing axes."""
     Z = _check_len(Z, space)
+    if Z.ndim <= 2:
+        return space.weights @ Z
     return np.tensordot(space.weights, Z, axes=(0, 0))
-
-
-def _gram(Y, space):
-    return (Y * space.weights[:, None]).T @ Y
 
 
 def project_complement(z, Y, space):
@@ -80,15 +78,15 @@ def project_complement(z, Y, space):
     Y = np.asarray(Y, dtype=float)
     if Y.size:
         Y = _check_len(Y, space)
-        g = _gram(Y, space)
-        if np.max(np.abs(g - np.eye(Y.shape[1]))) > ORTHO_TOL:
+        Yw = Y * space.weights[:, None]
+        if np.max(np.abs(Yw.T @ Y - np.eye(Y.shape[1]))) > ORTHO_TOL:
             raise ConfigError("basis is not orthonormal in the weighted product")
         means = expectation(Y, space)
         if np.max(np.abs(means)) > ORTHO_TOL:
             raise ConfigError("basis is not zero-mean")
     zf = z - expectation(z, space)
     if Y.size:
-        zf = zf - Y @ ((Y * space.weights[:, None]).T @ zf)
+        zf = zf - Y @ (Yw.T @ zf)
     return zf
 
 

@@ -182,8 +182,13 @@ def _tiny_rotating_body_config(tmp_path, section, key, value):
     ("run", "rank", "-1", "rank must be a non-negative integer"),
     ("run", "rank", "500", "rank 500 cannot be honoured"),
     ("run", "rank", "3", "rank 3 cannot be honoured"),
+    ("sampling", "count", "2", "needs at least 3 samples for its two "
+     "stochastic modes (got 2)"),
+    ("run", "stabilization", "gls", "unknown stabilization 'gls'"),
+    ("run", "delta_policy", "abc", "unknown delta_policy 'abc'"),
 ], ids=["reversed_interval", "too_few_intervals", "negative_seed",
-        "nan_boundary", "negative_rank", "rank_500", "rank_3"])
+        "nan_boundary", "negative_rank", "rank_500", "rank_3",
+        "two_samples", "unknown_stabilization", "unknown_delta_policy"])
 def test_solve_refuses_bad_input_as_config_error(tmp_path, capsys, section,
                                                  key, value, message):
     import json
@@ -196,6 +201,36 @@ def test_solve_refuses_bad_input_as_config_error(tmp_path, capsys, section,
     assert manifest["status"] == "config_error"
     assert message in manifest["error"]
     assert not (tmp_path / "out" / "norms.csv").exists()
+
+
+def test_solve_checks_delta_policy_without_stabilization(tmp_path,
+                                                        capsys):
+    import configparser
+
+    path = _tiny_rotating_body_config(tmp_path, "run", "stabilization",
+                                      "none")
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp["run"]["delta_policy"] = "abc"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "delta_policy 'abc'" in err
+    assert not (tmp_path / "out" / "norms.csv").exists()
+
+
+def test_solve_refuses_the_desk_rotating_body_on_two_samples(tmp_path,
+                                                            capsys):
+    from supgdlr.runner import preset_rotating_body, write_config
+
+    cfg = preset_rotating_body("desk")
+    cfg.sampler["count"] = 2
+    cfg.out_dir = str(tmp_path / "out")
+    path = tmp_path / "config.ini"
+    write_config(cfg, path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "(got 2)" in capsys.readouterr().err
 
 
 def test_write_config_refuses_a_bound_that_is_not_a_pair(tmp_path):

@@ -302,3 +302,70 @@ def test_equal_fluctuation_modes_raise_near_singular():
     with pytest.raises(NearSingularError) as err:
         step_stochastic_modes(state, U_tilde, ws, caches)
     assert err.value.condition > WCOND_THRESHOLD
+
+
+def _tiny_rotating_body():
+    cfg = preset_rotating_body("desk")
+    cfg.n_per_side = 8
+    cfg.sampler["count"] = 20
+    return cfg
+
+
+@pytest.mark.parametrize("preset, per_step", [
+    (lambda: preset_boundary_layer("desk"), 7),
+    (_tiny_rotating_body, 4),
+], ids=["boundary_layer_desk", "small_rotating_body"])
+def test_sparse_products_per_step(monkeypatch, preset, per_step):
+    # the stiffness product of a state's report serves the step from it:
+    # skewed mass, the advection term, and mass, supg_conv and the two
+    # streamline forms of the report on the boundary layer; skewed mass,
+    # mass and supg_conv plus the new state's stiffness on the rotating
+    # body
+    import scipy.sparse as sp
+    from supgdlr import integrator
+
+    cfg = preset()
+    ws, state = build_problem(cfg)[5:]
+    counts, in_step = [], [False]
+    matmul, inner_step = sp.csr_matrix.__matmul__, integrator.step
+
+    def counting_matmul(matrix, other):
+        if in_step[0] and isinstance(other, np.ndarray):
+            counts[-1] += 1
+        return matmul(matrix, other)
+
+    def counted_step(state, ws):
+        counts.append(0)
+        in_step[0] = True
+        try:
+            return inner_step(state, ws)
+        finally:
+            in_step[0] = False
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(integrator, "step", counted_step)
+    run(state, ws, state.t + 3 * cfg.dt)
+    assert counts == [per_step] * 3
+
+
+@pytest.mark.parametrize("preset", [preset_rotating_body,
+                                    preset_boundary_layer])
+def test_a_carried_product_cannot_go_stale(preset):
+    from supgdlr import DlrState
+
+    ws, state = build_problem(preset("desk"))[5:]
+    state, _ = step(state, ws)        # carries its report's product
+    fresh = DlrState(state.U0.copy(), state.U.copy(), state.Y.copy(),
+                     state.t)
+    carried_new, carried_report = step(state, ws)
+    fresh_new, fresh_report = step(fresh, ws)
+    for a, b in [(carried_new.U_full, fresh_new.U_full),
+                 (carried_new.Y_full, fresh_new.Y_full)]:
+        assert np.array_equal(a, b)
+    assert carried_new.t == fresh_new.t
+    assert carried_report == fresh_report
+
+    kept = state.product(ws.blocks.stiffness)
+    for array in (state.U_full, state.U0, state.Y_full, kept):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
