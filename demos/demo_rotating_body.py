@@ -81,7 +81,7 @@ def main():
               f"worst mean defect "
               f"{max(r.defect_mean for r in reports):.2e}")
 
-    pec = local_peclet(ws.model, ws.mesh, ws.analysis)
+    pec = local_peclet(ws.mesh, ws.analysis)
     print(f"\nlocal Peclet: max {pec:.3e}, "
           f"advection dominated: {pec > 1.0}")
 

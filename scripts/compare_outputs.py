@@ -18,6 +18,11 @@ OUT_DIR receives:
 - rotating_body_desk/, boundary_layer_desk/ and rotating_body_paper_100/:
   norms.csv, md.csv (tracked samples 0-2) and run.json of one
   run_from_config each; the paper rotating body is cut to 100 steps
+- reaction_forcing_desk/: norms.csv, md.csv (tracked sample 0), run.json
+  and ledger.csv of a constant_adr run with reaction and forcing under
+  the semi_implicit delta policy, with the im_stab:i and si_stab:i
+  bounds: the reaction and forcing terms, the mu-weighted mass, the
+  inverse constant and the ledger
 - fom_boundary_layer.txt: the full-order L2 norm of every step of the
   desk boundary layer, one repr per line
 - check_<suite>.txt: what `supgdlr check --suite <suite>` prints, and its
@@ -45,12 +50,29 @@ TRACKED = (0, 1, 2)
 SUITES = ("oracle", "coercivity", "bounds")
 
 
+def reaction_forcing_desk():
+    return runner.RunConfig(
+        name="reaction_forcing", n_per_side=12, dt=0.01, T=0.5,
+        delta_policy="semi_implicit", model="constant_adr",
+        model_params={"eps_value": 0.05, "b": (1.0, 1.0), "c": 2.0,
+                      "f": 1.0},
+        sampler={"kind": "monte_carlo", "count": 8, "seed": 2,
+                 "intervals": [(-1.0, 1.0)]},
+        bounds=(("im_stab", "i"), ("si_stab", "i")),
+        track_md_samples=(0,))
+
+
 def lowrank_configs():
+    """{name: config} of the low-rank runs, with their tracked samples."""
     paper = runner.preset_rotating_body("paper")
     paper.T = PAPER_STEPS * paper.dt
-    return {"rotating_body_desk": runner.preset_rotating_body("desk"),
-            "boundary_layer_desk": runner.preset_boundary_layer("desk"),
-            "rotating_body_paper_100": paper}
+    configs = {"rotating_body_desk": runner.preset_rotating_body("desk"),
+               "boundary_layer_desk": runner.preset_boundary_layer("desk"),
+               "rotating_body_paper_100": paper}
+    for cfg in configs.values():
+        cfg.track_md_samples = TRACKED
+    configs["reaction_forcing_desk"] = reaction_forcing_desk()
+    return configs
 
 
 def write_fom_norms(path):
@@ -77,7 +99,6 @@ def main(argv=None):
     failed = []
     for name, cfg in lowrank_configs().items():
         cfg.out_dir = name
-        cfg.track_md_samples = TRACKED
         status, _ = runner.run_from_config(cfg)
         if status:
             failed.append(f"{name} (status {status})")

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .mesh import (
     Mesh, QUAD_POINTS, QUAD_WEIGHTS, FemBlocks, build_structured_mesh,
-    assemble_blocks, assemble_galerkin, assemble_load,
+    assemble_blocks, assemble_load,
     assemble_skewed, assemble_streamline, directional_gradients,
     DirichletCondition, tag_boundary_layer,
 )

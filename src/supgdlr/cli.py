@@ -61,10 +61,9 @@ def _cmd_preset(args):
 def _suite_coercivity():
     mesh = build_structured_mesh(16)
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 50, seed=0)
-    model = rotating_body()
-    analysis = analyze_reaction(model, mesh, space)
+    analysis = analyze_reaction(rotating_body(), mesh, space)
     delta = runner.resolve_delta("coercivity", mesh, analysis, dt=None)
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
+    blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean, delta)
     report = check_coercivity(analysis, blocks, space, trials=100, seed=1)
     print(f"coercivity: worst margin {report.worst_margin:.3e}, "
           f"{report.violations}/{report.trials} violations")

@@ -97,13 +97,13 @@ class ReactionAnalysis:
     sup-norms come from one scan over the quadrature points of mesh,
     which is all the discrete problem ever sees.  eps holds the
     diffusion at every sample, eps_bar its weighted mean and eps_star
-    the fluctuation eps - eps_bar, with eps_hat <= eps <= C_E eps_hat;
-    modes holds (theta_k at every sample, beta_k) per advection mode.
-    The stability theorems assume that some of these do not vary with
-    the sample.
+    the fluctuation eps - eps_bar, with eps_hat <= eps <= C_E eps_hat.
+    The fields at the quadrature points: b_mean (ne, nq, 2), c_mean
+    (ne, nq) or None without reaction, and modes, (theta_k at every
+    sample, beta_k at the points) per advection mode.  The stability
+    theorems assume that some of these do not vary with the sample.
     """
 
-    mu_tilde: callable
     nu: float
     mu: callable
     mu0: float
@@ -114,6 +114,8 @@ class ReactionAnalysis:
     eps_star_sup: float
     eps_hat: float
     C_E: float
+    b_mean: np.ndarray
+    c_mean: np.ndarray
     modes: list
 
     @property
@@ -128,7 +130,7 @@ def analyze_reaction(model, mesh, space):
     Refuses (ConfigError) diffusion that is not one finite positive value
     per sample, mode weights that are not one finite value per sample, an
     advection fluctuation with nonzero weighted mean at a quadrature
-    point, and non-finite mode or reaction values there.
+    point, and non-finite advection or reaction values there.
     """
     eps = np.asarray(model.eps(space.samples), dtype=float)
     if eps.shape != (space.count,):
@@ -141,45 +143,43 @@ def analyze_reaction(model, mesh, space):
 
     xq = mesh.quad_points
     flat = xq.reshape(-1, 2)
+
+    def at_points(v, shape=xq.shape):
+        return np.asarray(v(flat), dtype=float).reshape(shape)
+
+    b_mean = at_points(model.b_mean)
     modes = []
     for theta, beta in model.b_modes:
         vals = np.asarray(theta(space.samples), dtype=float)
         if vals.shape != (space.count,) or not np.all(np.isfinite(vals)):
             raise ConfigError("an advection mode weight must give one "
                               "finite value per sample")
-        modes.append((vals, beta))
-    if modes:
-        betas = [np.asarray(beta(flat), dtype=float) for _, beta in modes]
-        if not all(np.all(np.isfinite(b)) for b in betas):
-            raise ConfigError("advection field evaluated to non-finite "
-                              "values")
-        # the fluctuation sum_k E[theta_k] beta_k must vanish
-        acc = sum(float(np.dot(space.weights, theta)) * b
-                  for (theta, _), b in zip(modes, betas))
-        if np.max(np.abs(acc)) > 1e-10:
-            raise ConfigError("advection fluctuation is not zero-mean")
+        modes.append((vals, at_points(beta)))
+    if not all(np.all(np.isfinite(b)) for b in
+               (b_mean, *(b for _, b in modes))):
+        raise ConfigError("advection field evaluated to non-finite values")
+    # the fluctuation sum_k E[theta_k] beta_k must vanish
+    acc = sum(float(np.dot(space.weights, theta)) * b for theta, b in modes)
+    if modes and np.max(np.abs(acc)) > 1e-10:
+        raise ConfigError("advection fluctuation is not zero-mean")
 
-    def c_at(x):
-        c = np.zeros(len(x))
-        if model.c_mean is not None:
-            c = c + np.asarray(model.c_mean(x), dtype=float)
-        return c
-
-    def mu_tilde(x):
-        c = c_at(x)
-        return c - 0.5 * np.abs(c)
-
-    cq = c_at(flat)
+    c_mean = None if model.c_mean is None \
+        else at_points(model.c_mean, xq.shape[:2])
+    # c = 0 + c_mean, as mu forms it: a -0.0 reaction reads +0.0
+    cq = np.zeros(xq.shape[:2]) if c_mean is None else 0.0 + c_mean
     mt = cq - 0.5 * np.abs(cq)
     if not np.all(np.isfinite(mt)):
         raise ConfigError("reaction analysis hit non-finite values")
     mt_min = float(mt.min())
-    c_sup_K = np.abs(cq).reshape(xq.shape[:2]).max(axis=1)
+    c_sup_K = np.abs(cq).max(axis=1)
 
     nu = max(-min(mt_min, 0.0), 0.0)
 
     def mu(x):
-        return mu_tilde(x) + nu
+        c = np.zeros(len(x))
+        if model.c_mean is not None:
+            c = c + np.asarray(model.c_mean(x), dtype=float)
+        return c - 0.5 * np.abs(c) + nu
 
     mu0 = mt_min + nu
     if mu0 < -1e-12:
@@ -187,10 +187,11 @@ def analyze_reaction(model, mesh, space):
     mu0 = max(mu0, 0.0)
 
     return ReactionAnalysis(
-        mu_tilde=mu_tilde, nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
+        nu=nu, mu=mu, mu0=mu0, c_sup_K=c_sup_K,
         eps=eps, eps_bar=eps_bar, eps_star=eps_star,
         eps_star_sup=float(np.max(np.abs(eps_star))), eps_hat=eps_hat,
-        C_E=float(eps.max() / eps_hat), modes=modes)
+        C_E=float(eps.max() / eps_hat), b_mean=b_mean, c_mean=c_mean,
+        modes=modes)
 
 
 def delta_coercivity(mesh, analysis, C_I):
@@ -226,7 +227,7 @@ def delta_experiment(mesh):
     return mesh.h_K / 4.0
 
 
-def local_peclet(model, mesh, analysis):
+def local_peclet(mesh, analysis):
     """Largest local Peclet number |b| h_K / (2 eps) over the elements,
     their quadrature points and the samples of analysis; above 1 the
     problem is advection dominated.
@@ -235,13 +236,9 @@ def local_peclet(model, mesh, analysis):
     only through its row of mode weights, so the element maxima of
     |b| h_K are taken once per distinct row (one, empty, without modes)
     and divided by 2 eps per sample, which rounds monotonically: the
-    per-sample maximum, bit for bit.  Non-finite advection raises
-    ConfigError.
+    per-sample maximum, bit for bit.
     """
-    flat = mesh.quad_points.reshape(-1, 2)
     eps, modes = analysis.eps, analysis.modes
-    b_mean = np.asarray(model.b_mean(flat), dtype=float)
-    betas = [np.asarray(beta(flat), dtype=float) for _, beta in modes]
     thetas = np.reshape([theta for theta, _ in modes],
                         (len(modes), len(eps))).T             # (N_C, K)
     rows, which = np.unique(thetas, axis=0, return_inverse=True)
@@ -249,13 +246,10 @@ def local_peclet(model, mesh, analysis):
     for j, row in enumerate(rows):
         # b_mean plus the sum b_fluct forms (0.0 without modes), squared
         # in place and summed as np.linalg.norm does; sqrt is monotone
-        b = b_mean + reduce(add, (t * beta for t, beta in zip(row, betas)),
-                            0.0)
+        b = analysis.b_mean + reduce(
+            add, (t * beta for t, (_, beta) in zip(row, modes)), 0.0)
         b *= b
-        bsq = b.sum(axis=1).reshape(mesh.quad_weights.shape)   # (ne, nq)
-        top[j] = (np.sqrt(bsq.max(axis=1)) * mesh.h_K).max()
-    if not np.all(np.isfinite(top)):
-        raise ConfigError("advection field evaluated to non-finite values")
+        top[j] = (np.sqrt(b.sum(axis=2).max(axis=1)) * mesh.h_K).max()
     return float((top[which] / (2.0 * eps)).max())
 
 

@@ -85,15 +85,15 @@ def _factor_colwise(U_full, FU):
     return (U_full.T[:, None, :] @ FU.T[:, :, None]).ravel()
 
 
-def _mu_mass(blocks, mu):
+def _mu_mass(mesh, mu):
     """(mu phi_j, phi_i) for the shifted reaction mu, or None when mu
     vanishes at every quadrature point."""
-    xq = blocks.mesh.quad_points
+    xq = mesh.quad_points
     mq = np.asarray(mu(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
     if not np.any(mq):
         return None
     phi = QUAD_POINTS[None]
-    return _form(blocks, phi, phi, weight=mq)
+    return _form(mesh, phi, phi, weight=mq)
 
 
 class NormEvaluator:
@@ -123,7 +123,7 @@ class NormEvaluator:
     def __init__(self, ws):
         self.blocks, self.space = ws.blocks, ws.space
         self.eps_hat = ws.analysis.eps_hat
-        self.mu_mass = _mu_mass(ws.blocks, ws.analysis.mu)
+        self.mu_mass = _mu_mass(ws.mesh, ws.analysis.mu)
         modes = [(np.ones(ws.space.count), ws.blocks.bg_at_qp)] \
             + ws.modes if ws.modes else []
         # (weight over samples, S_kl) for k <= l, (k, l) != (0, 0);
@@ -236,7 +236,7 @@ def check_coercivity(analysis, blocks, space, trials=500, seed=0):
     eps = analysis.eps
     w = space.weights
     interior = mesh.interior_index()
-    mu_mass = _mu_mass(blocks, analysis.mu)
+    mu_mass = _mu_mass(mesh, analysis.mu)
 
     rng = np.random.default_rng(seed)
     worst = np.inf

@@ -141,12 +141,13 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
     """Assemble and factorize everything one run of `step` needs.
 
     analysis is analyze_reaction(model, mesh, space), computed here when
-    not given; the sampled diffusion and mode weights come from it.
+    not given; every sampled coefficient comes from it.
     """
     if analysis is None:
         analysis = analyze_reaction(model, mesh, space)
     eps_star = analysis.eps_star
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, cfg.delta)
+    blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean,
+                             cfg.delta)
 
     terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
@@ -269,8 +270,7 @@ def step(state, ws):
     recombine[0, 0] = 1.0
     recombine[1:, 0] = means
     recombine[1:, 1:] = T.T
-    new_state = DlrState.from_full(U_tilde @ recombine, Y_new,
-                                   t=state.t + ws.cfg.dt)
+    new_state = DlrState(U_tilde @ recombine, Y_new, t=state.t + ws.cfg.dt)
 
     tangent = None
     if ws.cfg.compute_tangent_residual:

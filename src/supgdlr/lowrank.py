@@ -27,45 +27,20 @@ class DlrState:
     Y  : (N_C, R) stochastic modes, orthonormal and zero-mean in the
          weighted inner product
 
-    The state owns its full factors, formed once and read-only:
-    U_full = [U0 | U], (N_h, R+1), and Y_full = [1 | Y], (N_C, R+1);
-    U0, U and Y are views into them.  The factor shapes are checked,
-    never guessed: a transposed U raises ConfigError.
+    Built from U_full = [U0 | U], (N_h, R+1), which is kept, not
+    copied, and made read-only, and Y, copied into Y_full = [1 | Y],
+    (N_C, R+1), read-only too; U0, U and Y are views into them.  The
+    factor shapes are checked, never guessed: factors whose ranks
+    differ, such as a transposed U_full, raise ConfigError.
     """
 
-    def __init__(self, U0, U, Y, t=0.0):
-        U0 = np.asarray(U0, dtype=float)
-        U = np.asarray(U, dtype=float)
-        if U0.ndim != 1 or U.ndim != 2:
-            raise ConfigError("U0 must be a vector, U and Y matrices")
-        if U.shape[0] != len(U0):
-            raise ConfigError(
-                f"deterministic modes have shape {U.shape}, expected "
-                f"({len(U0)}, R)")
-        U_full = np.empty((len(U0), U.shape[1] + 1))
-        U_full[:, 0] = U0
-        U_full[:, 1:] = U
-        self._own(U_full, Y, t)
-
-    @classmethod
-    def from_full(cls, U_full, Y, t=0.0):
-        """State with the factors [U0 | U] = U_full, (N_h, R+1), and Y.
-
-        U_full is kept, not copied, and made read-only.
-        """
-        state = cls.__new__(cls)
+    def __init__(self, U_full, Y, t=0.0):
         U_full = np.asarray(U_full, dtype=float)
-        if U_full.ndim != 2 or U_full.shape[1] < 1:
-            raise ConfigError("U_full must be a matrix [U0 | U]")
-        state._own(U_full, Y, t)
-        return state
-
-    def _own(self, U_full, Y, t):
         Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2:
-            raise ConfigError("U0 must be a vector, U and Y matrices")
-        if U_full.shape[1] != Y.shape[1] + 1:
-            raise ConfigError("deterministic and stochastic ranks differ")
+        if U_full.ndim != 2 or Y.ndim != 2 \
+                or U_full.shape[1] != Y.shape[1] + 1:
+            raise ConfigError(f"[U0 | U] {U_full.shape} and Y {Y.shape} "
+                              "must be matrices of R+1 and R columns")
         # column-major: Y is contiguous, as the QR factor it comes from
         Y_full = np.empty((Y.shape[0], Y.shape[1] + 1), order="F")
         Y_full[:, 0] = 1.0
@@ -111,13 +86,18 @@ def init_from_modes(U0, U, Y, space):
     and orthonormalized, with the transfer matrix absorbed into U, so
     the represented field is unchanged.
     """
-    raw = DlrState(U0, U, Y)            # checks the factor shapes
+    U0, U = np.asarray(U0, dtype=float), np.asarray(U, dtype=float)
+    if U0.ndim != 1 or U.ndim != 2 or len(U) != len(U0):
+        raise ConfigError(f"deterministic modes have shape {U.shape}, "
+                          f"expected (N_h, R) for a mean mode {U0.shape}")
+    raw = DlrState(np.column_stack([U0, U]), Y)     # checks Y and the rank
     if raw.n_samples != space.count:
         raise ConfigError("stochastic modes sized unlike the sample space")
 
     means = expectation(raw.Y, space)
     Yo, T = weighted_orthonormalize(raw.Y - means, space)
-    return DlrState(raw.U0 + raw.U @ means, raw.U @ T.T, Yo)
+    return DlrState(np.column_stack([raw.U0 + raw.U @ means, raw.U @ T.T]),
+                    Yo)
 
 
 def init_from_snapshot(columns, which, mass, space, R=None, tol=None):
@@ -178,7 +158,7 @@ def init_from_snapshot(columns, which, mass, space, R=None, tol=None):
 
     U = Q0 @ sla.solve_triangular(C, P[:, :r] * s[:r], lower=False)
     Y = (QT[:r].T / sw[:, None])[which]
-    return DlrState(mean, U, Y)
+    return DlrState(np.column_stack([mean, U]), Y)
 
 
 def evaluate_realization(state, i):

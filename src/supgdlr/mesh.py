@@ -4,7 +4,8 @@ Provides the mesh, a symmetric triangle quadrature rule, one assembler
 for the sparse bilinear forms of the Galerkin and streamline-upwind
 terms (including the skewed and streamline blocks of advection modes),
 and Dirichlet boundary handling.  Every form of a mesh is a CSR matrix
-on the one pattern of Mesh.form_pattern.
+on the one pattern of Mesh.form_pattern; the mesh keeps two, its mass
+and stiffness.
 """
 
 import copy
@@ -23,7 +24,6 @@ __all__ = [
     "FemBlocks",
     "build_structured_mesh",
     "assemble_blocks",
-    "assemble_galerkin",
     "assemble_load",
     "assemble_skewed",
     "assemble_streamline",
@@ -181,6 +181,16 @@ class Mesh:
         return indptr, col[start], first, tuple(more)
 
     @cached_property
+    def mass(self):
+        """Mass matrix (phi_j, phi_i), assembled once."""
+        return _form(self, QUAD_POINTS[None], QUAD_POINTS[None])
+
+    @cached_property
+    def stiffness(self):
+        """Stiffness matrix (grad phi_j, grad phi_i), assembled once."""
+        return _form(self, self.grads[:, None], self.grads[:, None])
+
+    @cached_property
     def inverse_constant(self):
         """Inverse-inequality constant C_I, grad-norm <= (C_I/h) L2-norm
         on the P1 functions that vanish on the boundary; computed once.
@@ -195,9 +205,8 @@ class Mesh:
         if len(interior) < 2:
             raise ConfigError("the inverse constant needs at least two "
                               "interior vertices: n_per_side >= 3")
-        blocks = assemble_galerkin(self)
-        A = blocks.stiffness[np.ix_(interior, interior)].tocsc()
-        M = blocks.mass[np.ix_(interior, interior)].tocsc()
+        A = self.stiffness[np.ix_(interior, interior)].tocsc()
+        M = self.mass[np.ix_(interior, interior)].tocsc()
         v0 = np.random.default_rng(0).standard_normal(len(interior))
         try:
             lam = spla.eigsh(A, k=1, M=M, which="LA", v0=v0,
@@ -277,31 +286,31 @@ class FemBlocks:
     skewed_mass  (phi_j, phi_i + delta_K b . grad phi_i)
     transport    (b . grad phi_j + cbar phi_j, phi_i + delta_K b . grad phi_i)
 
-    Each is one _form; the test index is always i (rows).  bg_at_qp
-    holds b . grad phi_a at the quadrature points, shape (ne, nq, 3).
-    assemble_galerkin leaves delta and bg_at_qp None and sets only mass
-    and stiffness.  load_test keeps the weighted streamline test
-    functions of assemble_load, read-only, once it has run.
+    Each is one _form; the test index is always i (rows).  mass and
+    stiffness are the mesh's own.  bg_at_qp holds b . grad phi_a at the
+    quadrature points, shape (ne, nq, 3).  load_test keeps the weighted
+    streamline test functions of assemble_load, read-only, once it has
+    run.
     """
 
-    def __init__(self, mesh, delta, bg_at_qp):
-        self.mesh = mesh
-        self.delta = delta
-        self.bg_at_qp = bg_at_qp        # (ne, nq, 3), stabilizing field
-        self.load_test = None
+    def __init__(self, mesh, delta, bg_at_qp, supg_conv, skewed_mass,
+                 transport):
+        self.mesh, self.delta, self.bg_at_qp = mesh, delta, bg_at_qp
+        self.mass, self.stiffness = mesh.mass, mesh.stiffness
+        self.supg_conv, self.skewed_mass = supg_conv, skewed_mass
+        self.transport, self.load_test = transport, None
 
 
-def _form(blocks, test, trial, weight=None):
+def _form(mesh, test, trial, weight=None):
     """sum_K (weight trial_j, test_i)_K as a global CSR matrix.
 
     test and trial hold the basis functions at the quadrature points of
-    blocks, broadcastable to (ne, nq, 3), or to (ne, nq, 3, 2) for vector
+    mesh, broadcastable to (ne, nq, 3), or to (ne, nq, 3, 2) for vector
     values, whose components the product contracts; weight is None or
     broadcastable to (ne, nq).  The matrix shares the indptr and
     indices of mesh.form_pattern, and equals scipy's COO-to-CSR
     conversion of the element matrices bit for bit.
     """
-    mesh = blocks.mesh
     pw = mesh.weights
     if weight is not None:
         pw = np.ascontiguousarray(pw * weight.T)
@@ -320,11 +329,13 @@ def _form(blocks, test, trial, weight=None):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def assemble_blocks(mesh, b, c_bar, delta):
-    """Assemble all deterministic blocks for stabilizing field b.
+def assemble_blocks(mesh, bq, cq, delta):
+    """Assemble all deterministic blocks for the stabilizing field b.
 
-    b : callable (n,2)->(n,2); c_bar : callable (n,2)->(n,) or None;
-    delta : per-element array, one finite entry >= 0 per triangle.
+    bq : b at the quadrature points, (ne, nq, 2); cq : the reaction
+    cbar there, (ne, nq), or None; delta : per-element array, one
+    finite entry >= 0 per triangle.  analyze_reaction samples both
+    fields (ReactionAnalysis.b_mean and c_mean).
 
     For P1 elements the -eps*Laplacian part of the element residual
     vanishes identically, so no Laplacian block exists.
@@ -339,69 +350,45 @@ def assemble_blocks(mesh, b, c_bar, delta):
     if np.any(delta < 0):
         raise ConfigError("delta entries must be >= 0")
 
-    xq = mesh.quad_points                              # (ne, nq, 2)
     phi = QUAD_POINTS[None]                            # (1, nq, 3)
-    bg = directional_gradients(mesh, b)
-    transported = bg                   # b . grad phi_j + cbar phi_j
-    if c_bar is not None:
-        cq = c_bar(xq.reshape(-1, 2)).reshape(xq.shape[:2])
-        if not np.all(np.isfinite(cq)):
-            raise ConfigError("reaction field evaluated to non-finite values")
-        transported = bg + cq[..., None] * phi
-
-    blocks = assemble_galerkin(mesh)
-    blocks.delta, blocks.bg_at_qp = delta, bg
-    test = _skewed_test(blocks)
-    blocks.supg_conv = assemble_streamline(blocks, bg, bg)
-    blocks.skewed_mass = _form(blocks, test, phi)
-    blocks.transport = _form(blocks, test, transported)
-    return blocks
+    bg = directional_gradients(mesh, bq)
+    # b . grad phi_j + cbar phi_j
+    transported = bg if cq is None else bg + cq[..., None] * phi
+    test = _skewed_test(delta, bg)
+    return FemBlocks(mesh, delta, bg,
+                     supg_conv=_form(mesh, bg, bg, delta[:, None]),
+                     skewed_mass=_form(mesh, test, phi),
+                     transport=_form(mesh, test, transported))
 
 
-def assemble_galerkin(mesh):
-    """FemBlocks with only mass and stiffness, the forms that depend on
-    neither the advection nor delta."""
-    blocks = FemBlocks(mesh, None, None)
-    phi = QUAD_POINTS[None]                            # (1, nq, 3)
-    grads = mesh.grads[:, None]                        # (ne, 1, 3, 2)
-    blocks.mass = _form(blocks, phi, phi)
-    blocks.stiffness = _form(blocks, grads, grads)
-    return blocks
-
-
-def directional_gradients(mesh, v):
-    """v . grad phi_a at the quadrature points of mesh, (ne, nq, 3).
-
-    v is a callable (n,2) -> (n,2), such as an advection mode.
-    """
-    xq = mesh.quad_points
-    vq = np.asarray(v(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
-    if not np.all(np.isfinite(vq)):
-        raise ConfigError("advection field evaluated to non-finite values")
+def directional_gradients(mesh, vq):
+    """v . grad phi_a at the quadrature points of mesh, (ne, nq, 3), for
+    the values vq of a field v there, (ne, nq, 2)."""
     # einsum("eqi,eai->eqa", vq, grads) term by term from +0.0, the same
     # sum in the same order (signed zeros included), summed element-last;
     # the (ne, nq, 3) result is a view of that (nq, 3, ne) array
     vq = np.ascontiguousarray(vq.T)                    # (2, nq, ne)
-    out = np.zeros((xq.shape[1], 3, len(xq)))
+    out = np.zeros((vq.shape[1], 3, mesh.n_triangles))
     for i in range(2):
         out += vq[i, :, None] * mesh.dphi[i]
     return out.transpose(2, 0, 1)
 
 
-def _skewed_test(blocks):
+def _skewed_test(delta, bg):
     """Streamline test functions phi_a + delta_K b . grad phi_a at the
-    quadrature points, shape (ne, nq, 3)."""
-    return QUAD_POINTS[None] + blocks.delta[:, None, None] * blocks.bg_at_qp
+    quadrature points, shape (ne, nq, 3), for bg = b . grad phi_a."""
+    return QUAD_POINTS[None] + delta[:, None, None] * bg
 
 
 def assemble_skewed(blocks, vg):
     """(v . grad phi_j, phi_i + delta_K b . grad phi_i) for a field v.
 
-    vg is directional_gradients(blocks.mesh, v) and b the stabilizing field
-    of blocks; with vg = blocks.bg_at_qp and no reaction this is
-    blocks.transport.
+    vg is directional_gradients(blocks.mesh, v at the points) and b the
+    stabilizing field of blocks; with vg = blocks.bg_at_qp and no
+    reaction this is blocks.transport.
     """
-    return _form(blocks, _skewed_test(blocks), vg)
+    return _form(blocks.mesh, _skewed_test(blocks.delta, blocks.bg_at_qp),
+                 vg)
 
 
 def assemble_streamline(blocks, vg_test, vg_trial):
@@ -410,7 +397,7 @@ def assemble_streamline(blocks, vg_test, vg_trial):
     The arguments are the fields' directional_gradients; with both
     blocks.bg_at_qp this is supg_conv.
     """
-    return _form(blocks, vg_test, vg_trial, blocks.delta[:, None])
+    return _form(blocks.mesh, vg_test, vg_trial, blocks.delta[:, None])
 
 
 def assemble_load(blocks, values_at_qp):
@@ -434,7 +421,8 @@ def assemble_load(blocks, values_at_qp):
     weighted = blocks.load_test
     if weighted is None:
         weighted = np.ascontiguousarray(
-            mesh.quad_weights[..., None] * _skewed_test(blocks))
+            mesh.quad_weights[..., None]
+            * _skewed_test(blocks.delta, blocks.bg_at_qp))
         weighted.flags.writeable = False                # (ne, nq, 3)
         blocks.load_test = weighted
     contrib = np.matmul(weighted.transpose(0, 2, 1), vals)   # (ne, 3, k)

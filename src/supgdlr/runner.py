@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__ as _version
-from .errors import ConfigError, SupgDlrError
+from .errors import ConfigError, RankLossError, SupgDlrError
 from .mesh import build_structured_mesh, tag_boundary_layer
 from .sampling import make_monte_carlo, make_tensor_grid
 from .coefficients import (
@@ -178,11 +178,17 @@ def _boundary_layer_snapshot(mesh, space, mass, rank, tol):
 
 def build_initial(cfg, mesh, space, mass):
     if cfg.initial == "zero":
-        return DlrState(np.zeros(mesh.n_vertices),
-                        np.zeros((mesh.n_vertices, 0)),
+        return DlrState(np.zeros((mesh.n_vertices, 1)),
                         np.zeros((space.count, 0)))
     if cfg.initial == "rotating_body_shapes":
-        return _rotating_shapes(mesh, space)
+        # e.g. on a tensor grid with one point on an axis the modes read
+        try:
+            return _rotating_shapes(mesh, space)
+        except RankLossError as err:
+            grid = _listed_intervals(cfg.sampler["intervals"])
+            raise ConfigError(f"initial condition {cfg.initial!r} loses "
+                              f"rank on the {cfg.sampler['kind']} sample "
+                              f"set {grid}: {err}") from err
     if cfg.initial == "boundary_layer_snapshot":
         return _boundary_layer_snapshot(mesh, space, mass, cfg.rank,
                                         cfg.snapshot_tol)
@@ -366,7 +372,7 @@ def run_from_config(cfg):
     try:
         # a misspelt bound is refused before the run, not after it
         check_bound_names(cfg.bounds)
-        mesh, space, model, analysis, _, ws, state = build_problem(cfg)
+        mesh, space, _, analysis, _, ws, state = build_problem(cfg)
         # the snapshot may hold fewer modes than the requested rank
         manifest["initial_rank"] = state.rank
 
@@ -413,7 +419,7 @@ def run_from_config(cfg):
 
         manifest["n_steps"] = len(reports) - 1
         manifest["final_l2"] = reports[-1].l2
-        manifest["peclet_flag"] = local_peclet(model, mesh, analysis) > 1.0
+        manifest["peclet_flag"] = local_peclet(mesh, analysis) > 1.0
     except ConfigError as err:
         status, manifest["status"] = 1, "config_error"
         manifest["error"] = str(err)
@@ -443,6 +449,11 @@ def _listed(parse, fmt):
     """(parse, format) of a comma-separated list, read as a tuple."""
     return (lambda s: tuple(map(parse, filter(str.strip, s.split(",")))),
             lambda values: ",".join(map(fmt, values)))
+
+
+def _listed_intervals(intervals):
+    """[sampling] intervals as the config file writes them."""
+    return ";".join(",".join(map(_g, iv)) for iv in intervals)
 
 
 def _boolean(text):
@@ -496,7 +507,7 @@ def write_config(cfg, path):
     s = cfg.sampler
     cp["sampling"] = {"kind": s["kind"], **{
         k: str(s[k]) for k in SAMPLER_KEYS.get(s["kind"], ())},
-        "intervals": ";".join(",".join(map(_g, iv)) for iv in s["intervals"])}
+        "intervals": _listed_intervals(s["intervals"])}
     cp["boundary"] = {tag: _g(v) for tag, v in cfg.bc.items()}
     with open(path, "w") as fh:
         cp.write(fh)

@@ -28,3 +28,11 @@ def sample_advection(model, x, omega):
     per-sample reference of the mode-weight-row computations."""
     b = np.asarray(model.b_mean(x), dtype=float)
     return b + model.b_fluct(x, omega) if model.b_modes else b
+
+
+def at_points(mesh, field):
+    """A field callable's values at the quadrature points of mesh: (ne,
+    nq, 2) for a vector field, (ne, nq) for a scalar one."""
+    xq = mesh.quad_points
+    vals = np.asarray(field(xq.reshape(-1, 2)), dtype=float)
+    return vals.reshape(xq.shape[:2] + vals.shape[1:])

@@ -107,7 +107,7 @@ def test_criterion_4_coercivity():
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("coercivity", mesh, analysis, cfg.dt)
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
+    blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean, delta)
     report = check_coercivity(analysis, blocks, space, trials=500, seed=24)
     elapsed = time.time() - t0
     ok = report.ok and elapsed < 30.0
@@ -246,7 +246,7 @@ def test_criterion_8_stabilization_effect():
     space = make_monte_carlo(cfg.sampler["intervals"],
                              cfg.sampler["count"], cfg.sampler["seed"])
     model = rotating_body()
-    pec = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
+    pec = local_peclet(mesh, analyze_reaction(model, mesh, space))
     elapsed = time.time() - t0
     ok = (wins / len(tracked) >= 0.9 and total_supg < total_none
           and pec > 1.0 and elapsed < 180.0)

@@ -266,3 +266,39 @@ def test_solve_refuses_a_negative_boundary_layer_rank(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "run.json").read_text())
     assert manifest["status"] == "config_error"
     assert manifest["config"]["rank"] == -1
+
+
+@pytest.mark.parametrize("middle, last, status", [
+    ((-1.0, 1.0, 1), (-1.0, 1.0, 3), 1),
+    ((-1.0, 1.0, 3), (-1.0, 1.0, 1), 1),
+    ((0.5, 0.5, 1), (-1.0, 1.0, 3), 0),
+], ids=["y2_one_point", "y3_one_point", "y2_constant_rank_2"])
+def test_solve_refuses_rotating_body_modes_that_lose_rank(
+        tmp_path, capsys, middle, last, status):
+    # one point on an axis the modes read leaves fewer than two centered
+    # stochastic modes: a configuration error, not a numerical failure
+    import json
+
+    from supgdlr.runner import preset_rotating_body, write_config
+
+    cfg = preset_rotating_body("desk")
+    cfg.n_per_side = 8
+    cfg.sampler = {"kind": "tensor_grid",
+                   "intervals": [(-1.0, 1.0, 3), middle, last]}
+    cfg.out_dir = str(tmp_path / "out")
+    path = tmp_path / "config.ini"
+    write_config(cfg, path)
+    assert main(["solve", "--config", str(path)]) == status
+    manifest = json.loads((tmp_path / "out" / "run.json").read_text())
+    if status:
+        err = capsys.readouterr().err
+        grid = ";".join(",".join(f"{v:g}" for v in iv)
+                        for iv in cfg.sampler["intervals"])
+        assert "configuration error: initial condition " \
+            f"'rotating_body_shapes' loses rank on the tensor_grid " \
+            f"sample set {grid}: rank deficiency at column" in err
+        assert manifest["status"] == "config_error"
+        assert manifest["failing_step"] is None
+    else:
+        assert manifest["status"] == "ok"
+        assert manifest["initial_rank"] == 2

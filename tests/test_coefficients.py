@@ -12,7 +12,7 @@ from supgdlr import (
     local_peclet, make_monte_carlo, make_tensor_grid, rotating_body,
 )
 
-from conftest import sample_advection
+from conftest import at_points, sample_advection
 
 
 def mc3(n=20, seed=0):
@@ -94,7 +94,7 @@ def test_reaction_analysis_no_reaction():
 
 def test_inverse_inequality_holds():
     mesh = build_structured_mesh(8)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     C_I = mesh.inverse_constant
     interior = mesh.interior_index()
@@ -160,11 +160,11 @@ def test_local_peclet_regimes():
     mesh = build_structured_mesh(8)
     space = mc3(10)
     model = rotating_body()
-    hot = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
+    hot = local_peclet(mesh, analyze_reaction(model, mesh, space))
     assert hot > 1.0
     model = constant_adr(eps_value=10.0, b=(1.0, 0.0))
     space = make_monte_carlo([(-1.0, 1.0)], 4, seed=0)
-    cold = local_peclet(model, mesh, analyze_reaction(model, mesh, space))
+    cold = local_peclet(mesh, analyze_reaction(model, mesh, space))
     assert not cold > 1.0
 
 
@@ -208,7 +208,7 @@ def test_local_peclet_is_the_largest_per_sample_value(case):
     pe = _peclet_by_sample(model, mesh, space)
     # neither the first nor the last sample holds the maximum
     assert 0 < pe.max(axis=0).argmax() < space.count - 1
-    assert local_peclet(model, mesh, analyze_reaction(model, mesh, space)) \
+    assert local_peclet(mesh, analyze_reaction(model, mesh, space)) \
         == pe.max()
 
 
@@ -225,7 +225,7 @@ def test_local_peclet_refuses_non_finite_advection(b_mean, beta):
             lambda x: np.full((len(x), 2), beta)),))
     # a non-finite mode is refused where the modes are sampled
     with pytest.raises(ConfigError, match="non-finite"):
-        local_peclet(model, mesh, analyze_reaction(model, mesh, space))
+        local_peclet(mesh, analyze_reaction(model, mesh, space))
 
 
 def test_moderate_stochasticity_gate():
@@ -286,10 +286,11 @@ def test_boundary_layer_mean_advection():
     for w, omega in zip(space.weights, space.samples):
         acc += w * sample_advection(model, x, omega)
     assert np.max(np.abs(acc - 1.0)) <= 1e-12
-    a = analyze_reaction(model, build_structured_mesh(4), space)
+    mesh = build_structured_mesh(4)
+    a = analyze_reaction(model, mesh, space)
     assert np.all((a.eps >= 1.0 / 6000.0) & (a.eps <= 1.0 / 5000.0))
     (theta, beta), = a.modes
-    assert beta is model.b_modes[0][1]
+    assert np.array_equal(beta, at_points(mesh, model.b_modes[0][1]))
     assert np.array_equal(theta, model.b_modes[0][0](space.samples))
 
 

@@ -57,8 +57,8 @@ def error_at_T(n, supg):
     delta = delta_experiment(mesh) if supg else np.zeros(mesh.n_triangles)
     ws = prepare_workspace(model, mesh, space,
                            SchemeConfig(dt=DT, delta=delta))
-    initial = DlrState(exact(0.0, mesh.vertices),
-                       np.zeros((mesh.n_vertices, 0)), np.zeros((1, 0)))
+    initial = DlrState(exact(0.0, mesh.vertices)[:, None],
+                       np.zeros((1, 0)))
     final, _ = run(initial, ws, T)
     assert final.t == pytest.approx(T)
     e = final.U0 - exact(final.t, mesh.vertices)

@@ -54,6 +54,8 @@ def test_compare_outputs_writes_every_output(tmp_path):
     suites = ("oracle", "coercivity", "bounds")
     want = {f"{run}/{name}" for run in runs
             for name in ("norms.csv", "md.csv", "run.json")}
+    want |= {f"reaction_forcing_desk/{name}" for name in
+             ("norms.csv", "md.csv", "run.json", "ledger.csv")}
     want |= {"fom_boundary_layer.txt"} | {f"check_{s}.txt" for s in suites}
     got = {p.relative_to(tmp_path).as_posix()
            for p in tmp_path.rglob("*") if p.is_file()}
@@ -68,6 +70,11 @@ def test_compare_outputs_writes_every_output(tmp_path):
         == {"0", "1", "2"}
     assert len((tmp_path / "fom_boundary_layer.txt").read_text()
                .splitlines()) == 51
+    # both stability ledgers of the reaction-forcing run apply and pass
+    ledger = (tmp_path / "reaction_forcing_desk" / "ledger.csv").read_text()
+    assert [row.split(",")[:3] + row.split(",")[-1:]
+            for row in ledger.splitlines()[1:]] \
+        == [["im_stab", "i", "True", "True"], ["si_stab", "i", "True", "True"]]
 
 
 def diff_outputs(parent, change):

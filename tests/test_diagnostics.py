@@ -47,7 +47,7 @@ def make_ws(mesh, space, model, stabilization="supg", dt=1e-3,
 def test_l2_norm_matches_dense():
     mesh = build_structured_mesh(5)
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 15, seed=0)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     state = random_state(mesh, space, rank=3, seed=1)
     ws = make_ws(mesh, space, rotating_body())
@@ -133,7 +133,7 @@ def test_coercivity_check_passes_with_compliant_delta():
     model = rotating_body()
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("coercivity", mesh, analysis, None)
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, delta)
+    blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean, delta)
     report = check_coercivity(analysis, blocks, space, trials=50, seed=7)
     assert report.ok
     assert report.worst_margin > -1e-10
@@ -146,7 +146,7 @@ def test_coercivity_check_mu_path_matches_elementwise_oracle():
     analysis = analyze_reaction(model, mesh, space)
     assert analysis.mu0 > 0          # the mu-weighted mass takes part
     dk = resolve_delta("coercivity", mesh, analysis, None)
-    blocks = assemble_blocks(mesh, model.b_mean, model.c_mean, dk)
+    blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean, dk)
     trials, seed = 3, 16
     report = check_coercivity(analysis, blocks, space, trials=trials,
                               seed=seed)
@@ -189,7 +189,7 @@ def test_coercivity_check_rejects_random_advection():
                              5, seed=0)
     model = boundary_layer(space)
     analysis = analyze_reaction(model, mesh, space)
-    blocks = assemble_blocks(mesh, model.b_mean, None,
+    blocks = assemble_blocks(mesh, analysis.b_mean, None,
                              np.zeros(mesh.n_triangles))
     with pytest.raises(ConfigError):
         check_coercivity(analysis, blocks, space, trials=1)

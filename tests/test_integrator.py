@@ -92,8 +92,7 @@ def test_rank_zero_matches_deterministic_solve():
     model = constant_adr(eps_value=0.1, b=(1.0, 0.5), f=1.0)
     ws = make_ws(mesh, space, model, dt=0.05)
     from supgdlr import DlrState
-    state = DlrState(np.zeros(mesh.n_vertices),
-                     np.zeros((mesh.n_vertices, 0)),
+    state = DlrState(np.zeros((mesh.n_vertices, 1)),
                      np.zeros((space.count, 0)))
     fom = FomState(state.dense(), t=0.0)
     for _ in range(5):
@@ -355,8 +354,7 @@ def test_a_carried_product_cannot_go_stale(preset):
 
     ws, state = build_problem(preset("desk"))[5:]
     state, _ = step(state, ws)        # carries its report's product
-    fresh = DlrState(state.U0.copy(), state.U.copy(), state.Y.copy(),
-                     state.t)
+    fresh = DlrState(state.U_full.copy(), state.Y.copy(), state.t)
     carried_new, carried_report = step(state, ws)
     fresh_new, fresh_report = step(fresh, ws)
     for a, b in [(carried_new.U_full, fresh_new.U_full),

@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse.linalg import aslinearoperator
 
 from supgdlr import (
-    ConfigError, DlrState, SampleSpace, assemble_blocks, assemble_galerkin,
+    ConfigError, DlrState, SampleSpace, assemble_blocks,
     build_problem,
     build_structured_mesh, evaluate_realization, init_from_modes,
     init_from_snapshot, make_monte_carlo, preset_boundary_layer, runner,
@@ -20,7 +20,7 @@ from conftest import check_invariants
 def setup(n=4, n_samples=10, seed=0):
     mesh = build_structured_mesh(n)
     space = make_monte_carlo([(-1.0, 1.0)] * 2, n_samples, seed=seed)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     return mesh, space, blocks
 
@@ -180,7 +180,7 @@ def test_paper_boundary_layer_snapshot_is_never_dense():
     cfg = preset_boundary_layer("paper")
     mesh = build_structured_mesh(cfg.n_per_side)
     space = runner.build_space(cfg)
-    mass = assemble_galerkin(mesh).mass
+    mass = mesh.mass
     tracemalloc.start()
     try:
         state = runner.build_initial(cfg, mesh, space, mass)
@@ -246,7 +246,7 @@ def test_validate_rejects_broken_invariants():
     state = init_from_modes(rng.standard_normal(mesh.n_vertices),
                             rng.standard_normal((mesh.n_vertices, 2)),
                             rng.standard_normal((space.count, 2)), space)
-    bad = DlrState(state.U0, state.U, state.Y + 0.5, t=0.0)
+    bad = DlrState(state.U_full, state.Y + 0.5, t=0.0)
     with pytest.raises(AssertionError, match="not orthonormal"):
         check_invariants(bad, space, blocks.mass)
 
@@ -259,7 +259,7 @@ def test_transposed_factors_rejected():
     U = rng.standard_normal((mesh.n_vertices, 2))
     Y = rng.standard_normal((space.count, 2))
     with pytest.raises(ConfigError):
-        DlrState(U0, U.T, Y)
+        DlrState(np.column_stack([U0, U]).T, Y)
     with pytest.raises(ConfigError):
         init_from_modes(U0, U.T, Y, space)
     with pytest.raises(ConfigError):

@@ -13,6 +13,8 @@ from supgdlr.mesh import Mesh, _form
 from supgdlr.runner import build_problem, preset_boundary_layer, \
     preset_rotating_body
 
+from conftest import at_points
+
 
 def pattern_arrays(mesh):
     """Every array of mesh.form_pattern, flat."""
@@ -152,7 +154,7 @@ def test_directional_gradients_are_the_einsum_bit_for_bit():
     xq = mesh.quad_points
     for v in fields:
         vq = v(xq.reshape(-1, 2)).reshape(xq.shape)
-        got = directional_gradients(mesh, lambda x, vq=vq: vq.reshape(-1, 2))
+        got = directional_gradients(mesh, vq)
         want = np.einsum("eqi,eai->eqa", vq, mesh.grads)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -212,8 +214,7 @@ def test_element_last_geometry_is_element_first_bit_for_bit(make_mesh):
     for vq in (rng.standard_normal(xq.shape),
                np.where(rng.random(xq.shape) < 0.5, -0.0, xq)):
         want = np.einsum("eqi,eai->eqa", vq, grads)
-        got = directional_gradients(mesh,
-                                    lambda x, vq=vq: vq.reshape(-1, 2))
+        got = directional_gradients(mesh, vq)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -228,7 +229,8 @@ def test_quad_points_are_the_einsum_bit_for_bit():
 def test_assemble_load_reuses_its_test_functions():
     mesh = build_structured_mesh(3)
     blocks = assemble_blocks(
-        mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]), None,
+        mesh, at_points(mesh, lambda x: np.column_stack([1.0 + x[:, 1],
+                                                         -x[:, 0]])), None,
         np.linspace(0.05, 0.2, mesh.n_triangles))
     vals = np.random.default_rng(0).standard_normal(
         (mesh.n_triangles, len(QUAD_WEIGHTS)))
@@ -316,12 +318,13 @@ def test_assembled_blocks_match_bruteforce():
         return 1.0 + x[:, 0]
 
     M, A, C, SM, SC, R, SR = element_oracle_matrices(mesh, b_fn, c_fn, delta)
-    full = assemble_blocks(mesh, b_fn, c_fn, delta)
+    bq, cq = at_points(mesh, b_fn), at_points(mesh, c_fn)
+    full = assemble_blocks(mesh, bq, cq, delta)
     # assembling without reaction or without delta pins C, SM, R and SR
     # each on its own
-    no_c = assemble_blocks(mesh, b_fn, None, delta)
-    no_delta = assemble_blocks(mesh, b_fn, c_fn, zero)
-    plain = assemble_blocks(mesh, b_fn, None, zero)
+    no_c = assemble_blocks(mesh, bq, None, delta)
+    no_delta = assemble_blocks(mesh, bq, cq, zero)
+    plain = assemble_blocks(mesh, bq, None, zero)
     pairs = [
         (full.mass, M), (full.stiffness, A), (full.supg_conv, SC),
         (full.skewed_mass, M + SM), (full.transport, C + SC + R + SR),
@@ -340,7 +343,7 @@ def test_skewed_and_streamline_reproduce_blocks():
     def b_fn(x):
         return np.column_stack([0.5 - x[:, 1], x[:, 0] - 0.5])
 
-    blocks = assemble_blocks(mesh, b_fn, None, delta)
+    blocks = assemble_blocks(mesh, at_points(mesh, b_fn), None, delta)
     bg = blocks.bg_at_qp
     skewed = assemble_skewed(blocks, bg)
     assert abs(skewed - blocks.transport).max() == 0.0
@@ -351,7 +354,7 @@ def test_skewed_and_streamline_reproduce_blocks():
 def test_element_mass_closed_form():
     # one element of area 1/2: (area/12) * [[2,1,1],[1,2,1],[1,1,2]]
     mesh = build_structured_mesh(1)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     tri = mesh.triangles[0]
     area = mesh.signed_areas[0]
@@ -370,7 +373,7 @@ def test_element_mass_closed_form():
 
 def test_mass_total_is_domain_area():
     mesh = build_structured_mesh(5)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     ones = np.ones(mesh.n_vertices)
     assert abs(ones @ (blocks.mass @ ones) - 1.0) <= 1e-13
@@ -378,7 +381,7 @@ def test_mass_total_is_domain_area():
 
 def test_assemble_load_constant_matches_mass():
     mesh = build_structured_mesh(3)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     vals = np.ones((mesh.n_triangles, len(QUAD_WEIGHTS)))
     load = assemble_load(blocks, vals)
@@ -393,7 +396,7 @@ def test_assemble_load_skew_adds_streamline_term():
     def b_fn(x):
         return np.column_stack([np.ones(len(x)), -np.ones(len(x))])
 
-    blocks = assemble_blocks(mesh, b_fn, None, delta)
+    blocks = assemble_blocks(mesh, at_points(mesh, b_fn), None, delta)
     vals = np.ones((mesh.n_triangles, len(QUAD_WEIGHTS)))
     skew = assemble_load(blocks, vals)
     # (1, phi_i + delta_K b.grad phi_i) is skewed_mass applied to ones,
@@ -406,7 +409,7 @@ def test_assemble_load_skew_adds_streamline_term():
 
 def test_assemble_load_multiple_columns():
     mesh = build_structured_mesh(2)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((mesh.n_triangles, len(QUAD_WEIGHTS), 3))
@@ -425,7 +428,8 @@ def test_assemble_load_matches_element_loop(k, skew):
     delta = np.linspace(0.05, 0.2, mesh.n_triangles) if skew \
         else np.zeros(mesh.n_triangles)
     blocks = assemble_blocks(
-        mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]), None,
+        mesh, at_points(mesh, lambda x: np.column_stack([1.0 + x[:, 1],
+                                                         -x[:, 0]])), None,
         delta)
     phi = QUAD_POINTS
     pw = mesh.quad_weights
@@ -458,7 +462,7 @@ def test_scatter_is_element_to_node_incidence():
 def test_dirichlet_solves_linear_exactly():
     # -div(grad u) = 0 with u = x on the boundary has solution u = x
     mesh = build_structured_mesh(6)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     bc = DirichletCondition(blocks.stiffness, mesh,
                             {"boundary": lambda p: p[:, 0]})
@@ -470,7 +474,7 @@ def test_dirichlet_solves_linear_exactly():
 
 def test_dirichlet_matrix_rows_are_identity():
     mesh = build_structured_mesh(3)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     bc = DirichletCondition(blocks.mass, mesh, {"boundary": 2.5})
     dense = bc.matrix.toarray()
@@ -485,7 +489,7 @@ def test_dirichlet_matrix_rows_are_identity():
 
 def test_dirichlet_matrix_rhs_2d():
     mesh = build_structured_mesh(3)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     bc = DirichletCondition(blocks.mass, mesh, {"boundary": 1.0})
     rng = np.random.default_rng(1)
@@ -498,7 +502,7 @@ def test_dirichlet_matrix_rhs_2d():
 
 def test_dirichlet_unknown_tag_raises():
     mesh = build_structured_mesh(2)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     with pytest.raises(ConfigError):
         DirichletCondition(blocks.mass, mesh, {"nope": 0.0})
@@ -521,10 +525,10 @@ def test_tag_boundary_layer_partition():
 def test_delta_shape_validation():
     mesh = build_structured_mesh(2)
     with pytest.raises(ConfigError):
-        assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+        assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                         np.zeros(3))
     with pytest.raises(ConfigError):
-        assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+        assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                         -np.ones(mesh.n_triangles))
 
 
@@ -534,7 +538,7 @@ def test_assemble_blocks_rejects_non_finite_delta(bad):
     delta = np.full(mesh.n_triangles, 0.1)
     delta[4] = bad
     with pytest.raises(ConfigError, match="non-finite"):
-        assemble_blocks(mesh, lambda x: np.ones((len(x), 2)), None, delta)
+        assemble_blocks(mesh, np.ones(mesh.quad_points.shape), None, delta)
 
 
 @pytest.mark.parametrize("make_mesh", [
@@ -549,8 +553,6 @@ def test_form_matches_scipy_coo_bit_for_bit(make_mesh):
     mesh = make_mesh()
     ne, nq = mesh.n_triangles, len(QUAD_WEIGHTS)
     rng = np.random.default_rng(mesh.n_vertices)
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
-                             np.zeros(ne))
     phi, grads = QUAD_POINTS[None], mesh.grads[:, None]
     rand = rng.standard_normal((ne, nq, 3))
     # negative zeros, which a sum from +0.0 would turn positive
@@ -563,7 +565,7 @@ def test_form_matches_scipy_coo_bit_for_bit(make_mesh):
         (rng.standard_normal((ne, 1, 3, 2)), grads, None),
     ]
     for test, trial, weight in cases:
-        assert_same_csr(_form(blocks, test, trial, weight),
+        assert_same_csr(_form(mesh, test, trial, weight),
                         scipy_form(mesh, test, trial, weight))
 
 
@@ -584,8 +586,10 @@ def test_form_pattern_is_scipys_pattern(n):
 def test_blocks_share_one_pattern():
     mesh = build_structured_mesh(4)
     blocks = assemble_blocks(
-        mesh, lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]),
-        lambda x: 1.0 + x[:, 0], np.full(mesh.n_triangles, 0.05))
+        mesh, at_points(mesh, lambda x: np.column_stack([1.0 + x[:, 1],
+                                                         -x[:, 0]])),
+        at_points(mesh, lambda x: 1.0 + x[:, 0]),
+        np.full(mesh.n_triangles, 0.05))
     indptr, indices, _, _ = mesh.form_pattern
     for mat in (blocks.mass, blocks.stiffness, blocks.supg_conv,
                 blocks.skewed_mass, blocks.transport):
@@ -627,7 +631,7 @@ def test_dirichlet_matches_scipy_bit_for_bit(form):
     # the stiffness holds exact zeros (the diagonal edges), which the
     # constrained matrix drops as the sparse products do
     mesh = tag_boundary_layer(build_structured_mesh(7))
-    blocks = assemble_blocks(mesh, lambda x: np.zeros((len(x), 2)), None,
+    blocks = assemble_blocks(mesh, np.zeros(mesh.quad_points.shape), None,
                              np.zeros(mesh.n_triangles))
     bc = DirichletCondition(getattr(blocks, form), mesh,
                             {"d1": lambda p: 1.0 + p[:, 0], "d2": -0.5})

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    CoefficientModel, ConfigError, FomState, NearSingularError, RunConfig,
-    SolverError, analyze_reaction, assemble_load,
+    CoefficientModel, ConfigError, DlrState, FomState, NearSingularError,
+    RunConfig, SolverError, analyze_reaction, assemble_load,
     build_problem, build_structured_mesh, constant_adr, delta_coercivity,
     delta_semi_implicit, evaluate_realization, fom_step, load_config,
     local_peclet, make_monte_carlo, preset_boundary_layer,
@@ -350,9 +350,9 @@ def test_run_json_records_the_peclet_flag(tmp_path, make_cfg):
     assert status == 0
     with open(tmp_path / "run.json") as fh:
         flag = json.load(fh)["peclet_flag"]
-    mesh, _, model, analysis = build_problem(cfg)[:4]
+    mesh, _, _, analysis = build_problem(cfg)[:4]
     assert flag is True
-    assert flag == (local_peclet(model, mesh, analysis) > 1.0)
+    assert flag == (local_peclet(mesh, analysis) > 1.0)
 
 
 @pytest.mark.parametrize("bound", [("si_stab", "typo"), ("typo", "ii")])
@@ -477,6 +477,74 @@ def test_the_coefficients_are_sampled_once_per_run(tmp_path, monkeypatch):
                  "advection_modes", "c_at", "has_random_advection",
                  "validate", "div_b"):
         assert not hasattr(CoefficientModel, name)
+
+
+def reaction_forcing_config(out_dir):
+    """constant_adr with reaction and forcing under the coercivity
+    policy, whose delta reads the mesh's inverse constant."""
+    return tiny_config(
+        out_dir, model="constant_adr", delta_policy="coercivity",
+        model_params={"eps_value": 0.05, "b": (1.0, 1.0), "c": 2.0,
+                      "f": 1.0},
+        sampler={"kind": "monte_carlo", "count": 8, "seed": 2,
+                 "intervals": [(-1.0, 1.0)]},
+        initial="zero", rank=None, T=0.05)
+
+
+@pytest.mark.parametrize("make_cfg, want", [
+    (lambda out: replace(preset_boundary_layer("desk"), out_dir=out),
+     {"b_mean": 1, "theta_0": 1, "beta_0": 1}),
+    # the second c_mean call is the mu-weighted mass, through analysis.mu
+    (reaction_forcing_config, {"b_mean": 1, "c_mean": 2}),
+], ids=["boundary_layer", "reaction_forcing"])
+def test_each_coefficient_field_is_evaluated_once_per_run(
+        tmp_path, monkeypatch, make_cfg, want):
+    calls = {}
+    build_model = runner.build_model
+
+    def counted(key, fn):
+        if fn is None:
+            return None
+
+        def wrapper(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    def counting_model(cfg, space):
+        model = build_model(cfg, space)
+        return replace(
+            model, b_mean=counted("b_mean", model.b_mean),
+            c_mean=counted("c_mean", model.c_mean),
+            b_modes=tuple((counted(f"theta_{k}", theta),
+                           counted(f"beta_{k}", beta))
+                          for k, (theta, beta) in enumerate(model.b_modes)))
+
+    monkeypatch.setattr(runner, "build_model", counting_model)
+    status, _ = run_from_config(make_cfg(str(tmp_path)))
+    assert status == 0
+    assert calls == want
+
+
+def test_bound_policy_assembles_mass_and_stiffness_once(monkeypatch):
+    form, calls = mesh_module._form, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return form(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "_form", counting)
+    mesh, *_, ws, _ = build_problem(reaction_forcing_config("."))
+    # mass and stiffness, shared by C_I and the blocks, and the three
+    # stabilized forms (the mu-weighted mass is diagnostics' own call)
+    assert len(calls) == 5
+    assert ws.blocks.mass is mesh.mass
+    assert ws.blocks.stiffness is mesh.stiffness
+    assert mesh.inverse_constant > 0
+    # no half-built blocks, and one DlrState constructor
+    assert not hasattr(mesh_module, "assemble_galerkin")
+    assert not hasattr(DlrState, "from_full")
+    assert not hasattr(DlrState, "_own")
 
 
 def test_run_from_config_bad_model(tmp_path):
