@@ -42,10 +42,9 @@ from .integrator import (
 )
 from .fom import FomState, fom_step, fom_run
 from .diagnostics import (
-    StepReport, BoundLedger, NormEvaluator, l2_norm, md_metric,
-    range_excess, check_coercivity, check_tangent_residual,
-    evaluate_bounds, forcing_norms, step_report, write_reports_csv,
-    write_ledgers_csv,
+    StepReport, BoundLedger, l2_norm, md_metric, range_excess,
+    check_coercivity, check_tangent_residual, evaluate_bounds,
+    forcing_norms, step_report, write_reports_csv, write_ledgers_csv,
 )
 from .runner import (
     RunConfig, preset_rotating_body, preset_boundary_layer,

@@ -49,7 +49,7 @@ def _cmd_preset(args):
     else:
         raise ConfigError(f"unknown preset {args.name!r}")
     cfg.out_dir = args.out
-    os.makedirs(args.out, exist_ok=True)
+    runner.make_out_dir(args.out)
     runner.write_config(cfg, os.path.join(args.out, "config.ini"))
     for key, value in cfg.describe().items():
         print(f"{key}={value}")

@@ -14,13 +14,12 @@ import numpy as np
 from .errors import ConfigError
 from .coefficients import check_moderate_stochasticity, \
     delta_coercivity, delta_semi_implicit
-from .mesh import QUAD_POINTS, _form, assemble_streamline
+from .mesh import QUAD_POINTS, _form
 from .sampling import expectation, project_complement
 
 __all__ = [
     "StepReport",
     "BoundLedger",
-    "NormEvaluator",
     "l2_norm",
     "md_metric",
     "range_excess",
@@ -96,77 +95,9 @@ def _mu_mass(mesh, mu):
     return _form(mesh, phi, phi, weight=mq)
 
 
-class NormEvaluator:
-    """Evaluates the L2 and stabilized energy norms of a low-rank state.
-
-    The energy norm is
-    eps_hat |grad u|^2 + sum_K delta_K |b.grad u|^2_K + |mu^(1/2) u|^2
-    with b the advection of each sample and the deterministic reaction
-    mu.  Each term is a quadratic form of an assembled matrix (mass,
-    stiffness, supg_conv, the mu-weighted mass or None when mu = 0)
-    summed over the columns of the state's U_full = [U0, U], as
-    Y_full = [1, Y] is weighted orthonormal.  The stiffness product is
-    the state's kept one (DlrState.product), which the step from the
-    state reuses.  The advection of sample i is
-    b_0 + sum_k theta_k[i] b_k, with b_0 the mean field and b_k the
-    divergence-free affine modes (theta_0 = 1).  Its streamline term
-    adds the forms S_kl = sum_K delta_K (b_l . grad phi_j,
-    b_k . grad phi_i)_K weighted by Y_full^T diag(w theta_k theta_l)
-    Y_full; S_00 is supg_conv.  Every form is assembled here, once, and
-    no sample is visited per evaluation.
-
-    It keeps the parts of the workspace it reads, not the workspace: a
-    reference back would make every workspace a reference cycle, whose
-    arrays only the cyclic garbage collector frees.
-    """
-
-    def __init__(self, ws):
-        self.blocks, self.space = ws.blocks, ws.space
-        self.eps_hat = ws.analysis.eps_hat
-        self.mu_mass = _mu_mass(ws.mesh, ws.analysis.mu)
-        modes = [(np.ones(ws.space.count), ws.blocks.bg_at_qp)] \
-            + ws.modes if ws.modes else []
-        # (weight over samples, S_kl) for k <= l, (k, l) != (0, 0);
-        # the off-diagonal pairs count twice
-        self.b_forms = [
-            (theta_k * theta_l * (1.0 if k == l else 2.0),
-             assemble_streamline(ws.blocks, vg_k, vg_l))
-            for k, (theta_k, vg_k) in enumerate(modes)
-            for l, (theta_l, vg_l) in enumerate(modes)
-            if l >= max(k, 1)]
-
-    def norms(self, state):
-        """Returns a dict of l2, grad, supg, mu_half, bconv, mode_norms."""
-        U_full, Y_full = state.U_full, state.Y_full
-        colM = _factor_colwise(U_full, self.blocks.mass @ U_full)
-        l2sq = float(colM.sum())
-        gradsq = float(_factor_colwise(
-            U_full, state.product(self.blocks.stiffness)).sum())
-        bsq = float(_factor_colwise(
-            U_full, self.blocks.supg_conv @ U_full).sum())
-        if self.b_forms:
-            w = self.space.weights
-            for psi, S in self.b_forms:
-                Yw = Y_full.T @ ((w * psi)[:, None] * Y_full)
-                bsq += float(np.sum((U_full.T @ (S @ U_full)) * Yw))
-        bsq = max(bsq, 0.0)
-        musq = 0.0 if self.mu_mass is None \
-            else max(float(_factor_colwise(
-                U_full, self.mu_mass @ U_full).sum()), 0.0)
-        supgsq = self.eps_hat * gradsq + bsq + musq
-        return {
-            "l2": float(np.sqrt(max(l2sq, 0.0))),
-            "grad": float(np.sqrt(max(gradsq, 0.0))),
-            "supg": float(np.sqrt(max(supgsq, 0.0))),
-            "mu_half": float(np.sqrt(musq)),
-            "bconv": float(np.sqrt(bsq)),
-            "mode_norms": [float(np.sqrt(max(c, 0.0))) for c in colM],
-        }
-
-
 def l2_norm(fields, mass, space):
     """Weighted space-probability L2 norm of an (N_h, N_C) field matrix;
-    low-rank states are measured by NormEvaluator."""
+    low-rank states are measured by step_report."""
     sq = float(space.weights @ _colwise(mass, fields))
     return float(np.sqrt(max(sq, 0.0)))
 
@@ -192,20 +123,50 @@ def range_excess(field, lo, hi):
 
 def step_report(state, ws, wcond=1.0, defect_cross=0.0,
                 tangent_residual=None):
-    nrm = ws.norms.norms(state)
+    """Norms of a low-rank state and defects of its stochastic basis.
+
+    The energy norm is
+    eps_hat |grad u|^2 + sum_K delta_K |b.grad u|^2_K + |mu^(1/2) u|^2
+    with b the advection of each sample and the deterministic reaction
+    mu.  Each term is a quadratic form of an assembled matrix (mass,
+    stiffness, supg_conv, ws.mu_mass) summed over the columns of the
+    state's U_full = [U0, U], as Y_full = [1, Y] is weighted
+    orthonormal.  The stiffness product is the state's kept one
+    (DlrState.product), which the step from the state reuses.  The
+    advection of sample i is b_0 + sum_k theta_k[i] b_k, with b_0 the
+    mean field and b_k the divergence-free affine modes (theta_0 = 1).
+    Its streamline term adds the forms S_kl = sum_K delta_K (b_l . grad
+    phi_j, b_k . grad phi_i)_K of ws.b_forms weighted by Y_full^T
+    diag(w psi_kl) Y_full; S_00 is supg_conv.  No sample is visited.
+    """
+    U_full, Y_full = state.U_full, state.Y_full
+    w = ws.space.weights
+    colM = _factor_colwise(U_full, ws.blocks.mass @ U_full)
+    gradsq = float(_factor_colwise(
+        U_full, state.product(ws.blocks.stiffness)).sum())
+    bsq = float(_factor_colwise(U_full, ws.blocks.supg_conv @ U_full).sum())
+    for psi, S in ws.b_forms:
+        Yw = Y_full.T @ ((w * psi)[:, None] * Y_full)
+        bsq += float(np.sum((U_full.T @ (S @ U_full)) * Yw))
+    bsq = max(bsq, 0.0)
+    musq = 0.0 if ws.mu_mass is None \
+        else max(float(_factor_colwise(
+            U_full, ws.mu_mass @ U_full).sum()), 0.0)
+    supgsq = ws.analysis.eps_hat * gradsq + bsq + musq
     if state.rank:
-        w = ws.space.weights
         g = (state.Y * w[:, None]).T @ state.Y
         defect_gram = float(np.max(np.abs(g - np.eye(state.rank))))
         defect_mean = float(np.max(np.abs(expectation(state.Y, ws.space))))
     else:
         defect_gram = defect_mean = 0.0
     return StepReport(
-        t=state.t, l2=nrm["l2"], grad=nrm["grad"], supg=nrm["supg"],
-        mu_half=nrm["mu_half"], bconv=nrm["bconv"],
-        mode_norms=nrm["mode_norms"], wtilde_cond=float(wcond),
-        defect_gram=defect_gram, defect_mean=defect_mean,
-        defect_cross=float(defect_cross),
+        t=state.t, l2=float(np.sqrt(max(float(colM.sum()), 0.0))),
+        grad=float(np.sqrt(max(gradsq, 0.0))),
+        supg=float(np.sqrt(max(supgsq, 0.0))),
+        mu_half=float(np.sqrt(musq)), bconv=float(np.sqrt(bsq)),
+        mode_norms=[float(np.sqrt(max(c, 0.0))) for c in colM],
+        wtilde_cond=float(wcond), defect_gram=defect_gram,
+        defect_mean=defect_mean, defect_cross=float(defect_cross),
         tangent_residual=tangent_residual)
 
 

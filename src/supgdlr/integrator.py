@@ -33,7 +33,7 @@ from . import diagnostics
 from .errors import BlowupError, ConfigError, NearSingularError, \
     SolverError, SupgDlrError
 from .mesh import DirichletCondition, assemble_blocks, assemble_load, \
-    assemble_skewed, directional_gradients
+    assemble_skewed, assemble_streamline, directional_gradients
 from .sampling import expectation, project_complement, \
     weighted_orthonormalize
 from .lowrank import DlrState
@@ -102,19 +102,18 @@ class StepWorkspace:
     lu: object
     eps_expl: np.ndarray              # per-sample diffusion fluctuation
     b_expl: object                    # callable (x, omega) or None
-    modes: list                       # (theta, beta . grad phi at qp)
     terms: list                       # explicit operator, (theta, B)
+    b_forms: list                     # energy norm, (psi, S_kl)
+    mu_mass: object                   # (mu phi_j, phi_i), None if mu = 0
     # always None, the reaction is implicit; the benchmark's tracer
     # (bench/spans.py) assigns it, so it goes only with a benchmark change
     c_expl: object = None
     pw: np.ndarray = field(init=False)
     xq_flat: np.ndarray = field(init=False)
-    norms: object = field(init=False)  # diagnostics.NormEvaluator
 
     def __post_init__(self):
         self.pw = self.mesh.quad_weights
         self.xq_flat = self.mesh.quad_points.reshape(-1, 2)
-        self.norms = diagnostics.NormEvaluator(self)
 
     @property
     def has_explicit_eps(self):
@@ -140,8 +139,10 @@ class StepWorkspace:
 def prepare_workspace(model, mesh, space, cfg, analysis=None):
     """Assemble and factorize everything one run of `step` needs.
 
-    analysis is analyze_reaction(model, mesh, space), computed here when
-    not given; every sampled coefficient comes from it.
+    Every sparse form of the run is assembled here, the energy-norm
+    forms that diagnostics.step_report reads included.  analysis is
+    analyze_reaction(model, mesh, space), computed here when not given;
+    every sampled coefficient comes from it.
     """
     if analysis is None:
         analysis = analyze_reaction(model, mesh, space)
@@ -168,11 +169,22 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
     # on A^T + A fills less than the default COLAMD, and relax=1 keeps
     # the solves with the small supernodes of that order fast
     lu = spla.splu(bc.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
+
+    mu_mass = diagnostics._mu_mass(mesh, analysis.mu)
+    # mode 0 is the mean field, theta_0 = 1; the forms S_kl for k <= l,
+    # (k, l) != (0, 0), the off-diagonal pairs counted twice
+    modes = [(np.ones(space.count), blocks.bg_at_qp)] + modes \
+        if modes else []
+    b_forms = [(theta_k * theta_l * (1.0 if k == l else 2.0),
+                assemble_streamline(blocks, vg_k, vg_l))
+               for k, (theta_k, vg_k) in enumerate(modes)
+               for l, (theta_l, vg_l) in enumerate(modes)
+               if l >= max(k, 1)]
     return StepWorkspace(
         model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
         blocks=blocks, Braw=Braw, bc=bc, lu=lu,
         eps_expl=eps_star, b_expl=model.b_fluct if model.b_modes else None,
-        modes=modes, terms=terms)
+        terms=terms, b_forms=b_forms, mu_mass=mu_mass)
 
 
 def step_deterministic_modes(state, ws):
@@ -301,9 +313,8 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
         raise ConfigError("final time must be finite and exceed the "
                           "initial time")
     n_steps = int(round((T - t0) / dt))
-    if abs(n_steps * dt - (T - t0)) > 1e-9 * max(T - t0, dt):
+    if abs(n_steps * dt - (T - t0)) > 1e-9 * (T - t0):
         raise ConfigError("dt does not divide the time interval")
-    n_steps = max(n_steps, 1)
 
     state = initial
     records = [measure(state)]

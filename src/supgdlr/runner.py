@@ -259,10 +259,10 @@ INITIAL_VARIABLES = {"rotating_body_shapes": 3,
 
 
 def _check_config(cfg):
-    """Refuse (ConfigError) stabilization, sampler, rank, dump-time and
-    boundary settings that would otherwise fail later, as a bare
-    exception or a numerical failure, or be ignored, as a delta policy
-    under stabilization = none or a dump time no step reaches."""
+    """Refuse (ConfigError) stabilization, sampler, rank, sample-index,
+    dump-time and boundary settings that would otherwise fail later, as
+    a bare exception or a numerical failure, or be ignored, as a delta
+    policy under stabilization = none or a dump time no step reaches."""
     if cfg.stabilization not in ("supg", "none"):
         raise ConfigError(f"unknown stabilization {cfg.stabilization!r} "
                           "(accepted: supg, none)")
@@ -302,6 +302,11 @@ def _check_config(cfg):
         raise ConfigError(f"initial condition 'rotating_body_shapes' needs "
                           f"at least 3 samples for its two stochastic "
                           f"modes (got {cfg.n_samples})")
+    for key in ("track_md_samples", "dump_samples"):
+        if width is not None and not all(
+                0 <= i < cfg.n_samples for i in getattr(cfg, key)):
+            raise ConfigError(f"{key} must lie in [0, {cfg.n_samples}) "
+                              f"(got {getattr(cfg, key)!r})")
     if not all(0.0 <= t <= cfg.T for t in cfg.dump_times):
         raise ConfigError(f"dump times must lie in [0, T] = [0, {cfg.T:g}] "
                           f"(got {cfg.dump_times!r})")
@@ -349,6 +354,15 @@ def write_field_dump(path, t, rank, n_per_side, n_samples, values):
         fh.write("\n")
 
 
+def make_out_dir(path):
+    """Create the output directory path, or raise ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create the output directory "
+                          f"{path!r}: {err}") from err
+
+
 def run_from_config(cfg):
     """Execute one configured run; returns (exit_status, manifest).
 
@@ -361,11 +375,7 @@ def run_from_config(cfg):
     records it as an internal_error; an output directory that cannot be
     made is a ConfigError, raised with no run.json.
     """
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot create the output directory "
-                          f"{cfg.out_dir!r}: {err}") from err
+    make_out_dir(cfg.out_dir)
     manifest = {"version": _version, "config": asdict(cfg),
                 "status": "ok", "failing_step": None}
     status = 0

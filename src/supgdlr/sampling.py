@@ -60,11 +60,8 @@ def _check_len(Z, space):
 
 
 def expectation(Z, space):
-    """Weighted mean sum_i m_i Z_i.  Z may have trailing axes."""
-    Z = _check_len(Z, space)
-    if Z.ndim <= 2:
-        return space.weights @ Z
-    return np.tensordot(space.weights, Z, axes=(0, 0))
+    """Weighted mean sum_i m_i Z_i of a vector or of each column."""
+    return space.weights @ _check_len(Z, space)
 
 
 def project_complement(z, Y, space):

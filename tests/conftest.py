@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from supgdlr import expectation
+from supgdlr import CoefficientModel, constant_adr, expectation
 
 
 def check_invariants(state, space, mass, gram_tol=1e-10, cond_tol=1e-12):
@@ -36,3 +36,21 @@ def at_points(mesh, field):
     xq = mesh.quad_points
     vals = np.asarray(field(xq.reshape(-1, 2)), dtype=float)
     return vals.reshape(xq.shape[:2] + vals.shape[1:])
+
+
+def two_mode_advection(space):
+    """A model whose advection has two affine modes, so the energy norm
+    carries an off-diagonal streamline form S_12:
+    b = (1, 1) + (y2 - E y2)(x2, x1) + (y3^3 - E y3^3)(x2^2, -x1^2),
+    with the diffusion and reaction of constant_adr(0.2, c=3)."""
+    det = constant_adr(eps_value=0.2, b=(1.0, 1.0), c=3.0)
+    y2, y3 = space.samples[:, 1], space.samples[:, 2] ** 3
+    mean2, mean3 = space.weights @ y2, space.weights @ y3
+    return CoefficientModel(
+        name="two_modes", eps=det.eps, b_mean=det.b_mean,
+        b_modes=((lambda s: np.atleast_2d(s)[:, 1] - mean2,
+                  lambda x: np.column_stack([x[:, 1], x[:, 0]])),
+                 (lambda s: np.atleast_2d(s)[:, 2] ** 3 - mean3,
+                  lambda x: np.column_stack([x[:, 1] ** 2,
+                                             -x[:, 0] ** 2]))),
+        c_mean=det.c_mean)

@@ -21,6 +21,15 @@ def test_preset_writes_config_and_echoes(tmp_path, capsys):
     assert cfg.n_per_side == 32
 
 
+def test_preset_to_an_uncreatable_directory_is_config_error(tmp_path,
+                                                            capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "preset"
+    assert main(["preset", "boundary-layer", "--out", str(out)]) == 1
+    assert "configuration error: cannot create the output directory" \
+        in capsys.readouterr().err
+
+
 def test_solve_runs_written_config(tmp_path, capsys):
     from supgdlr.runner import RunConfig, write_config
 

@@ -22,7 +22,7 @@ from supgdlr.integrator import step_deterministic_modes, \
     step_stochastic_modes
 from supgdlr.runner import resolve_delta
 
-from conftest import sample_advection
+from conftest import sample_advection, two_mode_advection
 
 
 def random_state(mesh, space, rank, seed=0):
@@ -51,7 +51,7 @@ def test_l2_norm_matches_dense():
                              np.zeros(mesh.n_triangles))
     state = random_state(mesh, space, rank=3, seed=1)
     ws = make_ws(mesh, space, rotating_body())
-    fast = ws.norms.norms(state)["l2"]
+    fast = step_report(state, ws).l2
     fields = state.dense()
     per = np.einsum("ki,ki->i", fields, blocks.mass @ fields)
     slow = np.sqrt(float(space.weights @ per))
@@ -60,19 +60,23 @@ def test_l2_norm_matches_dense():
         <= 1e-12 * max(slow, 1.0)
 
 
-@pytest.mark.parametrize("case", ["constant_adr", "boundary_layer"])
+@pytest.mark.parametrize("case", ["constant_adr", "boundary_layer",
+                                  "two_modes"])
 def test_supg_norm_dense_oracle(case):
     mesh = build_structured_mesh(4)
     if case == "boundary_layer":
         space = make_monte_carlo([(5000.0, 6000.0)] + [(-1.0, 1.0)] * 3,
                                  6, seed=2)
         model = boundary_layer(space)
+    elif case == "two_modes":
+        space = make_monte_carlo([(-1.0, 1.0)] * 3, 6, seed=2)
+        model = two_mode_advection(space)
     else:
         space = make_monte_carlo([(-1.0, 1.0)], 6, seed=2)
         model = constant_adr(eps_value=0.2, b=(1.0, -0.5), c=3.0)
     ws = make_ws(mesh, space, model)
     state = random_state(mesh, space, rank=2, seed=3)
-    got = ws.norms.norms(state)["supg"]
+    got = step_report(state, ws).supg
 
     # brute force: per-sample quadrature evaluation of every term
     a = ws.analysis
@@ -112,10 +116,10 @@ def test_zero_advection_mode_changes_no_norm():
         c_mean=det.c_mean)
     ws_det = make_ws(mesh, space, det)
     ws_rand = make_ws(mesh, space, rand)
-    assert len(ws_rand.norms.b_forms) == 2
+    assert len(ws_rand.b_forms) == 2
     state = random_state(mesh, space, rank=2, seed=5)
-    nd = ws_det.norms.norms(state)
-    nr = ws_rand.norms.norms(state)
+    nd = vars(step_report(state, ws_det))
+    nr = vars(step_report(state, ws_rand))
     for key in ("l2", "grad", "supg", "mu_half", "bconv"):
         assert abs(nd[key] - nr[key]) <= 1e-10 * max(nd[key], 1.0), key
 

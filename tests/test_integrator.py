@@ -13,7 +13,7 @@ from supgdlr import (
 )
 from supgdlr.integrator import WCOND_THRESHOLD
 
-from conftest import check_invariants
+from conftest import check_invariants, two_mode_advection
 
 
 def random_state(mesh, space, rank, seed=0):
@@ -254,6 +254,40 @@ def test_stochastic_advection_full_rank_oracle():
         state, _ = step(state, ws)
         fom = fom_step(fom, ws)
     assert np.max(np.abs(state.dense() - fom.fields)) <= 1e-9
+
+
+def test_two_advection_modes_full_rank_oracle():
+    # the explicit blocks of two affine modes, whose streamline forms
+    # include the off-diagonal S_12, against the per-sample quadrature
+    # of the FOM
+    mesh = build_structured_mesh(3)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 5, seed=9)
+    ws = make_ws(mesh, space, two_mode_advection(space), dt=1e-3)
+    assert len(ws.b_forms) == 5
+    state = random_state(mesh, space, rank=space.count - 1, seed=10)
+    fom = FomState(state.dense(), t=0.0)
+    for _ in range(5):
+        state, _ = step(state, ws)
+        fom = fom_step(fom, ws)
+    assert np.max(np.abs(state.dense() - fom.fields)) <= 1e-9
+
+
+def test_run_assembles_no_form(monkeypatch):
+    # every form of a run is assembled by build_problem: a run with the
+    # form assembler replaced by one that raises still completes
+    from supgdlr import diagnostics, mesh as mesh_module
+
+    cfg = preset_boundary_layer("desk")
+    *_, ws, state = build_problem(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form was assembled during the run")
+
+    monkeypatch.setattr(mesh_module, "_form", refuse)
+    monkeypatch.setattr(diagnostics, "_form", refuse)
+    final, reports = run(state, ws, cfg.T)
+    assert len(reports) == 51
+    assert abs(final.t - cfg.T) <= 1e-12
 
 
 def test_shared_lu_is_ordered_for_the_symmetric_pattern():

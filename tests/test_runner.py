@@ -225,6 +225,37 @@ def test_dump_time_outside_the_run_is_a_configuration_error(tmp_path, time):
     assert not (tmp_path / "norms.csv").exists()
 
 
+def test_dt_beyond_T_is_a_configuration_error(tmp_path):
+    # a dt longer than the whole interval does not divide it: no step
+    # is taken past T
+    cfg = preset_boundary_layer("desk")
+    cfg.dt, cfg.out_dir = 5e9, str(tmp_path)
+    status, manifest = run_from_config(cfg)
+    assert status == 1
+    assert manifest["status"] == "config_error"
+    assert "dt does not divide the time interval" in manifest["error"]
+
+
+@pytest.mark.parametrize("key, index", [
+    ("track_md_samples", 999), ("dump_samples", 999),
+    ("track_md_samples", -1), ("dump_samples", -1)],
+    ids=["track_past_end", "dump_past_end", "track_negative",
+         "dump_negative"])
+def test_sample_index_outside_the_set_is_refused_before_the_run(
+        tmp_path, monkeypatch, key, index):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr(runner, "prepare_workspace", refuse)
+    status, manifest = run_from_config(tiny_config(
+        str(tmp_path), dump_times=(0.05,), **{key: (0, index)}))
+    assert status == 1
+    assert manifest["status"] == "config_error"
+    assert manifest["failing_step"] is None
+    assert f"{key} must lie in [0, 20)" in manifest["error"]
+    assert not (tmp_path / "norms.csv").exists()
+
+
 def test_field_dump_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.standard_normal(25)

@@ -22,15 +22,6 @@ def test_expectation_hand_oracle():
                - 4.6) <= 1e-15
 
 
-def test_expectation_trailing_axes():
-    space = small_space()
-    Z = np.arange(12.0).reshape(3, 2, 2)
-    out = expectation(Z, space)
-    assert out.shape == (2, 2)
-    want = 0.2 * Z[0] + 0.3 * Z[1] + 0.5 * Z[2]
-    assert np.allclose(out, want, atol=1e-15)
-
-
 def test_space_validation():
     with pytest.raises(ConfigError):
         SampleSpace([[0.0], [1.0]], [0.5, 0.6])
