@@ -47,7 +47,7 @@ def run_variant(scale, stabilization, seed):
     trace = {i: [] for i in TRACKED}
     excess = {i: [] for i in TRACKED}
 
-    def observer(report, st):
+    def observer(st, report):
         for i in TRACKED:
             u = evaluate_realization(st, i)
             trace[i].append(md_metric(u))

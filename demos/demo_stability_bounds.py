@@ -30,9 +30,8 @@ instead of silently passing.
 import numpy as np
 
 from supgdlr import (
-    SchemeConfig, analyze_reaction, build_structured_mesh, constant_adr,
-    evaluate_bounds, init_from_modes, make_monte_carlo, prepare_workspace,
-    run,
+    analyze_reaction, build_structured_mesh, constant_adr, evaluate_bounds,
+    init_from_modes, make_monte_carlo, prepare_workspace, run,
 )
 from supgdlr.runner import resolve_delta
 
@@ -57,9 +56,7 @@ def trajectory(c=0.0, f=None, eps_fn=None):
                          eps_fn=eps_fn)
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("semi_implicit", mesh, analysis, DT)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=DT, delta=delta),
-                           analysis=analysis)
+    ws = prepare_workspace(model, mesh, space, DT, delta, analysis=analysis)
     state = random_state(mesh, space, rank=1, seed=11)
     _, reports = run(state, ws, T)
     return ws, reports

@@ -14,6 +14,17 @@ the parent, run each copy into its own directory and compare the two:
 diff_outputs.py names, for each file that is not byte-identical, its
 largest relative numeric difference.
 
+tests/data/outputs/ holds this tree as written with one BLAS thread,
+and tests/test_outputs.py requires a fresh tree to agree with it under
+diff_outputs.py.  A change that moves the arithmetic on purpose
+re-records it:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/compare_outputs.py /tmp/new
+    python3 scripts/diff_outputs.py tests/data/outputs /tmp/new
+    rm -r tests/data/outputs && mv /tmp/new tests/data/outputs
+
+and the change lists that diff_outputs.py report in CHANGES.md.
+
 OUT_DIR receives:
 - rotating_body_desk/, boundary_layer_desk/ and rotating_body_paper_100/:
   norms.csv, md.csv (tracked samples 0-2) and run.json of one

@@ -37,7 +37,7 @@ from .lowrank import (
     DlrState, init_from_modes, init_from_snapshot, evaluate_realization,
 )
 from .integrator import (
-    SchemeConfig, StepWorkspace, prepare_workspace,
+    StepWorkspace, prepare_workspace,
     step_deterministic_modes, step_stochastic_modes, step, run,
 )
 from .fom import FomState, fom_step, fom_run

@@ -24,7 +24,7 @@ from .coefficients import (
     analyze_reaction, constant_adr, delta_experiment, rotating_body,
 )
 from .diagnostics import check_coercivity, evaluate_bounds
-from .integrator import SchemeConfig, prepare_workspace, run, step
+from .integrator import prepare_workspace, run, step
 from .lowrank import init_from_modes
 from .fom import FomState, fom_step
 
@@ -77,9 +77,7 @@ def _decay_setup():
     analysis = analyze_reaction(model, mesh, space)
     dt = 0.01
     delta = runner.resolve_delta("semi_implicit", mesh, analysis, dt)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=dt, delta=delta),
-                           analysis=analysis)
+    ws = prepare_workspace(model, mesh, space, dt, delta, analysis=analysis)
 
     rng = np.random.default_rng(3)
     x = mesh.vertices
@@ -109,8 +107,7 @@ def _suite_oracle():
     mesh = build_structured_mesh(3)
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=4)
     model = rotating_body()
-    cfg = SchemeConfig(dt=1e-3, delta=delta_experiment(mesh))
-    ws = prepare_workspace(model, mesh, space, cfg)
+    ws = prepare_workspace(model, mesh, space, 1e-3, delta_experiment(mesh))
     rng = np.random.default_rng(5)
     interior = mesh.interior_index()
     U0 = np.zeros(mesh.n_vertices)

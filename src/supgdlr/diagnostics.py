@@ -43,7 +43,6 @@ class StepReport:
     supg: float
     mu_half: float
     bconv: float
-    mode_norms: list
     wtilde_cond: float
     defect_gram: float
     defect_mean: float
@@ -141,7 +140,7 @@ def step_report(state, ws, wcond=1.0, defect_cross=0.0,
     """
     U_full, Y_full = state.U_full, state.Y_full
     w = ws.space.weights
-    colM = _factor_colwise(U_full, ws.blocks.mass @ U_full)
+    l2sq = float(_factor_colwise(U_full, ws.blocks.mass @ U_full).sum())
     gradsq = float(_factor_colwise(
         U_full, state.product(ws.blocks.stiffness)).sum())
     bsq = float(_factor_colwise(U_full, ws.blocks.supg_conv @ U_full).sum())
@@ -160,11 +159,10 @@ def step_report(state, ws, wcond=1.0, defect_cross=0.0,
     else:
         defect_gram = defect_mean = 0.0
     return StepReport(
-        t=state.t, l2=float(np.sqrt(max(float(colM.sum()), 0.0))),
+        t=state.t, l2=float(np.sqrt(max(l2sq, 0.0))),
         grad=float(np.sqrt(max(gradsq, 0.0))),
         supg=float(np.sqrt(max(supgsq, 0.0))),
         mu_half=float(np.sqrt(musq)), bconv=float(np.sqrt(bsq)),
-        mode_norms=[float(np.sqrt(max(c, 0.0))) for c in colM],
         wtilde_cond=float(wcond), defect_gram=defect_gram,
         defect_mean=defect_mean, defect_cross=float(defect_cross),
         tangent_residual=tangent_residual)
@@ -295,7 +293,7 @@ def forcing_norms(ws, t0, n_steps):
     out = np.empty(n_steps)
     pw = np.ascontiguousarray(ws.pw)     # einsum sums in layout order
     for k in range(n_steps):
-        f = ws.forcing_qp(t0 + k * ws.cfg.dt)
+        f = ws.forcing_qp(t0 + k * ws.dt)
         out[k] = np.sqrt(np.einsum("eq,eq->", pw, f ** 2))
     return out
 
@@ -349,12 +347,12 @@ def evaluate_bounds(reports, ws, bounds):
     deterministic advection field, the implicit one (im_stab) also
     deterministic diffusion, and the semi-implicit one (si_stab)
     moderate stochasticity.  Preconditions that fail yield a not-applicable
-    ledger, not a silent pass.  Reports that do not step by ws.cfg.dt
+    ledger, not a silent pass.  Reports that do not step by ws.dt
     raise ConfigError.
     """
     check_bound_names(bounds)
     N = len(reports) - 1
-    dt = ws.cfg.dt
+    dt = ws.dt
     t = np.array([r.t for r in reports])
     if np.any(np.abs(np.diff(t) - dt) > 1e-9 * max(t[-1] - t[0], dt)):
         raise ConfigError(f"the reports do not step by the workspace's "

@@ -87,11 +87,12 @@ def fom_step(state, ws):
         cols = slice(start, start + CHUNK)
         u = fields[:, cols]
         rhs = ws.blocks.skewed_mass @ u
-        rhs /= ws.cfg.dt
+        rhs /= ws.dt
         if load is not None:
             rhs += load
         if ws.has_explicit_eps:
-            rhs -= ws.blocks.stiffness @ (u * ws.eps_expl[None, cols])
+            eps = ws.analysis.eps_star[None, cols]
+            rhs -= ws.blocks.stiffness @ (u * eps)
         if ws.has_sample_loop:
             _subtract_advection(rhs, ws, u, ws.space.samples[cols])
         out[:, cols] = ws.lu.solve(ws.bc.constrain_rhs(rhs))
@@ -101,7 +102,7 @@ def fom_step(state, ws):
         raise SolverError("full-order solve returned non-finite values")
     # the sum l2_norm takes, from the same column values
     sq = float(ws.space.weights @ colM)
-    return FomState(out, t=state.t + ws.cfg.dt,
+    return FomState(out, t=state.t + ws.dt,
                     l2=float(np.sqrt(max(sq, 0.0))))
 
 

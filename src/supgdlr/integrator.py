@@ -40,7 +40,6 @@ from .lowrank import DlrState
 from .coefficients import analyze_reaction
 
 __all__ = [
-    "SchemeConfig",
     "StepWorkspace",
     "prepare_workspace",
     "step_deterministic_modes",
@@ -55,27 +54,6 @@ WCOND_THRESHOLD = 1e12
 # A norm above this multiple of the initial one (at least 1) stops the
 # run with BlowupError.
 BLOWUP_FACTOR = 1e8
-
-
-@dataclass
-class SchemeConfig:
-    """Time-stepping settings for one run.
-
-    delta is the per-element stabilization parameter, which
-    assemble_blocks checks; an all-zero delta gives standard Galerkin.
-    """
-
-    dt: float
-    delta: object = None
-    bc: dict = field(default_factory=lambda: {"boundary": 0.0})
-    compute_tangent_residual: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ConfigError("dt must be positive and finite")
-        if self.delta is None:
-            raise ConfigError("delta is required (all zeros for standard "
-                              "Galerkin)")
 
 
 @dataclass(eq=False)
@@ -94,13 +72,13 @@ class StepWorkspace:
     model: object
     mesh: object
     space: object
-    cfg: SchemeConfig
+    dt: float
+    tangent_residual: bool            # whether step reports it
     analysis: object
     blocks: object
     Braw: object
     bc: DirichletCondition
     lu: object
-    eps_expl: np.ndarray              # per-sample diffusion fluctuation
     b_expl: object                    # callable (x, omega) or None
     terms: list                       # explicit operator, (theta, B)
     b_forms: list                     # energy norm, (psi, S_kl)
@@ -117,7 +95,7 @@ class StepWorkspace:
 
     @property
     def has_explicit_eps(self):
-        return bool(np.any(self.eps_expl != 0.0))
+        return bool(np.any(self.analysis.eps_star != 0.0))
 
     @property
     def has_sample_loop(self):
@@ -132,23 +110,29 @@ class StepWorkspace:
         """
         if self.model.forcing is None:
             return None
-        f = self.model.forcing(t + self.cfg.dt, self.xq_flat)
+        f = self.model.forcing(t + self.dt, self.xq_flat)
         return np.asarray(f, dtype=float).reshape(self.pw.shape)
 
 
-def prepare_workspace(model, mesh, space, cfg, analysis=None):
+def prepare_workspace(model, mesh, space, dt, delta, bc=None,
+                      tangent_residual=False, analysis=None):
     """Assemble and factorize everything one run of `step` needs.
 
-    Every sparse form of the run is assembled here, the energy-norm
-    forms that diagnostics.step_report reads included.  analysis is
-    analyze_reaction(model, mesh, space), computed here when not given;
-    every sampled coefficient comes from it.
+    dt is the time step, delta the per-element stabilization parameter
+    (all zeros for standard Galerkin), which assemble_blocks checks, and
+    bc the Dirichlet values by boundary tag, zero on the whole boundary
+    when None; with tangent_residual every step reports its tangent
+    residual.  Every sparse form of the run is assembled here, the
+    energy-norm forms that diagnostics.step_report reads included.
+    analysis is analyze_reaction(model, mesh, space), computed here
+    when not given; every sampled coefficient comes from it.
     """
+    if not 0 < dt < np.inf:
+        raise ConfigError("dt must be positive and finite")
     if analysis is None:
         analysis = analyze_reaction(model, mesh, space)
     eps_star = analysis.eps_star
-    blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean,
-                             cfg.delta)
+    blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean, delta)
 
     terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
         else []
@@ -159,12 +143,13 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
     # every form shares the mesh's CSR pattern, so Braw sums their data
     # (scipy divides a matrix by a scalar through its reciprocal)
     stiffness = blocks.stiffness
-    Braw = sp.csr_matrix((blocks.skewed_mass.data * (1 / cfg.dt)
+    Braw = sp.csr_matrix((blocks.skewed_mass.data * (1 / dt)
                           + analysis.eps_bar * stiffness.data
                           + blocks.transport.data,
                           stiffness.indices, stiffness.indptr),
                          shape=stiffness.shape)
-    bc = DirichletCondition(Braw, mesh, cfg.bc)
+    bc = DirichletCondition(Braw, mesh,
+                            {"boundary": 0.0} if bc is None else bc)
     # bc.matrix = D Braw D + diag has a symmetric pattern: minimum degree
     # on A^T + A fills less than the default COLAMD, and relax=1 keeps
     # the solves with the small supernodes of that order fast
@@ -181,9 +166,10 @@ def prepare_workspace(model, mesh, space, cfg, analysis=None):
                for l, (theta_l, vg_l) in enumerate(modes)
                if l >= max(k, 1)]
     return StepWorkspace(
-        model=model, mesh=mesh, space=space, cfg=cfg, analysis=analysis,
+        model=model, mesh=mesh, space=space, dt=dt,
+        tangent_residual=tangent_residual, analysis=analysis,
         blocks=blocks, Braw=Braw, bc=bc, lu=lu,
-        eps_expl=eps_star, b_expl=model.b_fluct if model.b_modes else None,
+        b_expl=model.b_fluct if model.b_modes else None,
         terms=terms, b_forms=b_forms, mu_mass=mu_mass)
 
 
@@ -201,7 +187,7 @@ def step_deterministic_modes(state, ws):
     w = ws.space.weights
 
     rhs = ws.blocks.skewed_mass @ U_full
-    rhs /= ws.cfg.dt
+    rhs /= ws.dt
 
     fqp = ws.forcing_qp(state.t)
     if fqp is not None:
@@ -282,10 +268,10 @@ def step(state, ws):
     recombine[0, 0] = 1.0
     recombine[1:, 0] = means
     recombine[1:, 1:] = T.T
-    new_state = DlrState(U_tilde @ recombine, Y_new, t=state.t + ws.cfg.dt)
+    new_state = DlrState(U_tilde @ recombine, Y_new, t=state.t + ws.dt)
 
     tangent = None
-    if ws.cfg.compute_tangent_residual:
+    if ws.tangent_residual:
         tangent = diagnostics.check_tangent_residual(
             ws, state, U_tilde, Y_tilde)
 
@@ -298,7 +284,7 @@ def step(state, ws):
 def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
     """The time loop of `run` and `fom.fom_run`.
 
-    Checks that ws.cfg.dt divides [initial.t, T], records
+    Checks that ws.dt divides [initial.t, T], records
     measure(initial), then calls advance(state) -> (state, record) once
     per step.  A record whose l2_of is not finite or exceeds
     BLOWUP_FACTOR times the initial one (at least 1) raises BlowupError
@@ -308,7 +294,7 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
     cb(state, record).  Returns (state, list of records).
     """
     t0 = initial.t
-    dt = ws.cfg.dt
+    dt = ws.dt
     if not t0 < T < np.inf:
         raise ConfigError("final time must be finite and exceed the "
                           "initial time")
@@ -342,15 +328,11 @@ def _time_loop(initial, ws, T, advance, measure, l2_of, callbacks):
 def run(initial, ws, T, callbacks=()):
     """Time loop from initial.t to T; returns (state, list of reports).
 
-    Each callback is called as cb(report, state).
+    Each callback is called as cb(state, report).
     """
     def advance(state):
         return step(state, ws)   # looked up per call, so wrappers apply
 
-    def notify(state, report):
-        for cb in callbacks:
-            cb(report, state)
-
     return _time_loop(initial, ws, T, advance,
                       lambda state: diagnostics.step_report(state, ws),
-                      attrgetter("l2"), (notify,))
+                      attrgetter("l2"), callbacks)

@@ -25,7 +25,7 @@ from .coefficients import (
 )
 from .lowrank import evaluate_realization, init_from_modes, \
     init_from_snapshot, DlrState
-from .integrator import SchemeConfig, prepare_workspace, run
+from .integrator import prepare_workspace, run
 from .diagnostics import (
     check_bound_names, evaluate_bounds, md_metric, range_excess,
     write_ledgers_csv, write_reports_csv,
@@ -261,8 +261,10 @@ INITIAL_VARIABLES = {"rotating_body_shapes": 3,
 def _check_config(cfg):
     """Refuse (ConfigError) stabilization, sampler, rank, sample-index,
     dump-time and boundary settings that would otherwise fail later, as
-    a bare exception or a numerical failure, or be ignored, as a delta
-    policy under stabilization = none or a dump time no step reaches."""
+    a bare exception or a numerical failure, or be ignored, as an
+    unknown delta policy under stabilization = none or a dump time no
+    step reaches; build_problem refuses a bound delta policy under
+    stabilization = none once the [model] keys are checked."""
     if cfg.stabilization not in ("supg", "none"):
         raise ConfigError(f"unknown stabilization {cfg.stabilization!r} "
                           "(accepted: supg, none)")
@@ -328,16 +330,14 @@ def build_problem(cfg):
             raise ConfigError("boundary tags do not match the mesh")
     space = build_space(cfg)
     model = build_model(cfg, space)
+    if cfg.stabilization == "none" and cfg.delta_policy != "experiment":
+        raise ConfigError(f"delta_policy {cfg.delta_policy!r} needs "
+                          "stabilization = supg (got 'none')")
     analysis = analyze_reaction(model, mesh, space)
-    if cfg.stabilization == "none":
-        delta = np.zeros(mesh.n_triangles)
-    else:
-        delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
-    scheme_cfg = SchemeConfig(
-        dt=cfg.dt, delta=delta, bc=dict(cfg.bc),
-        compute_tangent_residual=cfg.tangent_residual)
-    ws = prepare_workspace(model, mesh, space, scheme_cfg,
-                           analysis=analysis)
+    delta = np.zeros(mesh.n_triangles) if cfg.stabilization == "none" \
+        else resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
+    ws = prepare_workspace(model, mesh, space, cfg.dt, delta, cfg.bc,
+                           cfg.tangent_residual, analysis=analysis)
     state = build_initial(cfg, mesh, space, ws.blocks.mass)
     return mesh, space, model, analysis, delta, ws, state
 
@@ -391,7 +391,7 @@ def run_from_config(cfg):
         dump_jobs = [(float(td), int(si)) for td in cfg.dump_times
                      for si in cfg.dump_samples]
 
-        def observer(report, st):
+        def observer(st, report):
             reports.append(report)
             for idx in cfg.track_md_samples:
                 u = evaluate_realization(st, idx)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    DlrState, FomState, RunConfig, SchemeConfig, analyze_reaction,
+    DlrState, FomState, RunConfig, analyze_reaction,
     assemble_blocks, build_problem, build_structured_mesh, check_coercivity,
     check_moderate_stochasticity, constant_adr, delta_experiment,
     evaluate_bounds, evaluate_realization, fom_step,
@@ -62,8 +62,8 @@ def test_criterion_2_tangent_residual(stabilization):
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 6, seed=20)
     delta = delta_experiment(mesh) if stabilization == "supg" \
         else np.zeros(mesh.n_triangles)
-    cfg = SchemeConfig(dt=1e-3, delta=delta, compute_tangent_residual=True)
-    ws = prepare_workspace(rotating_body(), mesh, space, cfg)
+    ws = prepare_workspace(rotating_body(), mesh, space, 1e-3, delta,
+                           tangent_residual=True)
     state = random_state(mesh, space, rank=2, seed=21)
     worst = 0.0
     for _ in range(20):
@@ -82,8 +82,7 @@ def test_criterion_3_full_rank_oracle(stabilization):
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=22)
     delta = delta_experiment(mesh) if stabilization == "supg" \
         else np.zeros(mesh.n_triangles)
-    cfg = SchemeConfig(dt=1e-3, delta=delta)
-    ws = prepare_workspace(rotating_body(), mesh, space, cfg)
+    ws = prepare_workspace(rotating_body(), mesh, space, 1e-3, delta)
     state = random_state(mesh, space, rank=space.count - 1, seed=23)
     fom = FomState(state.dense(), t=0.0)
     worst = 0.0
@@ -122,9 +121,7 @@ def decay_problem(c=0.0, f=None, dt=0.005, seed=25):
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0), c=c, f=f)
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("semi_implicit", mesh, analysis, dt)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=dt, delta=delta),
-                           analysis=analysis)
+    ws = prepare_workspace(model, mesh, space, dt, delta, analysis=analysis)
     state = random_state(mesh, space, rank=2, seed=seed + 1)
     return mesh, space, model, analysis, delta, ws, state
 
@@ -132,7 +129,7 @@ def decay_problem(c=0.0, f=None, dt=0.005, seed=25):
 def test_criterion_5_decay_case_ii():
     t0 = time.time()
     mesh, space, model, analysis, delta, ws, state = decay_problem()
-    _, reports = run(state, ws, 200 * ws.cfg.dt)
+    _, reports = run(state, ws, 200 * ws.dt)
     l2s = np.array([r.l2 for r in reports])
     monotone = bool(np.all(np.diff(l2s) <= 1e-12 * l2s[0]))
     details = [f"monotone={monotone}"]
@@ -151,7 +148,7 @@ def test_criterion_6_forced_cases_i_and_iii():
     # case (i): constant reaction, mu0 = 1 > 0, nonzero forcing
     mesh, space, model, analysis, delta, ws, state = decay_problem(
         c=2.0, f=1.0)
-    _, reports = run(state, ws, 100 * ws.cfg.dt)
+    _, reports = run(state, ws, 100 * ws.dt)
     [led_i] = evaluate_bounds(reports, ws, [("im_stab", "i")])
     want_C2 = 2.0 / analysis.mu0 + 4.0 * float(np.max(delta))
     const_ok = abs(led_i.constants.get("C2", np.nan) - want_C2) <= 1e-13
@@ -159,10 +156,10 @@ def test_criterion_6_forced_cases_i_and_iii():
     # case (iii): mu0 = 0, nonzero forcing, dt below the Gronwall limit
     mesh, space, model, analysis, delta, ws, state = decay_problem(
         c=0.0, f=1.0)
-    assert ws.cfg.dt < 1.0 / (1.0 + 2.0 * analysis.nu)
-    _, reports = run(state, ws, 100 * ws.cfg.dt)
+    assert ws.dt < 1.0 / (1.0 + 2.0 * analysis.nu)
+    _, reports = run(state, ws, 100 * ws.dt)
     [led_iii] = evaluate_bounds(reports, ws, [("im_stab", "iii")])
-    want_C3 = float(np.exp((1.0 + 2.0 * analysis.nu) * 100 * ws.cfg.dt))
+    want_C3 = float(np.exp((1.0 + 2.0 * analysis.nu) * 100 * ws.dt))
     const3_ok = abs(led_iii.constants.get("C3", np.nan)
                     - want_C3) <= 1e-12 * want_C3
 
@@ -187,8 +184,7 @@ def test_criterion_7_moderate_stochasticity_gate():
         model = constant_adr(eps_fn=eps, b=(1.0, 0.0))
         analysis = analyze_reaction(model, mesh, space)
         delta = resolve_delta("semi_implicit", mesh, analysis, 0.01)
-        cfg = SchemeConfig(dt=0.01, delta=delta)
-        ws = prepare_workspace(model, mesh, space, cfg,
+        ws = prepare_workspace(model, mesh, space, 0.01, delta,
                                analysis=analysis)
         state = random_state(mesh, space, rank=1, seed=27)
         _, reports = run(state, ws, 0.05)
@@ -227,7 +223,7 @@ def test_criterion_8_stabilization_effect():
         hi = np.array([f.max() for f in fields])
         worst = np.zeros(len(tracked))
 
-        def track_excess(report, st):
+        def track_excess(st, report):
             for k, i in enumerate(tracked):
                 u = evaluate_realization(st, i)
                 worst[k] = max(worst[k], max(0.0, u.max() - hi[k])
@@ -360,8 +356,8 @@ def test_criterion_10_reduction_to_standard_do():
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 3, seed=28)
     model = rotating_body()
     dt = 1e-3
-    cfg = SchemeConfig(dt=dt, delta=np.zeros(mesh.n_triangles))
-    ws = prepare_workspace(model, mesh, space, cfg)
+    ws = prepare_workspace(model, mesh, space, dt,
+                           np.zeros(mesh.n_triangles))
     state = random_state(mesh, space, rank=1, seed=29)
 
     reference = plain_do_step(state, ws, model, mesh, space, dt)

@@ -229,6 +229,30 @@ def test_solve_checks_delta_policy_without_stabilization(tmp_path,
     assert not (tmp_path / "out" / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("policy", ["coercivity", "semi_implicit"])
+def test_solve_refuses_a_bound_delta_policy_without_stabilization(
+        tmp_path, capsys, policy):
+    import configparser
+    import json
+
+    # h_K/4 (experiment) is the default every preset writes: accepted
+    path = _tiny_rotating_body_config(tmp_path, "run", "stabilization",
+                                      "none")
+    assert main(["solve", "--config", str(path)]) == 0
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp["run"]["delta_policy"] = policy
+    cp["output"]["dir"] = str(tmp_path / "bound")
+    with open(path, "w") as fh:
+        cp.write(fh)
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"delta_policy {policy!r} needs stabilization = supg" in err
+    manifest = json.loads((tmp_path / "bound" / "run.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert not (tmp_path / "bound" / "norms.csv").exists()
+
+
 def test_solve_refuses_the_desk_rotating_body_on_two_samples(tmp_path,
                                                             capsys):
     from supgdlr.runner import preset_rotating_body, write_config

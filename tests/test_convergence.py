@@ -20,10 +20,9 @@ diffusion fluctuation explicit, should converge at first order in dt.
 import numpy as np
 import pytest
 
-from supgdlr import (DlrState, SchemeConfig, build_structured_mesh,
-                     constant_adr, delta_experiment, init_from_modes,
-                     make_monte_carlo, make_tensor_grid, prepare_workspace,
-                     run)
+from supgdlr import (DlrState, build_structured_mesh, constant_adr,
+                     delta_experiment, init_from_modes, make_monte_carlo,
+                     make_tensor_grid, prepare_workspace, run)
 
 EPS, T, DT = 1e-3, 0.05, 2.5e-5
 B = (1.0, 0.5)
@@ -55,8 +54,7 @@ def error_at_T(n, supg):
     space = make_tensor_grid([(0.0, 1.0, 1)])
     model = constant_adr(eps_value=EPS, b=B, f=manufactured_forcing())
     delta = delta_experiment(mesh) if supg else np.zeros(mesh.n_triangles)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=DT, delta=delta))
+    ws = prepare_workspace(model, mesh, space, DT, delta)
     initial = DlrState(exact(0.0, mesh.vertices)[:, None],
                        np.zeros((1, 0)))
     final, _ = run(initial, ws, T)
@@ -82,8 +80,7 @@ def random_diffusion_error_at_T(n, dt, T):
     space = make_monte_carlo([(-1.0, 1.0)], 64, seed=0)
     model = constant_adr(b=(0.0, 0.0), eps_fn=random_eps)
     delta = np.zeros(mesh.n_triangles)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=dt, delta=delta))
+    ws = prepare_workspace(model, mesh, space, dt, delta)
     x = mesh.vertices
     shape = np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     # a deterministic start at rank 1: a zero mode on a centered Y

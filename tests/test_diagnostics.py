@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    QUAD_POINTS, ConfigError, SchemeConfig, analyze_reaction,
+    QUAD_POINTS, ConfigError, analyze_reaction,
     assemble_blocks, boundary_layer, build_problem, build_structured_mesh,
     check_coercivity, check_tangent_residual, constant_adr,
     delta_experiment, evaluate_bounds, forcing_norms,
@@ -40,8 +40,8 @@ def make_ws(mesh, space, model, stabilization="supg", dt=1e-3,
             tangent=False):
     delta = delta_experiment(mesh) if stabilization == "supg" \
         else np.zeros(mesh.n_triangles)
-    cfg = SchemeConfig(dt=dt, delta=delta, compute_tangent_residual=tangent)
-    return prepare_workspace(model, mesh, space, cfg)
+    return prepare_workspace(model, mesh, space, dt, delta,
+                             tangent_residual=tangent)
 
 
 def test_l2_norm_matches_dense():
@@ -255,9 +255,7 @@ def decay_run(c=0.0, f=None, dt=0.01, T=0.5, eps=0.05, eps_fn=None):
                          eps_fn=eps_fn)
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("semi_implicit", mesh, analysis, dt)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=dt, delta=delta),
-                           analysis=analysis)
+    ws = prepare_workspace(model, mesh, space, dt, delta, analysis=analysis)
     state = random_state(mesh, space, rank=1, seed=11)
     _, reports = run(state, ws, T)
     return ws, reports
@@ -300,7 +298,7 @@ def test_bound_case_iii_constants_and_pass():
     n_steps = len(reports) - 1
     assert n_steps == 50
     assert led.constants["C3"] == float(
-        np.exp((1.0 + 2.0 * ws.analysis.nu) * (n_steps * ws.cfg.dt)))
+        np.exp((1.0 + 2.0 * ws.analysis.nu) * (n_steps * ws.dt)))
 
 
 def test_bound_case_ii_refuses_a_forced_run():
@@ -339,8 +337,7 @@ def test_bound_refuses_a_run_with_oversized_delta():
     space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
     model = constant_adr(eps_value=0.05, b=(1.0, 1.0))
     big = np.full(mesh.n_triangles, 10.0)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=0.01, delta=big))
+    ws = prepare_workspace(model, mesh, space, 0.01, big)
     _, reports = run(random_state(mesh, space, rank=1, seed=11), ws, 0.05)
     for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
                                              ("si_stab", "ii")]):
@@ -352,8 +349,7 @@ def experiment_policy_run(eps):
     mesh = build_structured_mesh(8)
     space = make_monte_carlo([(-1.0, 1.0)], 4, seed=10)
     model = constant_adr(eps_value=eps, b=(1.0, 1.0))
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=0.2, delta=delta_experiment(mesh)))
+    ws = prepare_workspace(model, mesh, space, 0.2, delta_experiment(mesh))
     _, reports = run(random_state(mesh, space, rank=1, seed=11), ws, 0.4)
     return ws, reports
 
@@ -414,8 +410,7 @@ def test_bound_refuses_random_coefficients():
     model = boundary_layer(space)
     analysis = analyze_reaction(model, mesh, space)
     delta = resolve_delta("semi_implicit", mesh, analysis, 0.01)
-    ws = prepare_workspace(model, mesh, space,
-                           SchemeConfig(dt=0.01, delta=delta),
+    ws = prepare_workspace(model, mesh, space, 0.01, delta,
                            analysis=analysis)
     _, reports = run(random_state(mesh, space, rank=1, seed=3), ws, 0.05)
     for led in evaluate_bounds(reports, ws, [("im_stab", "ii"),
@@ -426,9 +421,9 @@ def test_bound_refuses_random_coefficients():
 def test_bound_zero_trajectory_trivially_passes():
     ws, _ = decay_run(T=0.02)
     zero = StepReport(t=0.0, l2=0.0, grad=0.0, supg=0.0, mu_half=0.0,
-                      bconv=0.0, mode_norms=[], wtilde_cond=1.0,
+                      bconv=0.0, wtilde_cond=1.0,
                       defect_gram=0.0, defect_mean=0.0, defect_cross=0.0)
-    reports = [zero, replace(zero, t=ws.cfg.dt)]
+    reports = [zero, replace(zero, t=ws.dt)]
     led = one_bound(reports, ws, "im_stab", "ii")
     assert led.applicable and led.passed
     assert led.left == 0.0 and led.right == 0.0
@@ -470,5 +465,4 @@ def test_step_report_from_state():
     state = random_state(mesh, space, rank=2, seed=14)
     rep = step_report(state, ws)
     assert rep.l2 > 0
-    assert len(rep.mode_norms) == 3          # mean mode + 2 modes
     assert rep.defect_gram <= 1e-12

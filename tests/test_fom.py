@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    QUAD_POINTS, ConfigError, FomState, SchemeConfig, boundary_layer,
+    QUAD_POINTS, ConfigError, FomState, boundary_layer,
     build_structured_mesh, constant_adr, delta_experiment, fom_run,
     fom_step, l2_norm, make_monte_carlo, prepare_workspace, rotating_body,
 )
@@ -12,8 +12,7 @@ from supgdlr.fom import CHUNK
 
 
 def make_ws(mesh, space, model, dt=1e-3):
-    cfg = SchemeConfig(dt=dt, delta=delta_experiment(mesh))
-    return prepare_workspace(model, mesh, space, cfg)
+    return prepare_workspace(model, mesh, space, dt, delta_experiment(mesh))
 
 
 def test_identical_samples_stay_identical():
@@ -73,8 +72,8 @@ def _per_sample_step(state, ws):
     Gq = np.einsum("ead,eai->edi", mesh.grads, fields[mesh.triangles])
     test = QUAD_POINTS[None] \
         + ws.blocks.delta[:, None, None] * ws.blocks.bg_at_qp
-    rhs = ws.blocks.skewed_mass @ fields / ws.cfg.dt
-    rhs -= ws.blocks.stiffness @ (fields * ws.eps_expl[None, :])
+    rhs = ws.blocks.skewed_mass @ fields / ws.dt
+    rhs -= ws.blocks.stiffness @ (fields * ws.analysis.eps_star[None, :])
     for i, omega in enumerate(ws.space.samples):
         bf = ws.b_expl(ws.xq_flat, omega).reshape(ne, nq, 2)
         val = np.einsum("eqd,ed->eq", bf, Gq[:, :, i])
@@ -117,13 +116,13 @@ def _one_shot_forcing_step(state, ws):
     mesh, fields = ws.mesh, state.fields
     test = QUAD_POINTS[None] \
         + ws.blocks.delta[:, None, None] * ws.blocks.bg_at_qp
-    fq = ws.model.forcing(state.t + ws.cfg.dt, ws.xq_flat)
+    fq = ws.model.forcing(state.t + ws.dt, ws.xq_flat)
     contrib = np.einsum("eq,eq,eqa->ea", ws.pw,
                         np.reshape(fq, ws.pw.shape), test)
     load = np.zeros(mesh.n_vertices)
     np.add.at(load, mesh.triangles, contrib)
-    rhs = ws.blocks.skewed_mass @ fields / ws.cfg.dt + load[:, None]
-    rhs -= ws.blocks.stiffness @ (fields * ws.eps_expl[None, :])
+    rhs = ws.blocks.skewed_mass @ fields / ws.dt + load[:, None]
+    rhs -= ws.blocks.stiffness @ (fields * ws.analysis.eps_star[None, :])
     return ws.lu.solve(ws.bc.constrain_rhs(rhs))
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from supgdlr import (
-    BlowupError, ConfigError, FomState, NearSingularError, SchemeConfig,
-    delta_experiment, build_problem, build_structured_mesh, constant_adr,
-    fom_run, fom_step, init_from_modes, make_monte_carlo, make_tensor_grid,
+    BlowupError, ConfigError, DlrState, FomState, NearSingularError,
+    StepReport, delta_experiment, build_problem, build_structured_mesh,
+    constant_adr, fom_run, fom_step, init_from_modes, make_monte_carlo, make_tensor_grid,
     prepare_workspace, preset_boundary_layer, preset_rotating_body,
     rotating_body, run, step, step_deterministic_modes, step_report,
     step_stochastic_modes,
@@ -30,8 +30,7 @@ def random_state(mesh, space, rank, seed=0):
 def make_ws(mesh, space, model, stabilization="supg", dt=1e-3):
     delta = delta_experiment(mesh) if stabilization == "supg" \
         else np.zeros(mesh.n_triangles)
-    return prepare_workspace(model, mesh, space,
-                             SchemeConfig(dt=dt, delta=delta))
+    return prepare_workspace(model, mesh, space, dt, delta)
 
 
 def full_order_run(state, ws, T):
@@ -43,22 +42,22 @@ time_loops = pytest.mark.parametrize("loop", [run, full_order_run],
                                      ids=["run", "fom_run"])
 
 
-def test_scheme_config_validation():
-    with pytest.raises(ConfigError):
-        SchemeConfig(dt=0.0, delta=np.zeros(2))
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+def test_prepare_workspace_refuses_bad_dt(dt):
+    mesh = build_structured_mesh(3)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=0)
+    with pytest.raises(ConfigError, match="dt must be positive"):
+        prepare_workspace(rotating_body(), mesh, space, dt,
+                          delta_experiment(mesh))
 
 
 def test_supg_needs_delta():
     # every run needs a delta; standard Galerkin passes all zeros
-    with pytest.raises(ConfigError):
-        SchemeConfig(dt=0.1)
-    with pytest.raises(ConfigError):
-        SchemeConfig(dt=0.1, delta=None)
     mesh = build_structured_mesh(3)
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=0)
-    cfg = SchemeConfig(dt=0.1, delta=np.zeros(mesh.n_triangles - 1))
-    with pytest.raises(ConfigError):
-        prepare_workspace(rotating_body(), mesh, space, cfg)
+    for delta in (None, np.zeros(mesh.n_triangles - 1)):
+        with pytest.raises(ConfigError, match="one entry per triangle"):
+            prepare_workspace(rotating_body(), mesh, space, 0.1, delta)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -67,9 +66,8 @@ def test_prepare_workspace_rejects_non_finite_delta(bad):
     space = make_monte_carlo([(-1.0, 1.0)] * 3, 4, seed=0)
     delta = np.full(mesh.n_triangles, 0.1)
     delta[0] = bad
-    cfg = SchemeConfig(dt=0.1, delta=delta)
     with pytest.raises(ConfigError, match="non-finite"):
-        prepare_workspace(rotating_body(), mesh, space, cfg)
+        prepare_workspace(rotating_body(), mesh, space, 0.1, delta)
 
 
 @pytest.mark.parametrize("stabilization", ["supg", "none"])
@@ -146,6 +144,23 @@ def test_run_time_grid_checks(loop):
     assert abs(final.t - 0.5) <= 1e-12
 
 
+def test_time_loops_call_back_with_the_state_first():
+    mesh = build_structured_mesh(3)
+    space = make_monte_carlo([(-1.0, 1.0)], 2, seed=0)
+    ws = make_ws(mesh, space, constant_adr(eps_value=0.1), dt=0.1)
+    state = random_state(mesh, space, rank=1, seed=1)
+    for loop, initial, state_type, record_type in (
+            (run, state, DlrState, StepReport),
+            (fom_run, FomState(state.dense(), t=state.t), FomState, float)):
+        seen = []
+        final, records = loop(initial, ws, 0.3, callbacks=(
+            lambda st, record: seen.append((st, record)),))
+        assert [type(st) for st, _ in seen] == [state_type] * 4
+        assert [type(r) for _, r in seen] == [record_type] * 4
+        assert [r for _, r in seen] == records
+        assert seen[0][0] is initial and seen[-1][0] is final
+
+
 @time_loops
 def test_explicit_diffusion_blowup_detected(loop):
     # one sample of ten has a diffusion 1000 times the others', so the
@@ -157,8 +172,8 @@ def test_explicit_diffusion_blowup_detected(loop):
         eps_fn=lambda s: np.where(np.atleast_2d(s)[:, 0] > 0.95,
                                   10.0, 0.01),
         b=(0.0, 0.0))
-    cfg = SchemeConfig(dt=0.5, delta=np.zeros(mesh.n_triangles))
-    ws = prepare_workspace(model, mesh, space, cfg)
+    ws = prepare_workspace(model, mesh, space, 0.5,
+                           np.zeros(mesh.n_triangles))
     state = random_state(mesh, space, rank=1, seed=2)
     with pytest.raises(BlowupError) as err:
         loop(state, ws, 10.0)

@@ -273,7 +273,7 @@ def test_build_problem_shapes():
     assert space.count == 20
     assert state.rank == 2
     assert delta.shape == (mesh.n_triangles,)
-    assert ws.blocks.delta is ws.cfg.delta is delta
+    assert ws.blocks.delta is delta
     check_invariants(state, space, ws.blocks.mass)
 
 
