@@ -18,8 +18,9 @@ it; the demo prints the worst and the mean over all collocation samples.
 The initial field spans about [-5.4, 3.2], so plain over- and
 undershoots of [0, 1] would mostly count leftover initial data.
 
-Runtime is about two seconds at desk scale.  With --scale paper the
-stabilized run stops at step 1 with NearSingularError (see README).
+Runtime is about two seconds at desk scale.  With --scale paper (rank
+34 on 10^4 samples) both runs take their 50 steps in about two seconds
+each; the standard one ends at an L2 norm of about 296.
 """
 
 import argparse
@@ -45,13 +46,13 @@ def main():
                         choices=("desk", "paper"))
     args = parser.parse_args()
 
-    for stab in ("supg", "none"):
+    for policy in ("experiment", "none"):
         cfg = preset_boundary_layer(scale=args.scale)
-        cfg.stabilization = stab
+        cfg.delta_policy = policy
         mesh, space, model, analysis, delta, ws, state = \
             build_problem(cfg)
-        label = "stabilized" if stab == "supg" else "standard"
-        if stab == "supg":
+        label = "standard" if policy == "none" else "stabilized"
+        if policy == "experiment":
             print(f"mesh {cfg.n_per_side}x{cfg.n_per_side}, "
                   f"N_C={space.count} (tensor grid), "
                   f"snapshot compressed to rank {state.rank}")

@@ -35,9 +35,9 @@ from supgdlr import (
 TRACKED = (0, 1, 2, 3, 4)
 
 
-def run_variant(scale, stabilization, seed):
+def run_variant(scale, delta_policy, seed):
     cfg = preset_rotating_body(scale=scale, seed=seed)
-    cfg.stabilization = stabilization
+    cfg.delta_policy = delta_policy
     *_, ws, state = build_problem(cfg)
 
     fields = {i: evaluate_realization(state, i) for i in TRACKED}
@@ -67,11 +67,12 @@ def main():
     args = parser.parse_args()
 
     results = {}
-    for stab in ("supg", "none"):
+    for policy in ("experiment", "none"):
         (cfg, ws, final, reports,
-         md0, trace, excess, wall) = run_variant(args.scale, stab, args.seed)
-        results[stab] = (md0, trace, excess)
-        label = "stabilized" if stab == "supg" else "standard"
+         md0, trace, excess, wall) = run_variant(args.scale, policy,
+                                                 args.seed)
+        results[policy] = (md0, trace, excess)
+        label = "standard" if policy == "none" else "stabilized"
         print(f"{label:>10}: N_h={cfg.n_dof}, N_C={ws.space.count}, "
               f"rank={final.rank}, {len(reports) - 1} steps, "
               f"{wall:.1f} s")
@@ -85,7 +86,7 @@ def main():
     print(f"\nlocal Peclet: max {pec:.3e}, "
           f"advection dominated: {pec > 1.0}")
 
-    _, _, xs = results["supg"]
+    _, _, xs = results["experiment"]
     _, _, xn = results["none"]
     print("\nrange excess of tracked realizations, above the initial max "
           "plus\nbelow the initial min:")
@@ -105,7 +106,7 @@ def main():
           f"{'stab final':>11} {'stab max':>9} "
           f"{'std final':>10} {'std max':>8}")
     for i in TRACKED:
-        md0s, ts, _ = results["supg"]
+        md0s, ts, _ = results["experiment"]
         md0n, tn, _ = results["none"]
         dev_s = np.abs(np.array(ts[i]) - md0s[i])
         dev_n = np.abs(np.array(tn[i]) - md0n[i])

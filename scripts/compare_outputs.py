@@ -42,7 +42,8 @@ OUT_DIR receives:
 The runs write into directories named relative to OUT_DIR, so run.json
 records the same out_dir on every checkout.  Exit status 0 when every
 run and suite succeeded, 1 otherwise (the outputs are written either
-way).
+way; a full-order run that stops with a package error is listed as
+failed and writes no fom_boundary_layer.txt).
 """
 
 import argparse
@@ -54,7 +55,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from supgdlr import cli, fom, runner  # noqa: E402
+from supgdlr import SupgDlrError, cli, fom, runner  # noqa: E402
 
 PAPER_STEPS = 100
 TRACKED = (0, 1, 2)
@@ -113,7 +114,10 @@ def main(argv=None):
         status, _ = runner.run_from_config(cfg)
         if status:
             failed.append(f"{name} (status {status})")
-    write_fom_norms("fom_boundary_layer.txt")
+    try:
+        write_fom_norms("fom_boundary_layer.txt")
+    except SupgDlrError as err:
+        failed.append(f"fom_boundary_layer ({type(err).__name__}: {err})")
     for suite in SUITES:
         code = write_check(suite, f"check_{suite}.txt")
         if code:

@@ -81,6 +81,7 @@ class StepWorkspace:
     lu: object
     b_expl: object                    # callable (x, omega) or None
     terms: list                       # explicit operator, (theta, B)
+    has_explicit_eps: bool            # whether eps_star is not all zero
     b_forms: list                     # energy norm, (psi, S_kl)
     mu_mass: object                   # (mu phi_j, phi_i), None if mu = 0
     # always None, the reaction is implicit; the benchmark's tracer
@@ -92,10 +93,6 @@ class StepWorkspace:
     def __post_init__(self):
         self.pw = self.mesh.quad_weights
         self.xq_flat = self.mesh.quad_points.reshape(-1, 2)
-
-    @property
-    def has_explicit_eps(self):
-        return bool(np.any(self.analysis.eps_star != 0.0))
 
     @property
     def has_sample_loop(self):
@@ -134,8 +131,8 @@ def prepare_workspace(model, mesh, space, dt, delta, bc=None,
     eps_star = analysis.eps_star
     blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean, delta)
 
-    terms = [(eps_star, blocks.stiffness)] if np.any(eps_star != 0.0) \
-        else []
+    has_explicit_eps = bool(np.any(eps_star != 0.0))
+    terms = [(eps_star, blocks.stiffness)] if has_explicit_eps else []
     modes = [(theta, directional_gradients(mesh, beta))
              for theta, beta in analysis.modes]
     terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
@@ -170,7 +167,8 @@ def prepare_workspace(model, mesh, space, dt, delta, bc=None,
         tangent_residual=tangent_residual, analysis=analysis,
         blocks=blocks, Braw=Braw, bc=bc, lu=lu,
         b_expl=model.b_fluct if model.b_modes else None,
-        terms=terms, b_forms=b_forms, mu_mass=mu_mass)
+        terms=terms, has_explicit_eps=has_explicit_eps, b_forms=b_forms,
+        mu_mass=mu_mass)
 
 
 def step_deterministic_modes(state, ws):
@@ -218,8 +216,11 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
     fluctuation modes Um vanish on the Dirichlet dofs and satisfy
     Braw Um = rhs[:, 1:] on every other row, so the mode coupling matrix
     What = Um^T Braw^T Um is read from that solved right-hand side.
-    The increments solve dY What = rhs, applied from the right.
-    Returns (Y_tilde, dY, w_condition).
+    The increments solve dY What = rhs, applied from the right.  Modes
+    of very different size scale the rows and columns of What alike, so
+    the condition checked is that of Ws = What / (d_i d_j), with d the
+    square roots of |diag What|.  Returns (Y_tilde, dY, w_condition),
+    the last the condition of Ws.
     """
     R = state.rank
     if R == 0:
@@ -228,7 +229,12 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
 
     Um = U_tilde[:, 1:]
     What = solved_rhs[:, 1:].T @ Um
-    sv = np.linalg.svd(What, compute_uv=False)       # descending
+    d = np.sqrt(np.abs(np.diag(What)))
+    if not np.all((0.0 < d) & (d < np.inf)):
+        raise NearSingularError("mode coupling matrix has a zero or "
+                                "non-finite diagonal", condition=np.inf)
+    Ws = What / d[:, None] / d[None, :]
+    sv = np.linalg.svd(Ws, compute_uv=False)         # descending
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > WCOND_THRESHOLD:
         raise NearSingularError(
@@ -244,7 +250,7 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
         dY = np.zeros_like(state.Y)
     else:
         rhs = project_complement(rhs, state.Y, ws.space)
-        dY = rhs @ np.linalg.inv(What)
+        dY = rhs @ (np.linalg.inv(Ws) / d[:, None] / d[None, :])
     return state.Y + dY, dY, cond
 
 

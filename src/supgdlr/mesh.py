@@ -131,17 +131,18 @@ class Mesh:
         """CSR pattern of every P1 form on this mesh and the order in
         which _form sums element entries into it; computed once.
 
-        Returns int32 (indptr, indices, first, more).  Element matrices
-        are flattened element-last, entry (a, b) of element e at
-        (3 a + b) n_e + e.  Slot s of a form's data starts as entry
-        first[s]; each (slots, src) of more then adds entries src to
-        slots.  That is the order of scipy's coo_matrix((elem, (rows,
-        cols))).tocsr() with the entries in (element, test, trial)
-        order: it buckets them by row in input order, sorts each row by
-        column alone (a permutation that depends only on the columns)
-        and adds each run of one column left to right.
+        Returns int32 (indptr, indices, order) and slot, of the intp
+        type that bincount takes uncast.  Element matrices are flattened
+        element-last, entry (a, b) of element e at (3 a + b) n_e + e.
+        Entry order[k] is added to slot slot[k] of a form's data, for k
+        in turn from zero.  That is the order of scipy's
+        coo_matrix((elem, (rows, cols))).tocsr() with the entries in
+        (element, test, trial) order: it buckets them by row in input
+        order, sorts each row by column alone (a permutation that
+        depends only on the columns) and adds each run of one column
+        left to right.
 
-        first and more are read-only.  indptr and indices, which every
+        order and slot are read-only.  indptr and indices, which every
         form shares, stay writeable, as scipy copies read-only index
         arrays in every product: copy a form before changing its pattern
         in place (eliminate_zeros, prune).
@@ -167,18 +168,11 @@ class Mesh:
         head = np.ones(len(col), dtype=bool)
         np.not_equal(col[1:], col[:-1], out=head[1:])
         head[indptr[:-1][np.diff(indptr) > 0]] = True
-        start = np.flatnonzero(head)
-        count = np.diff(start, append=len(col))
-        indptr = np.concatenate((np.zeros(1, dtype=np.int32),
-                                 np.cumsum(head, dtype=np.int32)))[indptr]
-        more = []
-        for k in range(1, count.max()):
-            slots = np.flatnonzero(count > k)
-            more.append((slots.astype(np.int32), src[start[slots] + k]))
-        first = src[start]
-        for arr in (first, *(arr for pair in more for arr in pair)):
+        slot = np.cumsum(head) - 1
+        indptr = np.append(0, slot + 1)[indptr].astype(np.int32)
+        for arr in (src, slot):
             arr.flags.writeable = False
-        return indptr, col[start], first, tuple(more)
+        return indptr, col[head], src, slot
 
     @cached_property
     def mass(self):
@@ -309,7 +303,8 @@ def _form(mesh, test, trial, weight=None):
     values, whose components the product contracts; weight is None or
     broadcastable to (ne, nq).  The matrix shares the indptr and
     indices of mesh.form_pattern, and equals scipy's COO-to-CSR
-    conversion of the element matrices bit for bit.
+    conversion of the element matrices bit for bit: bincount adds in
+    scipy's order from +0.0, and einsum yields no -0.0.
     """
     pw = mesh.weights
     if weight is not None:
@@ -321,10 +316,8 @@ def _form(mesh, test, trial, weight=None):
         (f if f.ndim == 4 else f[..., None]).transpose(3, 1, 2, 0))
         for f in (test, trial))
     elem = np.einsum("qe,cqae,cqbe->abe", pw, test, trial).ravel()
-    indptr, indices, first, more = mesh.form_pattern
-    data = elem[first]
-    for slots, src in more:
-        data[slots] += elem[src]
+    indptr, indices, order, slot = mesh.form_pattern
+    data = np.bincount(slot, weights=elem[order], minlength=len(indices))
     n = mesh.n_vertices
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 

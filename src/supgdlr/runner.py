@@ -1,7 +1,7 @@
 """Configuration-driven batch runs and the experiment presets.
 
 A RunConfig fully determines one run: mesh, sample space, coefficient
-model, initial condition, stabilization policy and outputs.
+model, initial condition, delta policy and outputs.
 Presets reproduce the two reference experiments at `paper` scale
 (exact published parameters, hours of compute) or `desk` scale (same
 structure, minutes).  All outputs are plain text and byte-reproducible
@@ -10,6 +10,7 @@ from (config, seed, version).
 
 import configparser
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -51,7 +52,6 @@ class RunConfig:
     n_per_side: int
     dt: float
     T: float
-    stabilization: str = "supg"
     delta_policy: str = "experiment"
     rank: int = None
     snapshot_tol: float = None
@@ -91,7 +91,6 @@ class RunConfig:
             "T": self.T,
             "R": self.rank,
             "snapshot_tol": self.snapshot_tol,
-            "stabilization": self.stabilization,
             "delta_policy": self.delta_policy,
             "model": self.model,
         }
@@ -99,7 +98,8 @@ class RunConfig:
 
 DELTA_POLICY_LABELS = {"experiment": "h_K/4",
                        "coercivity": "coercivity bound",
-                       "semi_implicit": "semi-implicit bound"}
+                       "semi_implicit": "semi-implicit bound",
+                       "none": "0 (standard Galerkin)"}
 
 
 def preset_rotating_body(scale="desk", seed=1234):
@@ -112,8 +112,7 @@ def preset_rotating_body(scale="desk", seed=1234):
         n, count, T, dt = 32, 200, 0.5, 0.5 / 800.0
     return RunConfig(
         name="rotating_body", scale=scale, n_per_side=n, dt=dt, T=T,
-        stabilization="supg", delta_policy="experiment", rank=2,
-        model="rotating_body",
+        delta_policy="experiment", rank=2, model="rotating_body",
         sampler={"kind": "monte_carlo", "count": count, "seed": seed,
                  "intervals": [(-1.0, 1.0)] * 3},
         initial="rotating_body_shapes", bc={"boundary": 0.0})
@@ -130,8 +129,8 @@ def preset_boundary_layer(scale="desk"):
         n, N, rank, tol = 20, 4, None, 1e-4
     return RunConfig(
         name="boundary_layer", scale=scale, n_per_side=n, dt=T / 50.0,
-        T=T, stabilization="supg", delta_policy="experiment", rank=rank,
-        snapshot_tol=tol, model="boundary_layer",
+        T=T, delta_policy="experiment", rank=rank, snapshot_tol=tol,
+        model="boundary_layer",
         sampler={"kind": "tensor_grid",
                  "intervals": [(5000.0, 6000.0, N)]
                  + [(-1.0, 1.0, N)] * 3},
@@ -234,10 +233,12 @@ def build_model(cfg, space):
 def resolve_delta(policy, mesh, analysis, dt):
     """Per-element stabilization parameter of one delta policy, an array.
 
-    Policies other than the plain h_K/4 rule ("experiment") read the
-    mesh's inverse constant; the coercivity policy is capped at h_K/4,
-    and only the semi_implicit policy reads dt.
+    "none" is the all-zero delta of standard Galerkin.  The bound
+    policies read the mesh's inverse constant; the coercivity policy is
+    capped at h_K/4, and only the semi_implicit policy reads dt.
     """
+    if policy == "none":
+        return np.zeros(mesh.n_triangles)
     if policy == "experiment":
         return delta_experiment(mesh)
     if policy == "coercivity":
@@ -259,15 +260,10 @@ INITIAL_VARIABLES = {"rotating_body_shapes": 3,
 
 
 def _check_config(cfg):
-    """Refuse (ConfigError) stabilization, sampler, rank, sample-index,
+    """Refuse (ConfigError) delta policy, sampler, rank, sample-index,
     dump-time and boundary settings that would otherwise fail later, as
-    a bare exception or a numerical failure, or be ignored, as an
-    unknown delta policy under stabilization = none or a dump time no
-    step reaches; build_problem refuses a bound delta policy under
-    stabilization = none once the [model] keys are checked."""
-    if cfg.stabilization not in ("supg", "none"):
-        raise ConfigError(f"unknown stabilization {cfg.stabilization!r} "
-                          "(accepted: supg, none)")
+    a bare exception or a numerical failure, or be ignored, as a dump
+    time no step reaches."""
     if cfg.delta_policy not in DELTA_POLICY_LABELS:
         raise ConfigError(f"unknown delta_policy {cfg.delta_policy!r} "
                           f"(accepted: {', '.join(DELTA_POLICY_LABELS)})")
@@ -313,9 +309,9 @@ def _check_config(cfg):
         raise ConfigError(f"dump times must lie in [0, T] = [0, {cfg.T:g}] "
                           f"(got {cfg.dump_times!r})")
     for tag, value in cfg.bc.items():
-        if not callable(value) and not np.isfinite(value):
-            raise ConfigError(f"boundary value of {tag!r} must be finite "
-                              f"(got {value!r})")
+        if not isinstance(value, numbers.Real) or not np.isfinite(value):
+            raise ConfigError(f"boundary value of {tag!r} must be a real "
+                              f"number and must be finite (got {value!r})")
 
 
 def build_problem(cfg):
@@ -330,12 +326,8 @@ def build_problem(cfg):
             raise ConfigError("boundary tags do not match the mesh")
     space = build_space(cfg)
     model = build_model(cfg, space)
-    if cfg.stabilization == "none" and cfg.delta_policy != "experiment":
-        raise ConfigError(f"delta_policy {cfg.delta_policy!r} needs "
-                          "stabilization = supg (got 'none')")
     analysis = analyze_reaction(model, mesh, space)
-    delta = np.zeros(mesh.n_triangles) if cfg.stabilization == "none" \
-        else resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
+    delta = resolve_delta(cfg.delta_policy, mesh, analysis, cfg.dt)
     ws = prepare_workspace(model, mesh, space, cfg.dt, delta, cfg.bc,
                            cfg.tangent_residual, analysis=analysis)
     state = build_initial(cfg, mesh, space, ws.blocks.mass)
@@ -444,9 +436,13 @@ def run_from_config(cfg):
         manifest["error"] = f"{type(err).__name__}: {err}"
         raise
     finally:
+        # formed whole before the file is opened, so it is never cut
+        # short: NumPy values as lists and numbers, any other by its repr
+        text = json.dumps(manifest, indent=2, sort_keys=True, default=(
+            lambda v: v.tolist() if isinstance(v, (np.generic, np.ndarray))
+            else repr(v)))
         with open(os.path.join(cfg.out_dir, "run.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     return status, manifest
 
 
@@ -485,7 +481,6 @@ FIELDS = (
     ("run", "n_per_side", "n_per_side", int, str),
     ("run", "dt", "dt", float, _g),
     ("run", "t", "T", float, _g),
-    ("run", "stabilization", "stabilization", str, str),
     ("run", "delta_policy", "delta_policy", str, str),
     ("run", "initial", "initial", str, str),
     ("run", "rank", "rank", int, str),
@@ -532,14 +527,10 @@ def load_config(path):
     try:
         if not cp.read(path):
             raise ConfigError(f"cannot read config file {path}")
-        # the semi-implicit step is the only scheme; no other runs silently
-        if cp["run"].get("scheme", "semi_implicit") != "semi_implicit":
-            raise ConfigError(f"unknown scheme {cp['run']['scheme']!r} in "
-                              f"{path}; only semi_implicit is supported")
         s = cp["sampling"]
         if s["kind"] not in SAMPLER_KEYS:
             raise ConfigError(f"unknown sampler kind {s['kind']!r}")
-        known = {("run", "scheme"), *(row[:2] for row in FIELDS), *(
+        known = {*(row[:2] for row in FIELDS), *(
             ("sampling", k)
             for k in ("kind", "intervals", *SAMPLER_KEYS[s["kind"]]))}
         for section in cp.sections():

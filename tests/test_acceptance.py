@@ -216,7 +216,8 @@ def test_criterion_8_stabilization_effect():
     spread_dev = {}
     for stabilization in ("supg", "none"):
         cfg = preset_rotating_body("desk")
-        cfg.stabilization = stabilization
+        cfg.delta_policy = {"supg": "experiment", "none": "none"}[
+            stabilization]
         *_, ws, state = build_problem(cfg)
         fields = [evaluate_realization(state, i) for i in tracked]
         lo = np.array([f.min() for f in fields])

@@ -60,9 +60,8 @@ def config_files(draw):
                        unique=True).map(tuple)
     cfg = RunConfig(
         name="drawn", n_per_side=draw(st.integers(2, 6)), dt=dt, T=T,
-        stabilization=draw(st.sampled_from(["supg", "none"])),
         delta_policy=draw(st.sampled_from(
-            ["experiment", "coercivity", "semi_implicit"])),
+            ["experiment", "coercivity", "semi_implicit", "none"])),
         rank=draw(st.one_of(st.none(), st.integers(0, 3))),
         snapshot_tol=draw(st.sampled_from([None, 1e-4])),
         model=model,

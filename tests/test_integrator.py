@@ -352,6 +352,37 @@ def test_equal_fluctuation_modes_raise_near_singular():
     assert err.value.condition > WCOND_THRESHOLD
 
 
+def _scaled_mode_step(scale):
+    """step_stochastic_modes with fluctuation mode 2 and its solved
+    right-hand side times scale; returns (dY, condition, raw What)."""
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 10, seed=7)
+    ws = make_ws(mesh, space, rotating_body(), dt=1e-3)
+    state = random_state(mesh, space, rank=2, seed=8)
+    U_tilde, (BU, rhs) = step_deterministic_modes(state, ws)
+    U_tilde[:, 2] *= scale
+    rhs[:, 2] *= scale
+    _, dY, cond = step_stochastic_modes(state, U_tilde, ws, (BU, rhs))
+    return dY, cond, rhs[:, 1:].T @ U_tilde[:, 1:]
+
+
+def test_a_tiny_fluctuation_mode_runs():
+    # a mode at 1e-9 of the others scales a row and a column of What
+    # alike: a raw condition near 1e18, but the same scaled system
+    dY, cond, _ = _scaled_mode_step(1.0)
+    dY_tiny, cond_tiny, What = _scaled_mode_step(1e-9)
+    assert np.linalg.cond(What) > WCOND_THRESHOLD
+    assert cond_tiny == pytest.approx(cond, rel=1e-6)
+    # the tiny mode's increment is 1e9 times larger, so Um dY^T is kept
+    assert np.allclose(dY_tiny * [1.0, 1e-9], dY, rtol=1e-6, atol=0.0)
+
+
+def test_zero_fluctuation_mode_raises_near_singular():
+    with pytest.raises(NearSingularError) as err:
+        _scaled_mode_step(0.0)
+    assert err.value.condition == np.inf
+
+
 def _tiny_rotating_body():
     cfg = preset_rotating_body("desk")
     cfg.n_per_side = 8

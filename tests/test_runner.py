@@ -27,8 +27,7 @@ from conftest import check_invariants
 def tiny_config(out_dir, **overrides):
     cfg = RunConfig(
         name="tiny", n_per_side=8, dt=0.01, T=0.1,
-        stabilization="supg", delta_policy="experiment", rank=2,
-        model="rotating_body",
+        delta_policy="experiment", rank=2, model="rotating_body",
         sampler={"kind": "monte_carlo", "count": 20, "seed": 3,
                  "intervals": [(-1.0, 1.0)] * 3},
         initial="rotating_body_shapes", bc={"boundary": 0.0},
@@ -60,7 +59,7 @@ def every_field_config(out_dir):
     # every RunConfig field away from its default
     return RunConfig(
         name="every_field", n_per_side=6, dt=0.025, T=0.3,
-        stabilization="none", delta_policy="semi_implicit", rank=3,
+        delta_policy="semi_implicit", rank=3,
         snapshot_tol=1e-5, model="constant_adr",
         model_params={"eps_value": 0.1, "b": (1.0, 0.0), "c": 0.5,
                       "f": 2.0},
@@ -105,20 +104,22 @@ def test_load_missing_config_raises(tmp_path):
         load_config(tmp_path / "absent.ini")
 
 
-def test_load_config_rejects_removed_scheme(tmp_path, capsys):
+def test_load_config_refuses_removed_run_keys(tmp_path, capsys):
     from supgdlr.cli import main
 
     path = tmp_path / "config.ini"
     write_config(tiny_config(str(tmp_path / "out")), path)
     text, head = path.read_text(), "[run]\n"
-    # an old file naming the one remaining scheme still loads
-    path.write_text(text.replace(head, head + "scheme = semi_implicit\n"))
-    assert load_config(path).n_per_side == 8
-    path.write_text(text.replace(head, head + "scheme = explicit\n"))
-    with pytest.raises(ConfigError, match="explicit"):
-        load_config(path)
-    assert main(["solve", "--config", str(path)]) == 1
-    assert "configuration error" in capsys.readouterr().err
+    # older files named the one scheme and chose delta_K with two keys
+    for line in ("scheme = semi_implicit", "stabilization = supg",
+                 "stabilization = none"):
+        key = line.split()[0]
+        path.write_text(text.replace(head, f"{head}{line}\n"))
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}'" in err
 
 
 def test_load_config_parses_tangent_residual_as_a_boolean(tmp_path,
@@ -585,8 +586,8 @@ def test_run_from_config_bad_model(tmp_path):
     assert manifest["status"] == "config_error"
 
 
-def test_run_from_config_bad_stabilization(tmp_path):
-    cfg = tiny_config(str(tmp_path / "bad"), stabilization="gls")
+def test_run_from_config_bad_delta_policy(tmp_path):
+    cfg = tiny_config(str(tmp_path / "bad"), delta_policy="gls")
     status, manifest = run_from_config(cfg)
     assert status == 1
     assert "gls" in manifest["error"]
@@ -641,10 +642,9 @@ def test_build_problems_share_no_cached_array():
     for _ in range(2):
         mesh, _, _, _, _, ws, _ = build_problem(cfg)
         assemble_load(ws.blocks, np.ones(ws.pw.shape))
-        indptr, indices, first, more = mesh.form_pattern
-        arrays.append([mesh.quad_points, mesh.quad_weights, indptr,
-                       indices, first, *(a for pair in more for a in pair),
-                       ws.pw, ws.xq_flat, ws.blocks.load_test])
+        arrays.append([mesh.quad_points, mesh.quad_weights,
+                       *mesh.form_pattern, ws.pw, ws.xq_flat,
+                       ws.blocks.load_test])
     for a, b in zip(*arrays):
         assert np.array_equal(a, b)
         assert not np.shares_memory(a, b)
@@ -679,6 +679,14 @@ def test_resolve_delta_assembles_only_mass_and_stiffness(policy,
     # the mesh keeps its C_I: a second policy assembles nothing
     assert np.array_equal(resolve_delta(policy, mesh, analysis, dt), want)
     assert len(calls) == 2
+
+
+def test_delta_policy_none_is_standard_galerkin():
+    mesh, *_, delta, ws, _ = build_problem(tiny_config(".",
+                                                       delta_policy="none"))
+    assert np.array_equal(delta, np.zeros(mesh.n_triangles))
+    assert not np.any(ws.blocks.delta)
+    assert np.array_equal(ws.blocks.skewed_mass.data, mesh.mass.data)
 
 
 def test_non_finite_solve_is_a_numerical_failure(tmp_path, monkeypatch):
@@ -781,3 +789,29 @@ def test_run_json_records_the_initial_rank(tmp_path, make_cfg, want):
     with open(tmp_path / "run.json") as fh:
         assert json.load(fh)["initial_rank"] == want
     assert build_problem(cfg)[-1].rank == want
+
+
+def test_run_json_holds_numpy_config_values(tmp_path):
+    # an np.int64 rank passes the checks; run.json holds it as a number
+    status, _ = run_from_config(tiny_config(str(tmp_path),
+                                            rank=np.int64(2)))
+    assert status == 0
+    with open(tmp_path / "run.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["config"]["rank"] == 2
+    assert manifest["status"] == "ok"
+
+
+def test_callable_boundary_value_is_config_error(tmp_path):
+    def ramp(x):
+        return x[:, 0]
+
+    status, _ = run_from_config(tiny_config(str(tmp_path),
+                                            bc={"boundary": ramp}))
+    assert status == 1
+    with open(tmp_path / "run.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["status"] == "config_error"
+    assert "'boundary' must be a real number" in manifest["error"]
+    assert manifest["config"]["bc"]["boundary"] == repr(ramp)
+    assert not (tmp_path / "norms.csv").exists()
