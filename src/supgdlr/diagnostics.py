@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .coefficients import check_moderate_stochasticity, \
     delta_coercivity, delta_semi_implicit
 from .mesh import QUAD_POINTS, _form
-from .sampling import expectation, project_complement
+from .sampling import project_complement
 
 __all__ = [
     "StepReport",
@@ -75,12 +75,14 @@ def _colwise(F, u):
 
 
 def _factor_colwise(U_full, FU):
-    """Entry r is U_full[:, r] . FU[:, r], one BLAS dot per column.
+    """Entry [..., r] is U_full[:, r] . FU[..., :, r], one BLAS dot per
+    column, for FU an (N_h, R+1) product or a stack of them.
 
     For the few long columns of a low-rank factor, where einsum's inner
     loop would run along a row of R+1 entries.
     """
-    return (U_full.T[:, None, :] @ FU.T[:, :, None]).ravel()
+    return (U_full.T[:, None, :]
+            @ np.swapaxes(FU, -1, -2)[..., None])[..., 0, 0]
 
 
 def _mu_mass(mesh, mu):
@@ -130,32 +132,31 @@ def step_report(state, ws, wcond=1.0, defect_cross=0.0,
     mu.  Each term is a quadratic form of an assembled matrix (mass,
     stiffness, supg_conv, ws.mu_mass) summed over the columns of the
     state's U_full = [U0, U], as Y_full = [1, Y] is weighted
-    orthonormal.  The stiffness product is the state's kept one
-    (DlrState.product), which the step from the state reuses.  The
-    advection of sample i is b_0 + sum_k theta_k[i] b_k, with b_0 the
-    mean field and b_k the divergence-free affine modes (theta_0 = 1).
-    Its streamline term adds the forms S_kl = sum_K delta_K (b_l . grad
-    phi_j, b_k . grad phi_i)_K of ws.b_forms weighted by Y_full^T
+    orthonormal.  The matrices' products with U_full are row blocks of
+    the state's one product with ws.stack (DlrState.product), which the
+    step from the state reuses, as it reuses the Grams read here.
+    The advection of sample i is b_0 + sum_k theta_k[i] b_k, with b_0
+    the mean field and b_k the divergence-free affine modes (theta_0 =
+    1).  Its streamline term adds the forms S_kl = sum_K delta_K (b_l .
+    grad phi_j, b_k . grad phi_i)_K of ws.b_forms weighted by Y_full^T
     diag(w psi_kl) Y_full; S_00 is supg_conv.  No sample is visited.
     """
-    U_full, Y_full = state.U_full, state.Y_full
-    w = ws.space.weights
-    l2sq = float(_factor_colwise(U_full, ws.blocks.mass @ U_full).sum())
-    gradsq = float(_factor_colwise(
-        U_full, state.product(ws.blocks.stiffness)).sum())
-    bsq = float(_factor_colwise(U_full, ws.blocks.supg_conv @ U_full).sum())
-    for psi, S in ws.b_forms:
-        Yw = Y_full.T @ ((w * psi)[:, None] * Y_full)
-        bsq += float(np.sum((U_full.T @ (S @ U_full)) * Yw))
+    U_full = state.U_full
+    FU = state.product(ws.stack)
+    # the blocks of mass, stiffness, supg_conv and mu_mass are adjacent
+    l2sq, gradsq, bsq, *musq = _factor_colwise(
+        U_full, FU[ws.MASS:ws.MU_MASS + (ws.mu_mass is not None)]
+    ).sum(axis=-1).tolist()
+    for weights, scale, block in ws.b_forms:
+        bsq += scale * float(((U_full.T @ FU[block])
+                              * state.gram(weights)).sum())
     bsq = max(bsq, 0.0)
-    musq = 0.0 if ws.mu_mass is None \
-        else max(float(_factor_colwise(
-            U_full, ws.mu_mass @ U_full).sum()), 0.0)
+    musq = max(musq[0], 0.0) if musq else 0.0
     supgsq = ws.analysis.eps_hat * gradsq + bsq + musq
     if state.rank:
-        g = (state.Y * w[:, None]).T @ state.Y
-        defect_gram = float(np.max(np.abs(g - np.eye(state.rank))))
-        defect_mean = float(np.max(np.abs(expectation(state.Y, ws.space))))
+        g, means = state.basis(ws.space.weights)
+        defect_gram = float(np.abs(g - np.eye(state.rank)).max())
+        defect_mean = float(np.abs(means).max())
     else:
         defect_gram = defect_mean = 0.0
     return StepReport(

@@ -67,7 +67,18 @@ class StepWorkspace:
     pattern of A^T + A, and that LU serves every mode and step.
     Braw = skewed_mass / dt + eps_bar stiffness + transport is that
     matrix before the Dirichlet rows are replaced.
+
+    stack holds every sparse form a state meets in a step and its
+    report, stacked by rows, so DlrState.product(stack) is one sparse
+    product whose row blocks are the forms' products: the four named
+    below first, mu_mass fifth when present, then one skewed block per
+    advection mode and one streamline form per entry of b_forms.
+    terms and b_forms name their blocks and carry the sample weights of
+    their Grams (DlrState.gram); a streamline form's Gram is its scale
+    times that of its weights.
     """
+
+    SKEWED_MASS, MASS, STIFFNESS, SUPG_CONV, MU_MASS = range(5)
 
     model: object
     mesh: object
@@ -80,9 +91,12 @@ class StepWorkspace:
     bc: DirichletCondition
     lu: object
     b_expl: object                    # callable (x, omega) or None
-    terms: list                       # explicit operator, (theta, B)
+    stack: object                     # the forms, stacked by rows
+    terms: list                       # explicit operator, (theta, w theta,
+                                      # block)
     has_explicit_eps: bool            # whether eps_star is not all zero
-    b_forms: list                     # energy norm, (psi, S_kl)
+    b_forms: list                     # energy norm, (w psi_kl / scale,
+                                      # scale, block of S_kl)
     mu_mass: object                   # (mu phi_j, phi_i), None if mu = 0
     # always None, the reaction is implicit; the benchmark's tracer
     # (bench/spans.py) assigns it, so it goes only with a benchmark change
@@ -132,10 +146,8 @@ def prepare_workspace(model, mesh, space, dt, delta, bc=None,
     blocks = assemble_blocks(mesh, analysis.b_mean, analysis.c_mean, delta)
 
     has_explicit_eps = bool(np.any(eps_star != 0.0))
-    terms = [(eps_star, blocks.stiffness)] if has_explicit_eps else []
     modes = [(theta, directional_gradients(mesh, beta))
              for theta, beta in analysis.modes]
-    terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
 
     # every form shares the mesh's CSR pattern, so Braw sums their data
     # (scipy divides a matrix by a scalar through its reciprocal)
@@ -152,23 +164,60 @@ def prepare_workspace(model, mesh, space, dt, delta, bc=None,
     # the solves with the small supernodes of that order fast
     lu = spla.splu(bc.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
 
+    w = space.weights
     mu_mass = diagnostics._mu_mass(mesh, analysis.mu)
-    # mode 0 is the mean field, theta_0 = 1; the forms S_kl for k <= l,
-    # (k, l) != (0, 0), the off-diagonal pairs counted twice
-    modes = [(np.ones(space.count), blocks.bg_at_qp)] + modes \
-        if modes else []
-    b_forms = [(theta_k * theta_l * (1.0 if k == l else 2.0),
-                assemble_streamline(blocks, vg_k, vg_l))
-               for k, (theta_k, vg_k) in enumerate(modes)
-               for l, (theta_l, vg_l) in enumerate(modes)
-               if l >= max(k, 1)]
+    forms = [blocks.skewed_mass, blocks.mass, stiffness, blocks.supg_conv]
+    if mu_mass is not None:
+        forms.append(mu_mass)
+    terms = [(eps_star, w * eps_star, StepWorkspace.STIFFNESS)] \
+        if has_explicit_eps else []
+    # the energy norm's forms S_kl, k <= l, of the modes with the mean
+    # field as mode 0, theta_0 = 1, the off-diagonal pairs counted
+    # twice: S_0l weighs 2 theta_l, twice the weights of term l's Gram
+    b_forms = []
+    for theta, vg in modes:
+        w_theta = w * theta
+        terms.append((theta, w_theta, len(forms)))
+        b_forms.append((w_theta, 2.0, len(forms) + 1))
+        forms += [assemble_skewed(blocks, vg),
+                  assemble_streamline(blocks, blocks.bg_at_qp, vg)]
+    for k, (theta_k, vg_k) in enumerate(modes):
+        for l, (theta_l, vg_l) in enumerate(modes[k:], k):
+            psi = theta_k * theta_l * (1.0 if k == l else 2.0)
+            b_forms.append((w * psi, 1.0, len(forms)))
+            forms.append(assemble_streamline(blocks, vg_k, vg_l))
     return StepWorkspace(
         model=model, mesh=mesh, space=space, dt=dt,
         tangent_residual=tangent_residual, analysis=analysis,
         blocks=blocks, Braw=Braw, bc=bc, lu=lu,
         b_expl=model.b_fluct if model.b_modes else None,
-        terms=terms, has_explicit_eps=has_explicit_eps, b_forms=b_forms,
+        stack=_stack_forms(forms), terms=terms,
+        has_explicit_eps=has_explicit_eps, b_forms=b_forms,
         mu_mass=mu_mass)
+
+
+def _stack_forms(forms):
+    """The forms, CSR matrices of one pattern, stacked by rows.
+
+    Each form's data becomes a view of its block of the stack, so the
+    stack adds only its index arrays.  Its product with a matrix equals
+    the forms' products, row for row and bit for bit: each row sums the
+    same entries in the same order.
+    """
+    first = forms[0]
+    n, nnz = first.shape[0], first.nnz
+    for F in forms:
+        if F.shape != first.shape or not (
+                np.array_equal(F.indptr, first.indptr)
+                and np.array_equal(F.indices, first.indices)):
+            raise ValueError("stacked forms must share one CSR pattern")
+    data = np.concatenate([F.data for F in forms])
+    for k, F in enumerate(forms):
+        F.data = data[k * nnz:(k + 1) * nnz]
+    indptr = np.concatenate(
+        [[0]] + [first.indptr[1:] + k * nnz for k in range(len(forms))])
+    return sp.csr_matrix((data, np.tile(first.indices, len(forms)),
+                          indptr), shape=(len(forms) * n, n))
 
 
 def step_deterministic_modes(state, ws):
@@ -177,31 +226,27 @@ def step_deterministic_modes(state, ws):
     Mode j of the explicit right-hand side is
     sum_k (B_k U_full) (Y_full^T diag(w theta_k) Y_full)[:, j]; caches
     carries the products B_k U_full and the solved right-hand side on
-    to the stochastic step.  The products come from state.product, and
-    ws.terms lists the stiffness first, so the diffusion term reads the
-    product the state's step report took.
+    to the stochastic step.  The products are row blocks of the state's
+    product with ws.stack and the Grams the state's own, both formed
+    once per state, by its step report when that ran first.
     """
-    U_full, Y_full = state.U_full, state.Y_full
-    w = ws.space.weights
-
-    rhs = ws.blocks.skewed_mass @ U_full
-    rhs /= ws.dt
+    FU = state.product(ws.stack)
+    rhs = FU[ws.SKEWED_MASS] / ws.dt
 
     fqp = ws.forcing_qp(state.t)
     if fqp is not None:
         rhs[:, 0] += assemble_load(ws.blocks, fqp)
 
-    BU = [state.product(B) for _, B in ws.terms]
-    for (theta, _), BU_k in zip(ws.terms, BU):
-        E = Y_full.T @ ((w * theta)[:, None] * Y_full)
-        rhs -= BU_k @ E
+    BU = [FU[block] for _, _, block in ws.terms]
+    for (_, weights, _), BU_k in zip(ws.terms, BU):
+        rhs -= BU_k @ state.gram(weights)
 
     # the mean mode carries the boundary values, the fluctuation modes
     # vanish on the Dirichlet boundary
     rhs[:, 0] = ws.bc.constrain_rhs(rhs[:, 0])
     rhs[ws.bc.dofs, 1:] = 0.0
     U_tilde = ws.lu.solve(rhs)
-    if not np.all(np.isfinite(U_tilde)):
+    if not np.isfinite(U_tilde).all():
         raise SolverError("deterministic mode solve returned non-finite "
                           "values")
     return U_tilde, (BU, rhs)
@@ -229,8 +274,8 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
 
     Um = U_tilde[:, 1:]
     What = solved_rhs[:, 1:].T @ Um
-    d = np.sqrt(np.abs(np.diag(What)))
-    if not np.all((0.0 < d) & (d < np.inf)):
+    d = np.sqrt(np.abs(What.diagonal()))
+    if not ((0.0 < d) & (d < np.inf)).all():
         raise NearSingularError("mode coupling matrix has a zero or "
                                 "non-finite diagonal", condition=np.inf)
     Ws = What / d[:, None] / d[None, :]
@@ -242,14 +287,15 @@ def step_stochastic_modes(state, U_tilde, ws, caches):
             f"{WCOND_THRESHOLD:.1e}", condition=cond)
 
     rhs = np.zeros((state.n_samples, R))
-    for (theta, _), BU_k in zip(ws.terms, BU):
+    for (theta, _, _), BU_k in zip(ws.terms, BU):
         G = Um.T @ BU_k                                # (R, R+1)
         rhs -= theta[:, None] * (state.Y_full @ G.T)
 
-    if not np.any(rhs):
+    if not rhs.any():
         dY = np.zeros_like(state.Y)
     else:
-        rhs = project_complement(rhs, state.Y, ws.space)
+        rhs = project_complement(rhs, state.Y, ws.space,
+                                 state.basis(ws.space.weights))
         dY = rhs @ (np.linalg.inv(Ws) / d[:, None] / d[None, :])
     return state.Y + dY, dY, cond
 
@@ -265,7 +311,7 @@ def step(state, ws):
     Y_tilde, dY, wcond = step_stochastic_modes(state, U_tilde, ws, caches)
 
     w = ws.space.weights
-    defect_cross = float(np.max(np.abs((dY * w[:, None]).T @ state.Y))) \
+    defect_cross = float(np.abs((dY * w[:, None]).T @ state.Y).max()) \
         if state.rank else 0.0
 
     means = expectation(Y_tilde, ws.space)

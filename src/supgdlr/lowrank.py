@@ -31,7 +31,10 @@ class DlrState:
     copied, and made read-only, and Y, copied into Y_full = [1 | Y],
     (N_C, R+1), read-only too; U0, U and Y are views into them.  The
     factor shapes are checked, never guessed: factors whose ranks
-    differ, such as a transposed U_full, raise ConfigError.
+    differ, such as a transposed U_full, raise ConfigError.  What a step
+    and its report derive from the factors alone, the product with the
+    run's stacked forms, the weighted Grams of Y_full and the Gram and
+    means of Y, is formed once per state and kept, read-only.
     """
 
     def __init__(self, U_full, Y, t=0.0):
@@ -51,7 +54,7 @@ class DlrState:
         self.U0, self.U = U_full[:, 0], U_full[:, 1:]
         self.Y = Y_full[:, 1:]
         self.t = float(t)
-        self._kept = None
+        self._kept = {}
 
     @property
     def rank(self):
@@ -61,18 +64,38 @@ class DlrState:
     def n_samples(self):
         return self.Y.shape[0]
 
-    def product(self, A):
-        """A @ U_full, read-only.
+    def product(self, stack):
+        """stack @ U_full as (blocks, N_h, R+1), read-only, formed once.
 
-        The product with the matrix last asked for is kept, so the
-        stiffness product a step report takes serves the step from this
-        state.
+        stack is a CSR matrix of N_h x N_h forms stacked by rows
+        (StepWorkspace.stack), and block k is form k times U_full.
         """
-        if self._kept is None or self._kept[0] is not A:
-            AU = A @ self.U_full
-            AU.flags.writeable = False
-            self._kept = (A, AU)
-        return self._kept[1]
+        return self._keep("product", stack, lambda: (
+            stack @ self.U_full).reshape(-1, *self.U_full.shape))
+
+    def gram(self, weights):
+        """Y_full^T diag(weights) Y_full, read-only, formed once."""
+        return self._keep("gram", weights, lambda: (
+            self.Y_full.T @ (weights[:, None] * self.Y_full)))
+
+    def basis(self, weights):
+        """(Y^T diag(weights) Y, weights @ Y), read-only, formed once: the
+        Gram and means of the stochastic modes, which the step report
+        checks and the step from this state checks again."""
+        return self._keep("basis", weights, lambda: (
+            (self.Y * weights[:, None]).T @ self.Y, weights @ self.Y))
+
+    def _keep(self, kind, operand, make):
+        """make(), formed at the first call for this kind and operand and
+        kept read-only; the operand is kept too, so that no other object
+        can take its id."""
+        key = (kind, id(operand))
+        if key not in self._kept:
+            value = make()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            self._kept[key] = (operand, value)
+        return self._kept[key][1]
 
     def dense(self):
         """All realizations as columns, (N_h, N_C)."""

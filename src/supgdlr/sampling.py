@@ -23,6 +23,8 @@ __all__ = [
 
 ORTHO_TOL = 1e-8
 RANK_TOL = 1e-12
+_GEQRF, _ORGQR = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"),
+                                               dtype=np.float64)
 
 
 class SampleSpace:
@@ -64,27 +66,54 @@ def expectation(Z, space):
     return space.weights @ _check_len(Z, space)
 
 
-def project_complement(z, Y, space):
+def project_complement(z, Y, space, basis=None):
     """Project z onto the complement of span{1, Y_1..Y_R}.
 
     z : (N_C,) or (N_C, m), projected column by column.
-    Y : (N_C, R) with orthonormal zero-mean columns.  The result is
-    zero-mean and orthogonal to every column.
+    Y : (N_C, R) with orthonormal zero-mean columns, checked on its
+    weighted Gram and means; basis, when given, holds those two of this
+    Y as DlrState.basis keeps them, and they are not formed again.  The
+    result is zero-mean and orthogonal to every column.
     """
     z = _check_len(z, space)
     Y = np.asarray(Y, dtype=float)
     if Y.size:
         Y = _check_len(Y, space)
         Yw = Y * space.weights[:, None]
-        if np.max(np.abs(Yw.T @ Y - np.eye(Y.shape[1]))) > ORTHO_TOL:
+        gram, means = (Yw.T @ Y, expectation(Y, space)) if basis is None \
+            else basis
+        if np.abs(gram - np.eye(Y.shape[1])).max() > ORTHO_TOL:
             raise ConfigError("basis is not orthonormal in the weighted product")
-        means = expectation(Y, space)
-        if np.max(np.abs(means)) > ORTHO_TOL:
+        if np.abs(means).max() > ORTHO_TOL:
             raise ConfigError("basis is not zero-mean")
     zf = z - expectation(z, space)
     if Y.size:
         zf = zf - Y @ (Yw.T @ zf)
     return zf
+
+
+def _householder_qr(a):
+    """Economic QR of a, (n, r) and Fortran-ordered, which it overwrites.
+
+    Returns (Q, T), Q (n, k) and T (k, r) with k = min(n, r), bit for bit
+    the factors of scipy.linalg.qr(a, mode="economic"): the same LAPACK
+    geqrf and orgqr with the workspace sizes they ask for, called
+    without that wrapper's checks and lookups.
+    """
+    n, r = a.shape
+
+    def call(routine, *args):
+        lwork = routine(*args, lwork=-1, overwrite_a=True)[-2][0]
+        out = routine(*args, lwork=int(lwork), overwrite_a=True)
+        if out[-1] < 0:
+            raise ValueError(f"illegal value in argument {-out[-1]} of "
+                             "a LAPACK QR routine")
+        return out[:-2]
+
+    qr, tau = call(_GEQRF, a)
+    T = np.triu(qr[:r] if n >= r else qr)
+    Q, = call(_ORGQR, qr[:, :min(n, r)], tau)
+    return Q, T
 
 
 def weighted_orthonormalize(Y_tilde, space):
@@ -107,14 +136,12 @@ def weighted_orthonormalize(Y_tilde, space):
     sw = np.sqrt(space.weights)[:, None]
     # column-major throughout: LAPACK takes the scaled modes without a
     # copy, and scaling the (n, r) columns of Q streams along n
-    Q, T = scipy.linalg.qr(np.multiply(sw, Yt, order="F"),
-                           mode="economic", overwrite_a=True,
-                           check_finite=False)
-    sign = np.where(np.diag(T) < 0.0, -1.0, 1.0)
+    Q, T = _householder_qr(np.multiply(sw, Yt, order="F"))
+    sign = np.where(T.diagonal() < 0.0, -1.0, 1.0)
     T *= sign[:, None]
     pivots = np.zeros(r)                    # r > n leaves zero pivots
-    pivots[:len(sign)] = np.diag(T)
-    col_scale = max(float(np.max(np.linalg.norm(T, axis=0))), 1e-300)
+    pivots[:len(sign)] = T.diagonal()
+    col_scale = max(float(np.linalg.norm(T, axis=0).max()), 1e-300)
     low = np.flatnonzero(pivots <= RANK_TOL * col_scale)
     if low.size:
         j = int(low[0])

@@ -390,16 +390,18 @@ def _tiny_rotating_body():
     return cfg
 
 
-@pytest.mark.parametrize("preset, per_step", [
-    (lambda: preset_boundary_layer("desk"), 7),
-    (_tiny_rotating_body, 4),
-], ids=["boundary_layer_desk", "small_rotating_body"])
-def test_sparse_products_per_step(monkeypatch, preset, per_step):
-    # the stiffness product of a state's report serves the step from it:
-    # skewed mass, the advection term, and mass, supg_conv and the two
-    # streamline forms of the report on the boundary layer; skewed mass,
-    # mass and supg_conv plus the new state's stiffness on the rotating
-    # body
+@pytest.mark.parametrize("preset", [
+    lambda: preset_boundary_layer("desk"),
+    _tiny_rotating_body,
+    lambda: preset_rotating_body("desk"),
+], ids=["boundary_layer_desk", "small_rotating_body", "rotating_body_desk"])
+def test_sparse_products_per_step(monkeypatch, preset):
+    # a state meets every form of its step and its report in one product
+    # with the workspace's stack, which its report forms: one per step,
+    # where one product per form made 7 per desk boundary-layer step
+    # (skewed mass, the advection block, and the report's mass,
+    # stiffness, supg_conv and two streamline forms) and 4 per
+    # rotating-body step
     import scipy.sparse as sp
     from supgdlr import integrator
 
@@ -424,7 +426,7 @@ def test_sparse_products_per_step(monkeypatch, preset, per_step):
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(integrator, "step", counted_step)
     run(state, ws, state.t + 3 * cfg.dt)
-    assert counts == [per_step] * 3
+    assert counts == [1] * 3
 
 
 @pytest.mark.parametrize("preset", [preset_rotating_body,
@@ -443,7 +445,146 @@ def test_a_carried_product_cannot_go_stale(preset):
     assert carried_new.t == fresh_new.t
     assert carried_report == fresh_report
 
-    kept = state.product(ws.blocks.stiffness)
-    for array in (state.U_full, state.U0, state.Y_full, kept):
+    kept = [state.product(ws.stack), *state.basis(ws.space.weights)]
+    kept += [state.gram(weights) for _, weights, _ in ws.terms]
+    for array in (state.U_full, state.U0, state.Y_full, *kept):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+def _per_form_operators(ws):
+    """The workspace's forms one by one, assembled again: the explicit
+    terms (theta, B), the streamline forms (psi, S_kl) and mu_mass."""
+    from supgdlr import diagnostics
+    from supgdlr.mesh import assemble_skewed, assemble_streamline, \
+        directional_gradients
+
+    blocks, analysis = ws.blocks, ws.analysis
+    modes = [(theta, directional_gradients(ws.mesh, beta))
+             for theta, beta in analysis.modes]
+    terms = [(analysis.eps_star, blocks.stiffness)] \
+        if ws.has_explicit_eps else []
+    terms += [(theta, assemble_skewed(blocks, vg)) for theta, vg in modes]
+    modes = [(np.ones(ws.space.count), blocks.bg_at_qp)] + modes \
+        if modes else []
+    b_forms = [(theta_k * theta_l * (1.0 if k == l else 2.0),
+                assemble_streamline(blocks, vg_k, vg_l))
+               for k, (theta_k, vg_k) in enumerate(modes)
+               for l, (theta_l, vg_l) in enumerate(modes)
+               if l >= max(k, 1)]
+    return terms, b_forms, diagnostics._mu_mass(ws.mesh, analysis.mu)
+
+
+def _per_form_reference_step(state, ws, operators):
+    """One step and its report, computed form by form: one sparse
+    product per form, each weighted Gram formed where it is used, and
+    scipy.linalg.qr; returns (new state, StepReport)."""
+    import scipy.linalg
+    from supgdlr import assemble_load, project_complement
+
+    terms, b_forms, mu_mass = operators
+    w, blocks = ws.space.weights, ws.blocks
+    U_full, Y_full = state.U_full, state.Y_full
+
+    rhs = blocks.skewed_mass @ U_full
+    rhs /= ws.dt
+    fqp = ws.forcing_qp(state.t)
+    if fqp is not None:
+        rhs[:, 0] += assemble_load(blocks, fqp)
+    BU = [B @ U_full for _, B in terms]
+    for (theta, _), BU_k in zip(terms, BU):
+        rhs -= BU_k @ (Y_full.T @ ((w * theta)[:, None] * Y_full))
+    rhs[:, 0] = ws.bc.constrain_rhs(rhs[:, 0])
+    rhs[ws.bc.dofs, 1:] = 0.0
+    U_tilde = ws.lu.solve(rhs)
+
+    Um = U_tilde[:, 1:]
+    What = rhs[:, 1:].T @ Um
+    d = np.sqrt(np.abs(np.diag(What)))
+    Ws = What / d[:, None] / d[None, :]
+    sv = np.linalg.svd(Ws, compute_uv=False)
+    srhs = np.zeros((state.n_samples, state.rank))
+    for (theta, _), BU_k in zip(terms, BU):
+        srhs -= theta[:, None] * (Y_full @ (Um.T @ BU_k).T)
+    dY = project_complement(srhs, state.Y, ws.space) \
+        @ (np.linalg.inv(Ws) / d[:, None] / d[None, :])
+    Y_tilde = state.Y + dY
+    defect_cross = float(np.max(np.abs((dY * w[:, None]).T @ state.Y)))
+
+    means = w @ Y_tilde
+    sw = np.sqrt(w)[:, None]
+    Q, T = scipy.linalg.qr(np.multiply(sw, Y_tilde - means, order="F"),
+                           mode="economic", overwrite_a=True,
+                           check_finite=False)
+    sign = np.where(np.diag(T) < 0.0, -1.0, 1.0)
+    recombine = np.eye(state.rank + 1)
+    recombine[1:, 0] = means
+    recombine[1:, 1:] = (T * sign[:, None]).T
+    new = DlrState(U_tilde @ recombine, Q * sign / sw, t=state.t + ws.dt)
+
+    U_full, Y_full, Y = new.U_full, new.Y_full, new.Y
+
+    def colwise(U_full, FU):              # U_full[:, r] . FU[:, r]
+        return (U_full.T[:, None, :] @ FU.T[:, :, None]).ravel()
+
+    l2sq = float(colwise(U_full, blocks.mass @ U_full).sum())
+    gradsq = float(colwise(U_full, blocks.stiffness @ U_full).sum())
+    bsq = float(colwise(U_full, blocks.supg_conv @ U_full).sum())
+    for psi, S in b_forms:
+        bsq += float(np.sum((U_full.T @ (S @ U_full))
+                            * (Y_full.T @ ((w * psi)[:, None] * Y_full))))
+    bsq = max(bsq, 0.0)
+    musq = 0.0 if mu_mass is None \
+        else max(float(colwise(U_full, mu_mass @ U_full).sum()), 0.0)
+    supgsq = ws.analysis.eps_hat * gradsq + bsq + musq
+    gram = (Y * w[:, None]).T @ Y
+    return new, StepReport(
+        t=new.t, l2=float(np.sqrt(max(l2sq, 0.0))),
+        grad=float(np.sqrt(max(gradsq, 0.0))),
+        supg=float(np.sqrt(max(supgsq, 0.0))),
+        mu_half=float(np.sqrt(musq)), bconv=float(np.sqrt(bsq)),
+        wtilde_cond=float(sv[0] / sv[-1]),
+        defect_gram=float(np.max(np.abs(gram - np.eye(new.rank)))),
+        defect_mean=float(np.max(np.abs(w @ Y))),
+        defect_cross=defect_cross)
+
+
+def _two_mode_problem():
+    mesh = build_structured_mesh(4)
+    space = make_monte_carlo([(-1.0, 1.0)] * 3, 12, seed=9)
+    ws = make_ws(mesh, space, two_mode_advection(space), dt=1e-3)
+    return ws, random_state(mesh, space, rank=3, seed=10)
+
+
+def _reaction_forcing_problem():
+    # random diffusion puts the stiffness among the explicit terms, and
+    # the reaction mu_mass into the stack
+    mesh = build_structured_mesh(5)
+    space = make_monte_carlo([(-1.0, 1.0)] * 2, 16, seed=3)
+    model = constant_adr(
+        b=(1.0, 0.5), c=2.0, f=lambda t, x: np.sin(3.0 * x[:, 0]) + t,
+        eps_fn=lambda s: 0.05 * (1.0 + 0.5 * np.atleast_2d(s)[:, 0]))
+    ws = make_ws(mesh, space, model, dt=1e-2)
+    assert ws.has_explicit_eps and ws.mu_mass is not None
+    return ws, random_state(mesh, space, rank=2, seed=4)
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: build_problem(preset_boundary_layer("desk"))[5:],
+    _two_mode_problem,
+    _reaction_forcing_problem,
+], ids=["boundary_layer_desk", "two_mode_advection", "reaction_forcing"])
+def test_step_equals_the_per_form_reference_bit_for_bit(problem):
+    # the stacked product, the Grams kept on each state, the basis check
+    # read from the report and the direct LAPACK QR leave every bit as
+    # the per-form step computes it
+    ws, state = problem()
+    operators = _per_form_operators(ws)
+    ref = state
+    for _ in range(5):
+        state, report = step(state, ws)
+        ref, ref_report = _per_form_reference_step(ref, ws, operators)
+        assert np.array_equal(state.U_full, ref.U_full)
+        assert np.array_equal(state.Y_full, ref.Y_full)
+        assert state.t == ref.t
+        assert report == ref_report

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,49 @@ def test_orthonormalize_matches_gram_schmidt(n, r):
     assert np.max(np.abs(T - T_ref)) <= 1e-14 * np.max(np.abs(T_ref))
 
 
+def scipy_orthonormalize(Yt, space):
+    """weighted_orthonormalize's factors through scipy.linalg.qr."""
+    sw = np.sqrt(space.weights)[:, None]
+    Q, T = scipy.linalg.qr(np.multiply(sw, Yt, order="F"), mode="economic",
+                           overwrite_a=True, check_finite=False)
+    sign = np.where(np.diag(T) < 0.0, -1.0, 1.0)
+    return Q * sign / sw, T * sign[:, None]
+
+
+# (5, 8) has more columns than rows; (300, 200) is past LAPACK's
+# crossover to blocked Householder, where the workspace size matters
+@pytest.mark.parametrize("n, r", [(256, 7), (7000, 2), (5, 8), (1, 3),
+                                  (300, 200)])
+def test_householder_qr_equals_scipy_bit_for_bit(n, r):
+    from supgdlr.sampling import _householder_qr
+
+    rng = np.random.default_rng(n * r)
+    a = np.asfortranarray(rng.standard_normal((n, r)))
+    Q_ref, T_ref = scipy.linalg.qr(a, mode="economic")
+    Q, T = _householder_qr(a.copy(order="F"))
+    assert Q.shape == Q_ref.shape and T.shape == T_ref.shape
+    assert np.array_equal(Q, Q_ref) and np.array_equal(T, T_ref)
+
+
+@pytest.mark.parametrize("n, r", [(256, 7), (7000, 2), (40, 40)])
+def test_orthonormalize_equals_scipy_qr_bit_for_bit(n, r):
+    rng = np.random.default_rng(n - r)
+    w = rng.uniform(0.5, 1.5, n)
+    space = SampleSpace(rng.standard_normal((n, 1)), w / w.sum())
+    Yt = rng.standard_normal((n, r))
+    for got, want in zip(weighted_orthonormalize(Yt, space),
+                         scipy_orthonormalize(Yt, space)):
+        assert np.array_equal(got, want)
+
+
+def test_orthonormalize_more_columns_than_samples_loses_rank():
+    space = make_monte_carlo([(-1.0, 1.0)], 4, seed=6)
+    Yt = np.random.default_rng(7).standard_normal((4, 6))
+    with pytest.raises(RankLossError) as err:
+        weighted_orthonormalize(Yt, space)
+    assert err.value.numerical_rank == 4
+
+
 def test_orthonormalize_dependent_column_rank():
     space = make_monte_carlo([(-1.0, 1.0)], 20, seed=2)
     rng = np.random.default_rng(4)
@@ -165,6 +209,26 @@ def test_project_complement_rejects_bad_basis():
     bad = np.ones((5, 1))                  # not zero-mean
     with pytest.raises(ConfigError):
         project_complement(np.arange(5.0), bad, space)
+
+
+def test_project_complement_reads_a_carried_basis():
+    # a state's kept Gram and means serve the check in place of forming
+    # them; the check applies its tolerance to what it is given
+    from supgdlr import DlrState
+
+    rng = np.random.default_rng(8)
+    space = make_monte_carlo([(-1.0, 1.0)] * 2, 12, seed=5)
+    Yraw = rng.standard_normal((12, 3))
+    Y, _ = weighted_orthonormalize(Yraw - expectation(Yraw, space), space)
+    z = rng.standard_normal((12, 2))
+    basis = DlrState(np.ones((4, 4)), Y).basis(space.weights)
+    assert np.array_equal(project_complement(z, Y, space, basis),
+                          project_complement(z, Y, space))
+    gram, means = basis
+    with pytest.raises(ConfigError, match="orthonormal"):
+        project_complement(z, Y, space, (gram + 2e-8, means))
+    with pytest.raises(ConfigError, match="zero-mean"):
+        project_complement(z, Y, space, (gram, means + 2e-8))
 
 
 def test_tensor_grid_counts_and_midpoint():
